@@ -31,8 +31,8 @@ int CompareBackend(solver::Backend backend, int workers, double budget_ms,
   ACloudConfig cfg;
   cfg.duration_hours = duration_hours;  // keep the comparison leg quick
   cfg.solver_time_ms = budget_ms;
-  cfg.solver_backend = solver::BackendName(backend);
-  cfg.solver_workers = workers;
+  cfg.knobs["SOLVER_BACKEND"] = Value::Str(solver::BackendName(backend));
+  cfg.knobs["SOLVER_WORKERS"] = Value::Int(workers);
   ACloudScenario scenario(cfg);
   auto r = scenario.Run(ACloudPolicy::kACloud);
   if (!r.ok()) {
@@ -51,7 +51,7 @@ int CompareBackend(solver::Backend backend, int workers, double budget_ms,
   SolveRecord rec;
   rec.bench = "fig2_3_acloud";
   rec.backend = solver::BackendName(backend);
-  rec.seed = cfg.solver_seed;
+  rec.seed = runtime::SolveOptions{}.seed;  // the driver leaves SOLVER_SEED
   rec.workers = 1;
   for (size_t i = 1; i < rows.size(); ++i) {
     stdev_sum += rows[i].avg_cpu_stdev;

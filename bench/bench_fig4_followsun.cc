@@ -68,13 +68,13 @@ int RunChurn(FILE* out_file) {
     cfg.num_dcs = c.dcs;
     cfg.seed = 104;
     if (c.reliable) {
-      cfg.net_reliable = true;
+      cfg.knobs["NET_RELIABLE"] = Value::Int(1);
       cfg.batch_links = true;
       cfg.max_link_batch = 3;
       cfg.capacity = 45;
       cfg.demand_hi = 4;
       cfg.link_loss_prob = c.loss;  // sustained loss; retransmission recovers
-      cfg.solver_backend = "lns";
+      cfg.knobs["SOLVER_BACKEND"] = Value::Str("lns");
       cfg.solver_max_iterations = 8;
       cfg.solver_time_ms = 0;
       cfg.fault_plan = ChurnPlan(0, c.crash, cfg.num_dcs, cfg.seed);

@@ -44,15 +44,15 @@ FtsConfig ObsSoakConfig(bool obs) {
   FtsConfig cfg;
   cfg.num_dcs = 10;
   cfg.seed = 104;
-  cfg.net_reliable = true;
+  cfg.knobs["NET_RELIABLE"] = Value::Int(1);
   cfg.batch_links = true;
   cfg.max_link_batch = 3;
   cfg.capacity = 45;
   cfg.demand_hi = 4;
-  cfg.solver_backend = "lns";
+  cfg.knobs["SOLVER_BACKEND"] = Value::Str("lns");
   cfg.solver_max_iterations = 8;
   cfg.solver_time_ms = 0;
-  cfg.obs_metrics = obs;
+  cfg.knobs["OBS_METRICS"] = Value::Int(obs ? 1 : 0);
   return cfg;
 }
 
@@ -152,7 +152,6 @@ ResolveArm TimedResolve(bool incremental, const colog::CompiledProgram& prog) {
   using Clock = std::chrono::steady_clock;
   ResolveArm arm;
   FtsConfig cfg = ObsSoakConfig(false);
-  cfg.solver_incremental = true;  // both arms prime the same steady state
   runtime::System sys(&prog, kChainDcs, MakeSystemOptions(cfg));
   if (!sys.Init().ok()) return arm;
   auto N = [](NodeId n) { return Value::Node(n); };
@@ -180,7 +179,10 @@ ResolveArm TimedResolve(bool incremental, const colog::CompiledProgram& prog) {
   }
   sys.RunToQuiescence();
 
-  runtime::SolveRequest req = MakeSolveRequest(cfg, /*batched_prefix=*/2);
+  // Both arms prime the same incremental steady state.
+  runtime::SolveRequest req;
+  req.mode = runtime::SolveMode::kIncremental;
+  req.group_key_prefix = 2;
   for (NodeId i = 0; i < kInitiators; ++i) {
     runtime::Instance& inst = sys.node(i);
     inst.set_solve_options(
@@ -242,8 +244,9 @@ ResolveArm TimedResolve(bool incremental, const colog::CompiledProgram& prog) {
 int RunResolveJson() {
   constexpr int kReps = 3;
   constexpr double kTarget = 5.0;
-  auto compiled = colog::CompileColog(
-      FollowTheSunDistributedProgram(false, 60, 20, /*batched=*/true));
+  auto compiled = CompileDriverProgram(
+      FollowTheSunDistributedProgram(false, 60, 20, /*batched=*/true),
+      ObsSoakConfig(false));
   if (!compiled.ok()) {
     fprintf(stderr, "compile: %s\n", compiled.status().ToString().c_str());
     return 1;

@@ -24,12 +24,6 @@ const char* ACloudPolicyName(ACloudPolicy p) {
 ACloudScenario::ACloudScenario(const ACloudConfig& config)
     : config_(config), trace_(config.trace), rng_(config.seed) {
   num_hosts_ = config.num_dcs * config.hosts_per_dc;
-  auto plain = colog::CompileColog(ACloudProgram(false));
-  auto limited =
-      colog::CompileColog(ACloudProgram(true, config.max_migrates));
-  // Program texts are fixed; failure here is a programming error.
-  prog_plain_ = std::move(plain).value();
-  prog_limited_ = std::move(limited).value();
 }
 
 int ACloudScenario::active_vms() const {
@@ -202,7 +196,8 @@ Result<int> ACloudScenario::RunCologne(int dc, runtime::Instance* inst,
 
   if (movable.empty()) return 0;
 
-  COLOGNE_ASSIGN_OR_RETURN(out, inst->Solve(MakeSolveRequest(config_, 0)));
+  COLOGNE_ASSIGN_OR_RETURN(
+      out, inst->Solve(MakeSolveRequest(config_, inst->solve_options(), 0)));
   // Per-solve trace for diagnosing replay regressions (set ACLOUD_DEBUG=1).
   if (getenv("ACLOUD_DEBUG") != nullptr) {
     fprintf(stderr,
@@ -261,31 +256,33 @@ Result<std::vector<ACloudInterval>> ACloudScenario::Run(ACloudPolicy policy) {
 
   // One persistent Cologne instance per data center (state updates flow
   // through incremental view maintenance across intervals).
-  const colog::CompiledProgram& prog =
-      policy == ACloudPolicy::kACloudM ? prog_limited_ : prog_plain_;
+  COLOGNE_ASSIGN_OR_RETURN(
+      prog, CompileDriverProgram(ACloudProgram(policy == ACloudPolicy::kACloudM,
+                                               config_.max_migrates),
+                                 config_));
   std::vector<std::unique_ptr<runtime::Instance>> instances;
-  // Standalone driver (no runtime::System): the scenario owns the metrics
-  // registry itself and snapshots per COP interval instead of per round.
+  // Standalone driver (no runtime::System): the scenario reads the system
+  // knobs itself, owns the metrics registry and snapshots per COP interval
+  // instead of per round.
+  colog::SystemKnobs knobs;
+  COLOGNE_RETURN_IF_ERROR(colog::SetKnobs(prog.knobs, nullptr, &knobs));
   obs::MetricsRegistry metrics;
-  if (config_.obs_metrics) {
+  if (knobs.obs_metrics) {
     metrics.DeclareHistogram("solve.nodes", {0, 10, 100, 1000, 10000});
   }
   if (policy == ACloudPolicy::kACloud || policy == ACloudPolicy::kACloudM) {
     for (int dc = 0; dc < config_.num_dcs; ++dc) {
       auto inst = std::make_unique<runtime::Instance>(dc, &prog);
       COLOGNE_RETURN_IF_ERROR(inst->Init());
-      // Read-modify-write so program-declared SOLVER_* knobs survive
-      // (the config fields below still win where set).
+      // Read-modify-write so the knobs Init() applied survive.
       runtime::SolveOptions opts = OverlaySolveOptions(
           config_, inst->solve_options(), config_.solver_time_ms);
-      opts.num_workers = config_.solver_workers;
-      opts.seed = config_.solver_seed;
       opts.warm_start = config_.solver_warm_start;
       inst->set_solve_options(opts);
       if (config_.solve_trace != nullptr) {
         inst->set_trace(config_.solve_trace);
       }
-      if (config_.obs_metrics) inst->set_metrics(&metrics);
+      if (knobs.obs_metrics) inst->set_metrics(&metrics);
       instances.push_back(std::move(inst));
     }
   }
@@ -354,7 +351,7 @@ Result<std::vector<ACloudInterval>> ACloudScenario::Run(ACloudPolicy policy) {
     double total = 0;
     for (int dc = 0; dc < config_.num_dcs; ++dc) total += DcStdev(dc);
     m.avg_cpu_stdev = total / config_.num_dcs;
-    if (config_.obs_metrics && cologne_policy &&
+    if (knobs.obs_metrics && cologne_policy &&
         config_.solve_trace != nullptr) {
       config_.solve_trace->Metrics(static_cast<uint64_t>(step), metrics);
     }

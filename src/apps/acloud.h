@@ -31,12 +31,10 @@ const char* ACloudPolicyName(ACloudPolicy p);
 /// 4-hour replay completes in bench time: 3 data centers, 4 VM hosts each
 /// (the paper's 5th host per DC is a storage server and hosts no VMs),
 /// 10-minute COP interval, VMs below 20 % CPU excluded from the vm table.
-/// The solver/observability knobs shared by every driver live in the
-/// CommonConfig base (the network-transport ones are unused here — this
-/// driver replays a trace against standalone instances, no simulated net).
-/// CommonConfig::solver_backend replaces the historical solver::Backend
-/// enum field: empty keeps the program default (branch-and-bound);
-/// bench_fig2_3_acloud sets the spelled-out names.
+/// The settings shared by every driver, the knobs among them, live in the
+/// CommonConfig base (NET_RELIABLE and the link settings are unused here —
+/// this driver replays a trace against standalone instances, no simulated
+/// net).
 struct ACloudConfig : CommonConfig {
   ACloudConfig() { seed = 7; }
 
@@ -53,9 +51,6 @@ struct ACloudConfig : CommonConfig {
   double heuristic_ratio = 1.05;
   int max_migrates = 3;        ///< Per DC per interval, ACloud (M) only.
   double solver_time_ms = 1500;
-  /// Worker threads for the concurrent backends (portfolio / parallel_lns).
-  int solver_workers = 1;
-  uint64_t solver_seed = 0x10C5;
   /// Reuse each DC's previous placement as a warm start for the next solve.
   bool solver_warm_start = true;
   TraceConfig trace;
@@ -71,7 +66,7 @@ struct ACloudConfig : CommonConfig {
   /// Keep the warm-start cache across the crash (both paths are tested).
   bool crash_retain_warm_start = false;
   /// Record invokeSolver outcomes + crash/restart transitions (optional).
-  /// CommonConfig::obs_metrics additionally folds per-interval `metrics`
+  /// The OBS_METRICS knob additionally folds per-interval `metrics`
   /// snapshots + solve provenance into this trace.
   runtime::TraceRecorder* solve_trace = nullptr;
 };
@@ -127,8 +122,6 @@ class ACloudScenario {
   Rng rng_;
   std::vector<Vm> vms_;
   int num_hosts_;
-  colog::CompiledProgram prog_plain_;
-  colog::CompiledProgram prog_limited_;
 };
 
 }  // namespace cologne::apps

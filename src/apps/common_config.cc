@@ -2,11 +2,15 @@
 
 namespace cologne::apps {
 
+Result<colog::CompiledProgram> CompileDriverProgram(
+    const std::string& source, const CommonConfig& config) {
+  COLOGNE_RETURN_IF_ERROR(colog::SetKnobs(config.knobs, nullptr, nullptr));
+  return colog::CompileColog(source, config.knobs);
+}
+
 runtime::System::Options MakeSystemOptions(const CommonConfig& config) {
   runtime::System::Options opts;
   opts.seed = config.seed;
-  opts.net_reliable = config.net_reliable;
-  opts.obs_metrics = config.obs_metrics;
   opts.default_link.drop_prob = config.link_loss_prob;
   return opts;
 }
@@ -15,23 +19,17 @@ runtime::SolveOptions OverlaySolveOptions(const CommonConfig& config,
                                           runtime::SolveOptions base,
                                           double time_limit_ms) {
   if (time_limit_ms >= 0) base.time_limit_ms = time_limit_ms;
-  if (!config.solver_backend.empty()) {
-    (void)solver::ParseBackend(config.solver_backend, &base.backend);
-  }
   if (config.solver_max_iterations > 0) {
     base.max_iterations = config.solver_max_iterations;
   }
-  if (config.solver_incremental) base.incremental = true;
-  if (config.solver_cache) base.cache = true;
-  if (config.solver_subproblems > 0) base.subproblems = config.solver_subproblems;
-  if (config.solver_naive_propagation) base.naive_propagation = true;
   return base;
 }
 
 runtime::SolveRequest MakeSolveRequest(const CommonConfig& config,
+                                       const runtime::SolveOptions& options,
                                        int batched_prefix) {
   runtime::SolveRequest req;
-  if (config.solver_incremental) {
+  if (options.incremental) {
     req.mode = runtime::SolveMode::kIncremental;
     req.group_key_prefix = batched_prefix;
   } else if (config.batch_links) {

@@ -1,29 +1,34 @@
-// Shared scenario-driver knobs, hoisted from FtsConfig / WirelessConfig /
+// Shared scenario-driver settings, hoisted from FtsConfig / WirelessConfig /
 // ACloudConfig (which duplicated them verbatim), plus the helpers that turn
-// them into runtime::System::Options / SolveOptions / SolveRequest in one
-// place instead of three per-driver copies.
+// them into a compiled program and runtime::System::Options / SolveOptions /
+// SolveRequest in one place instead of three per-driver copies.
 #ifndef COLOGNE_APPS_COMMON_CONFIG_H_
 #define COLOGNE_APPS_COMMON_CONFIG_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 
+#include "colog/planner.h"
+#include "common/status.h"
+#include "common/value.h"
 #include "runtime/solver_bridge.h"
 #include "runtime/system.h"
 
 namespace cologne::apps {
 
-/// Knobs every scenario driver shares. Scenario configs inherit this; their
-/// constructors override the seed default (11 for Follow-the-Sun, 3 for
-/// wireless, 7 for ACloud — the historical per-scenario defaults).
+/// Settings every scenario driver shares. Scenario configs inherit this;
+/// their constructors override the seed default (11 for Follow-the-Sun, 3
+/// for wireless, 7 for ACloud — the historical per-scenario defaults).
 struct CommonConfig {
   uint64_t seed = 1;
-  /// Carry traffic over the retransmission/FIFO reliable transport
-  /// (net/reliable_channel.h). Loss then no longer causes divergence.
-  bool net_reliable = false;
-  /// Deterministic observability: metrics registry + per-round `metrics`
-  /// trace snapshots + solve provenance (see docs/observability.md).
-  bool obs_metrics = false;
+  /// Reserved runtime knobs in their Colog `param` spelling (colog/knobs.h),
+  /// e.g. {"SOLVER_BACKEND", Value::Str("lns")} or {"NET_RELIABLE",
+  /// Value::Int(1)}. The driver compiles its program with these as
+  /// compile-time params, so they override the program's own `param` lines
+  /// and the planner validates them; a key that is not a reserved knob
+  /// fails the run.
+  std::map<std::string, Value> knobs;
   /// Uniform per-message drop probability on every link (composes with
   /// fault-plan loss windows). Distributed drivers only.
   double link_loss_prob = 0;
@@ -33,51 +38,33 @@ struct CommonConfig {
   bool batch_links = false;
   /// Cap on links per batched solve; 0 = unlimited.
   int max_link_batch = 0;
-  /// Override the program's SOLVER_BACKEND for the driver's solves ("bnb",
-  /// "lns", "portfolio", "parallel_lns", "local_search"); empty keeps the
-  /// program default.
-  std::string solver_backend;
   /// Deterministic improvement budget forwarded to
   /// SolveOptions::max_iterations; 0 = wall-clock bounded.
   uint64_t solver_max_iterations = 0;
-  /// Route the driver's solves through the incremental fact-delta path
-  /// (SolveMode::kIncremental): decision groups whose model fingerprint is
-  /// unchanged stay pinned to the previous incumbent while search focuses
-  /// on the dirtied ones. Off = the historical cold-solve behavior.
-  bool solver_incremental = false;
-  /// Persist exhausted-subtree proofs across the driver's solves
-  /// (SOLVER_CACHE): repeated re-solves of a near-identical model skip
-  /// subtrees a previous search already exhausted. Off = cache-free search,
-  /// byte-identical to the historical solve path.
-  bool solver_cache = false;
-  /// Subproblem-parallel B&B width (SOLVER_SUBPROBLEMS) for concurrent
-  /// backends with >1 worker; 0 = off.
-  int solver_subproblems = 0;
-  /// Run the propagation engine in its legacy untyped-FIFO reference mode
-  /// (SOLVER_NAIVE_PROPAGATION): no event masks, no incremental linear
-  /// aggregates, no entailment unsubscription. Search trees are identical
-  /// either way; only propagator-effort metrics differ. Used by the
-  /// confluence sweep and the CI props-per-node ratio gate.
-  bool solver_naive_propagation = false;
 };
 
-/// System::Options from the shared knobs (seed, reliable transport,
-/// observability, uniform loss).
+/// Compile a driver's Colog program with `config.knobs` as compile-time
+/// params. Fails on a key that is not a reserved knob (it would otherwise
+/// bind as a rule parameter) and on a value outside the knob's range.
+Result<colog::CompiledProgram> CompileDriverProgram(
+    const std::string& source, const CommonConfig& config);
+
+/// System::Options from the shared settings (seed, uniform loss).
 runtime::System::Options MakeSystemOptions(const CommonConfig& config);
 
-/// Overlay the shared solver knobs on an instance's resolved options
-/// (read-modify-write, so program-declared SOLVER_* knobs survive wherever
-/// the config does not override them). `time_limit_ms` < 0 keeps the base
-/// time budget.
+/// Overlay the shared solve budget on an instance's resolved options
+/// (read-modify-write, so the knobs Init() applied survive).
+/// `time_limit_ms` < 0 keeps the base time budget.
 runtime::SolveOptions OverlaySolveOptions(const CommonConfig& config,
                                           runtime::SolveOptions base,
                                           double time_limit_ms);
 
-/// The SolveRequest a driver's solve should issue under these knobs:
-/// kIncremental when solver_incremental is set, else kBatched when
-/// batch_links is, else kFull. `batched_prefix` is the decision-group key
-/// prefix of the grouped modes (2 = per-(X, Y) link).
+/// The SolveRequest a driver's solve should issue: kIncremental when the
+/// instance's `options` have SOLVER_INCREMENTAL on, else kBatched when
+/// batch_links is set, else kFull. `batched_prefix` is the decision-group
+/// key prefix of the grouped modes (2 = per-(X, Y) link).
 runtime::SolveRequest MakeSolveRequest(const CommonConfig& config,
+                                       const runtime::SolveOptions& options,
                                        int batched_prefix);
 
 }  // namespace cologne::apps

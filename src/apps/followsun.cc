@@ -10,12 +10,7 @@
 namespace cologne::apps {
 
 FollowTheSunScenario::FollowTheSunScenario(const FtsConfig& config)
-    : config_(config) {
-  auto compiled = colog::CompileColog(FollowTheSunDistributedProgram(
-      config.migration_limit, config.capacity, config.max_migrates,
-      config.batch_links));
-  prog_ = std::move(compiled).value();
-}
+    : config_(config) {}
 
 double FollowTheSunScenario::GlobalCost() const {
   // Communication + operating cost of the *current* allocation, plus the
@@ -36,6 +31,15 @@ double FollowTheSunScenario::GlobalCost() const {
 Result<FtsResult> FollowTheSunScenario::Run() {
   const int n = config_.num_dcs;
   Rng rng(config_.seed);
+
+  sys_.reset();  // it points at prog_
+  COLOGNE_ASSIGN_OR_RETURN(
+      prog, CompileDriverProgram(
+                FollowTheSunDistributedProgram(
+                    config_.migration_limit, config_.capacity,
+                    config_.max_migrates, config_.batch_links),
+                config_));
+  prog_ = std::move(prog);
 
   // ---- Topology: ring + random chords up to the target average degree -----
   sys_ = std::make_unique<runtime::System>(&prog_, static_cast<size_t>(n),
@@ -181,7 +185,7 @@ Result<FtsResult> FollowTheSunScenario::Run() {
       if (std::abs(cost_now - last_pass_cost) < 1e-9) break;  // fixpoint
       last_pass_cost = cost_now;
       ++extra_passes;
-      if (faulty && config_.refresh_on_restart && !config_.net_reliable) {
+      if (faulty && config_.refresh_on_restart && !sys_->net_reliable()) {
         // Periodic anti-entropy: each sweep opens with an inventory sync
         // plus a reliable send-log resync so divergence accumulated through
         // message loss (lost r2/r3 updates, lost localized tmp tuples)
@@ -254,13 +258,14 @@ Result<FtsResult> FollowTheSunScenario::Run() {
               return;
             }
             runtime::Instance& inst = sys_->node(init);
-            // Read-modify-write so program-declared SOLVER_* knobs survive.
+            // Read-modify-write so the knobs Init() applied survive.
             inst.set_solve_options(OverlaySolveOptions(
                 config_, inst.solve_options(), config_.solver_time_ms));
             // Batched: one model covering every link of the batch, grouped
             // per (X, Y) link prefix of the migVm key for per-link LNS
             // neighborhoods.
-            runtime::SolveRequest req = MakeSolveRequest(config_, 2);
+            runtime::SolveRequest req =
+                MakeSolveRequest(config_, inst.solve_options(), 2);
             req.changed_tables = inst.touched_tables();
             auto out = inst.Solve(req);
             if (!out.ok()) {

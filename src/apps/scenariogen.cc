@@ -97,6 +97,11 @@ void GenACloud(Rng& rng, const ScenarioGenConfig& config, ACloudConfig* cfg) {
   }
 }
 
+// RunScenario's backend override; empty keeps the scenario default.
+void OverrideBackend(const std::string& backend, CommonConfig* cfg) {
+  if (!backend.empty()) cfg->knobs["SOLVER_BACKEND"] = Value::Str(backend);
+}
+
 }  // namespace
 
 const char* ScenarioAppName(ScenarioApp app) {
@@ -141,14 +146,14 @@ Scenario GenerateScenario(ScenarioApp app, uint64_t seed,
   switch (app) {
     case ScenarioApp::kFts:
       s.fts.seed = seed;
-      s.fts.net_reliable = true;
+      s.fts.knobs["NET_RELIABLE"] = Value::Int(1);
       s.fts.solver_time_ms = 0;
       s.fts.solver_max_iterations = config.solver_iterations;
       GenFts(rng, config, &s.fts);
       break;
     case ScenarioApp::kWireless:
       s.wireless.seed = seed;
-      s.wireless.net_reliable = true;
+      s.wireless.knobs["NET_RELIABLE"] = Value::Int(1);
       s.wireless.link_solve_ms = 0;
       s.wireless.solver_max_iterations = config.solver_iterations;
       GenWireless(rng, config, &s.wireless);
@@ -222,7 +227,7 @@ ScenarioRun RunScenario(const Scenario& scenario, const std::string& backend) {
   switch (scenario.app) {
     case ScenarioApp::kFts: {
       FtsConfig cfg = scenario.fts;
-      cfg.solver_backend = backend.empty() ? cfg.solver_backend : backend;
+      OverrideBackend(backend, &cfg);
       cfg.trace = &trace;
       FollowTheSunScenario s(cfg);
       auto r = s.Run();
@@ -239,7 +244,7 @@ ScenarioRun RunScenario(const Scenario& scenario, const std::string& backend) {
     }
     case ScenarioApp::kWireless: {
       WirelessConfig cfg = scenario.wireless;
-      cfg.solver_backend = backend.empty() ? cfg.solver_backend : backend;
+      OverrideBackend(backend, &cfg);
       cfg.trace = &trace;
       WirelessScenario s(cfg);
       auto r = s.AssignChannels(WirelessProtocol::kDistributed);
@@ -255,7 +260,7 @@ ScenarioRun RunScenario(const Scenario& scenario, const std::string& backend) {
     }
     case ScenarioApp::kACloud: {
       ACloudConfig cfg = scenario.acloud;
-      cfg.solver_backend = backend.empty() ? cfg.solver_backend : backend;
+      OverrideBackend(backend, &cfg);
       cfg.solve_trace = &trace;
       ACloudScenario s(cfg);
       auto r = s.Run(ACloudPolicy::kACloud);

@@ -122,9 +122,10 @@ ChannelAssignment WirelessScenario::RunIdentical() {
 }
 
 Result<ChannelAssignment> WirelessScenario::RunCentralized() {
-  auto compiled = colog::CompileColog(WirelessCentralizedProgram(
-      config_.interference_hops >= 2, config_.num_channels,
-      config_.f_mindiff));
+  auto compiled = CompileDriverProgram(
+      WirelessCentralizedProgram(config_.interference_hops >= 2,
+                                 config_.num_channels, config_.f_mindiff),
+      config_);
   if (!compiled.ok()) return compiled.status();
   colog::CompiledProgram prog = std::move(compiled).value();
   runtime::Instance inst(0, &prog);
@@ -147,10 +148,11 @@ Result<ChannelAssignment> WirelessScenario::RunCentralized() {
   }
   COLOGNE_RETURN_IF_ERROR(eng.Flush());
 
-  // Read-modify-write so program-declared SOLVER_* knobs survive.
+  // Read-modify-write so the knobs Init() applied survive.
   inst.set_solve_options(OverlaySolveOptions(config_, inst.solve_options(),
                                              config_.solver_time_ms));
-  COLOGNE_ASSIGN_OR_RETURN(out, inst.Solve(MakeSolveRequest(config_, 0)));
+  COLOGNE_ASSIGN_OR_RETURN(
+      out, inst.Solve(MakeSolveRequest(config_, inst.solve_options(), 0)));
   if (!out.has_solution()) {
     return Status::SolverError("centralized channel selection infeasible");
   }
@@ -169,9 +171,11 @@ Result<ChannelAssignment> WirelessScenario::RunCentralized() {
 }
 
 Result<ChannelAssignment> WirelessScenario::RunDistributed() {
-  auto compiled = colog::CompileColog(WirelessDistributedProgram(
-      config_.num_channels, config_.f_mindiff,
-      config_.interference_hops >= 2, config_.batch_links));
+  auto compiled = CompileDriverProgram(
+      WirelessDistributedProgram(config_.num_channels, config_.f_mindiff,
+                                 config_.interference_hops >= 2,
+                                 config_.batch_links),
+      config_);
   if (!compiled.ok()) return compiled.status();
   colog::CompiledProgram prog = std::move(compiled).value();
 
@@ -286,7 +290,8 @@ Result<ChannelAssignment> WirelessScenario::RunDistributed() {
             inst.set_solve_options(OverlaySolveOptions(
                 config_, inst.solve_options(), config_.link_solve_ms));
             // Batched: decision groups per (X, Y) assign-key prefix.
-            runtime::SolveRequest req = MakeSolveRequest(config_, 2);
+            runtime::SolveRequest req =
+                MakeSolveRequest(config_, inst.solve_options(), 2);
             req.changed_tables = inst.touched_tables();
             auto out = inst.Solve(req);
             if (!out.ok()) {

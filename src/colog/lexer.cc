@@ -223,13 +223,4 @@ Result<std::vector<Token>> Lex(const std::string& src) {
   return out;
 }
 
-bool IsSolverKnobName(const std::string& name) {
-  return name == "SOLVER_MAX_TIME" || name == "SOLVER_BACKEND" ||
-         name == "SOLVER_SEED" || name == "SOLVER_RESTARTS" ||
-         name == "SOLVER_WORKERS" || name == "SOLVER_INCREMENTAL" ||
-         name == "SOLVER_INCR_THRESHOLD" || name == "SOLVER_CACHE" ||
-         name == "SOLVER_SUBPROBLEMS" || name == "SOLVER_NAIVE_PROPAGATION" ||
-         name == "NET_RELIABLE" || name == "OBS_METRICS";
-}
-
 }  // namespace cologne::colog

@@ -14,8 +14,9 @@ namespace cologne::colog {
 ///  * `<-` lexes as kLeftArrow only when '<' is immediately followed by '-';
 ///    write `X < -2` (with a space) for "less than negative two".
 ///  * Lowercase-initial identifiers are kIdent (predicates, parameters,
-///    keywords); uppercase-initial are kVariable (rule variables and
-///    aggregate keywords such as SUM, which the parser special-cases).
+///    keywords); uppercase-initial are kVariable (rule variables,
+///    aggregate keywords such as SUM, which the parser special-cases, and
+///    the reserved knob names of colog/knobs.h).
 enum class TokKind : uint8_t {
   kIdent,      // lowercase identifier
   kVariable,   // Uppercase identifier
@@ -67,15 +68,6 @@ struct Token {
 
 /// Tokenize `source`. Comments: `//` and `#` to end of line.
 Result<std::vector<Token>> Lex(const std::string& source);
-
-/// True for the reserved runtime-knob names accepted in `param` declarations
-/// (SOLVER_MAX_TIME, SOLVER_BACKEND, SOLVER_SEED, SOLVER_RESTARTS,
-/// SOLVER_WORKERS, NET_RELIABLE, OBS_METRICS). They lex as kVariable like
-/// any ALL-CAPS identifier, but the parser requires them to carry a literal
-/// value and the
-/// planner consumes them into CompiledProgram::knobs instead of the
-/// rule-level parameter map.
-bool IsSolverKnobName(const std::string& name);
 
 /// Human-readable token-kind name for diagnostics.
 const char* TokKindName(TokKind k);

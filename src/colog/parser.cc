@@ -1,5 +1,6 @@
 #include "colog/parser.h"
 
+#include "colog/knobs.h"
 #include "colog/lexer.h"
 #include "common/strings.h"
 
@@ -134,10 +135,10 @@ class Parser {
         return Err("expected literal parameter value");
       }
       ++pos_;
-    } else if (IsSolverKnobName(p.name)) {
-      // Reserved solver knobs (SOLVER_MAX_TIME etc.) configure the runtime
-      // rather than the program; an open (valueless) knob is meaningless.
-      return Err("solver knob " + p.name + " requires a literal value");
+    } else if (FindKnob(p.name) != nullptr) {
+      // Reserved knobs (SOLVER_MAX_TIME etc.) configure the runtime rather
+      // than the program; an open (valueless) knob is meaningless.
+      return Err("knob " + p.name + " requires a literal value");
     }
     COLOGNE_RETURN_IF_ERROR(Expect(TokKind::kDot, "'.'"));
     prog->params.push_back(std::move(p));

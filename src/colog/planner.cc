@@ -2,10 +2,9 @@
 
 #include <algorithm>
 
-#include "colog/lexer.h"
+#include "colog/knobs.h"
 #include "colog/parser.h"
 #include "common/strings.h"
-#include "solver/types.h"
 
 namespace cologne::colog {
 
@@ -235,124 +234,6 @@ Result<int64_t> EvalDomainBound(const SrcExpr& e,
   return v.as_int();
 }
 
-// Extract and validate the reserved `param SOLVER_*` / `param NET_*` knobs
-// (lexed as plain ALL-CAPS identifiers; see IsSolverKnobName in
-// colog/lexer.h).
-Status ExtractSolverKnobs(const std::map<std::string, Value>& params,
-                          SolverKnobsIR* knobs) {
-  for (const auto& [name, value] : params) {
-    if (name == "NET_RELIABLE") {
-      // Transport selection is boolean; spelled 0/1 like the paper's knobs.
-      if (!value.is_int() || (value.as_int() != 0 && value.as_int() != 1)) {
-        return Status(Status::PlanError(
-            "NET_RELIABLE must be 0 or 1, got " + value.ToString()));
-      }
-      knobs->net_reliable = value.as_int() == 1;
-      continue;
-    }
-    if (name == "OBS_METRICS") {
-      if (!value.is_int() || (value.as_int() != 0 && value.as_int() != 1)) {
-        return Status(Status::PlanError(
-            "OBS_METRICS must be 0 or 1, got " + value.ToString()));
-      }
-      knobs->obs_metrics = value.as_int() == 1;
-      continue;
-    }
-    if (name.rfind("SOLVER_", 0) != 0) continue;
-    if (!IsSolverKnobName(name)) {
-      return Status(Status::PlanError("unknown solver knob " + name));
-    }
-    if (name == "SOLVER_BACKEND") {
-      // One validation site: the spellings solver::ParseBackend accepts.
-      solver::Backend parsed;
-      if (!value.is_string() ||
-          !solver::ParseBackend(value.as_string(), &parsed)) {
-        return Status(Status::PlanError(
-            "SOLVER_BACKEND must be \"bnb\", \"lns\", \"portfolio\", "
-            "\"parallel_lns\" or \"local_search\", got " +
-            value.ToString()));
-      }
-      knobs->backend = value.as_string();
-      continue;
-    }
-    if (name == "SOLVER_WORKERS") {
-      // Worker-thread count for the concurrent backends; bounded so a typo
-      // cannot fork an unbounded race.
-      if (!value.is_int() || value.as_int() < 1 || value.as_int() > 256) {
-        return Status(Status::PlanError(
-            "SOLVER_WORKERS must be an integer in [1, 256], got " +
-            value.ToString()));
-      }
-      knobs->workers = static_cast<uint64_t>(value.as_int());
-      continue;
-    }
-    if (name == "SOLVER_INCREMENTAL") {
-      if (!value.is_int() || (value.as_int() != 0 && value.as_int() != 1)) {
-        return Status(Status::PlanError(
-            "SOLVER_INCREMENTAL must be 0 or 1, got " + value.ToString()));
-      }
-      knobs->incremental = value.as_int() == 1;
-      continue;
-    }
-    if (name == "SOLVER_CACHE") {
-      if (!value.is_int() || (value.as_int() != 0 && value.as_int() != 1)) {
-        return Status(Status::PlanError(
-            "SOLVER_CACHE must be 0 or 1, got " + value.ToString()));
-      }
-      knobs->cache = value.as_int() == 1;
-      continue;
-    }
-    if (name == "SOLVER_SUBPROBLEMS") {
-      // Frontier width of subproblem-parallel B&B; bounded so a typo cannot
-      // make the master expand an enormous queue before search starts.
-      if (!value.is_int() || value.as_int() < 0 || value.as_int() > 4096) {
-        return Status(Status::PlanError(
-            "SOLVER_SUBPROBLEMS must be an integer in [0, 4096], got " +
-            value.ToString()));
-      }
-      knobs->subproblems = static_cast<uint64_t>(value.as_int());
-      continue;
-    }
-    if (name == "SOLVER_NAIVE_PROPAGATION") {
-      if (!value.is_int() || (value.as_int() != 0 && value.as_int() != 1)) {
-        return Status(Status::PlanError(
-            "SOLVER_NAIVE_PROPAGATION must be 0 or 1, got " +
-            value.ToString()));
-      }
-      knobs->naive_propagation = value.as_int() == 1;
-      continue;
-    }
-    if (name == "SOLVER_INCR_THRESHOLD") {
-      if (!value.is_int() || value.as_int() < 0 || value.as_int() > 100) {
-        return Status(Status::PlanError(
-            "SOLVER_INCR_THRESHOLD must be an integer in [0, 100], got " +
-            value.ToString()));
-      }
-      knobs->incr_threshold_pct = static_cast<uint64_t>(value.as_int());
-      continue;
-    }
-    if (name == "SOLVER_MAX_TIME") {
-      if (!value.is_numeric() || value.as_double() <= 0) {
-        return Status(Status::PlanError(
-            "SOLVER_MAX_TIME must be a positive number of milliseconds"));
-      }
-      knobs->max_time_ms = value.as_double();
-      continue;
-    }
-    // SOLVER_SEED / SOLVER_RESTARTS: non-negative integers.
-    if (!value.is_int() || value.as_int() < 0) {
-      return Status(
-          Status::PlanError(name + " must be a non-negative integer"));
-    }
-    if (name == "SOLVER_SEED") {
-      knobs->seed = static_cast<uint64_t>(value.as_int());
-    } else {
-      knobs->restart_base_nodes = static_cast<uint64_t>(value.as_int());
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 bool CompiledProgram::IsSolverCol(const std::string& table, int col) const {
@@ -365,12 +246,18 @@ bool CompiledProgram::IsSolverCol(const std::string& table, int col) const {
 Result<CompiledProgram> Plan(const AnalyzedProgram& analyzed) {
   CompiledProgram out;
   out.tables = analyzed.tables;
-  out.params = analyzed.params;
-  COLOGNE_RETURN_IF_ERROR(ExtractSolverKnobs(analyzed.params, &out.knobs));
-  // Knobs live in `knobs`, not the rule-level parameter map (they are not
-  // substitutable in rule bodies).
-  std::erase_if(out.params,
-                [](const auto& kv) { return IsSolverKnobName(kv.first); });
+  // Reserved knobs configure the runtime, not the rules: they move out of
+  // the rule-level parameter map and are validated against the knob table.
+  for (const auto& [name, value] : analyzed.params) {
+    if (FindKnob(name) != nullptr) {
+      out.knobs[name] = value;
+    } else if (StartsWith(name, "SOLVER_")) {
+      return Status(Status::PlanError("unknown solver knob " + name));
+    } else {
+      out.params[name] = value;
+    }
+  }
+  COLOGNE_RETURN_IF_ERROR(SetKnobs(out.knobs, nullptr, nullptr));
   out.distributed = analyzed.distributed;
   out.var_tables = analyzed.var_tables;
   for (const auto& [t, cols] : analyzed.solver_cols) {

@@ -5,7 +5,6 @@
 #define COLOGNE_COLOG_PLANNER_H_
 
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -46,53 +45,6 @@ struct GoalIR {
   int col = -1;
 };
 
-/// Typed solver knobs extracted from reserved `param SOLVER_*` declarations
-/// (the paper's SOLVER_MAX_TIME, Section 4.2, plus this implementation's
-/// search-backend knobs). Unset optionals leave the runtime defaults alone.
-struct SolverKnobsIR {
-  /// SOLVER_MAX_TIME: per-solve wall-clock budget in milliseconds.
-  std::optional<double> max_time_ms;
-  /// SOLVER_BACKEND: "bnb" (branch-and-bound), "lns", "portfolio",
-  /// "parallel_lns", or "local_search".
-  std::optional<std::string> backend;
-  /// SOLVER_SEED: seed for randomized search decisions.
-  std::optional<uint64_t> seed;
-  /// SOLVER_RESTARTS: Luby restart base (nodes) for the B&B backend.
-  std::optional<uint64_t> restart_base_nodes;
-  /// SOLVER_WORKERS: worker threads for the concurrent backends (portfolio /
-  /// parallel_lns); 1..256.
-  std::optional<uint64_t> workers;
-  /// NET_RELIABLE: carry every engine-derived tuple over the retransmission
-  /// / FIFO reliable transport (net/reliable_channel.h) instead of the
-  /// UDP-style datagram path. 0 or 1.
-  std::optional<bool> net_reliable;
-  /// OBS_METRICS: deterministic observability — the runtime metrics
-  /// registry, per-round `metrics` trace snapshots, and per-group solve
-  /// provenance in `solve` trace events. 0 or 1.
-  std::optional<bool> obs_metrics;
-  /// SOLVER_INCREMENTAL: incremental re-solve on fact deltas — fingerprint
-  /// the compiled model per decision group, pin clean groups to the
-  /// previous incumbent and focus search on the dirty ones. 0 or 1.
-  std::optional<bool> incremental;
-  /// SOLVER_INCR_THRESHOLD: staleness threshold of the incremental path —
-  /// fall back to a cold solve when strictly more than this percentage of
-  /// decision groups changed fingerprint. 0..100.
-  std::optional<uint64_t> incr_threshold_pct;
-  /// SOLVER_CACHE: context cache of exhausted-subtree proofs, keyed on the
-  /// fixed decision prefix and namespaced by the model fingerprint, persisted
-  /// across solves of one Instance. 0 or 1.
-  std::optional<bool> cache;
-  /// SOLVER_SUBPROBLEMS: subproblem-parallel B&B for the concurrent backends
-  /// — expand the root into about this many bounded subproblems and let
-  /// workers steal them from a shared queue. 0 (off) .. 4096.
-  std::optional<uint64_t> subproblems;
-  /// SOLVER_NAIVE_PROPAGATION: run the propagation engine in its legacy
-  /// untyped-FIFO reference mode (no event masks, no incremental sums, no
-  /// entailment unsubscription). Search trees are unchanged; propagator
-  /// effort metrics revert to the historical counts. 0 or 1.
-  std::optional<bool> naive_propagation;
-};
-
 /// Per-class rule counts (reported by the Table 2 benchmark).
 struct RuleCounts {
   size_t regular = 0;
@@ -123,7 +75,10 @@ struct CompiledProgram {
   /// Input tables: never derived by any rule or writeback.
   std::set<std::string> base_tables;
   std::map<std::string, Value> params;
-  SolverKnobsIR knobs;
+  /// Reserved runtime knobs (colog/knobs.h) set by the program's `param`
+  /// lines or the compile-time params, validated; apply them with SetKnobs.
+  /// Knobs left unset keep the runtime defaults.
+  std::map<std::string, Value> knobs;
   bool distributed = false;
   RuleCounts counts;
 

@@ -6,35 +6,6 @@
 
 namespace cologne::runtime {
 
-namespace {
-
-// Compatibility key of the whole-solve reuse path: every knob that feeds the
-// model build or the search must match between the cached solve and the
-// request, or identical inputs no longer imply an identical output.
-uint64_t ReuseOptionsKey(const SolveOptions& o, int group_key_prefix) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<uint64_t>(o.time_limit_ms * 1000.0));
-  mix(o.node_limit);
-  mix(static_cast<uint64_t>(o.backend));
-  mix(o.seed);
-  mix(o.restart_base_nodes);
-  mix(static_cast<uint64_t>(o.num_workers));
-  mix(o.max_iterations);
-  mix(static_cast<uint64_t>(group_key_prefix));
-  mix(o.warm_start ? 1u : 0u);
-  mix(o.record_provenance ? 1u : 0u);
-  mix(static_cast<uint64_t>(o.incr_threshold_pct));
-  mix(o.cache ? 1u : 0u);
-  mix(static_cast<uint64_t>(o.subproblems));
-  return h;
-}
-
-}  // namespace
-
 Status Instance::InitEngine() {
   for (const auto& [name, schema] : program_->tables) {
     COLOGNE_RETURN_IF_ERROR(engine_.DeclareTable(schema));
@@ -47,8 +18,7 @@ Status Instance::InitEngine() {
 
 Status Instance::Init() {
   COLOGNE_RETURN_IF_ERROR(InitEngine());
-  solve_options_ = ResolveSolveOptions(*program_, solve_options_);
-  return Status::OK();
+  return colog::SetKnobs(program_->knobs, &solve_options_, nullptr);
 }
 
 Status Instance::ApplyFact(const std::string& table, Row row, int sign) {
@@ -133,7 +103,7 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
   // without a sink would pay the bookkeeping for nothing, and the `prov`
   // trace field must stay absent when OBS_METRICS is off.
   if (metrics_ != nullptr) opts.record_provenance = true;
-  const int group_key_prefix =
+  opts.group_key_prefix =
       request.mode == SolveMode::kFull ? 0 : request.group_key_prefix;
   // kIncremental forces the delta path; any mode gets it when the program's
   // SOLVER_INCREMENTAL knob (or the caller's solve options) turned it on.
@@ -142,14 +112,12 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
 
   // Whole-solve reuse: when every table the model build reads is
   // content-unchanged since the previous incremental solve (and the solve
-  // knobs are identical), the deterministic pipeline would reproduce the
+  // options are identical), the deterministic pipeline would reproduce the
   // cached output bit for bit — serve it and skip the model build, search,
   // and writeback entirely. This is the steady state of the periodic
   // re-solve loop: a fact delta perturbs one node's inputs, and every other
   // node's re-solve is a content-hash check.
-  const uint64_t reuse_key = ReuseOptionsKey(opts, group_key_prefix);
-  if (incr != nullptr && incr->reusable &&
-      incr->reuse_options_key == reuse_key) {
+  if (incr != nullptr && incr->reusable && incr->reuse_options == opts) {
     bool unchanged = true;
     for (const auto& [name, hash] : incr->input_hashes) {
       const datalog::Table* t = engine_.GetTable(name);
@@ -198,11 +166,8 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
 
   SolverBridge bridge(program_, &engine_);
   solver::ContextCache* ctx_cache = opts.cache ? &ctx_cache_ : nullptr;
-  COLOGNE_ASSIGN_OR_RETURN(
-      out, group_key_prefix > 0
-               ? bridge.SolveBatched(opts, group_key_prefix, &warm_cache_,
-                                     incr, ctx_cache)
-               : bridge.Solve(opts, &warm_cache_, incr, ctx_cache));
+  COLOGNE_ASSIGN_OR_RETURN(out,
+                           bridge.Solve(opts, &warm_cache_, incr, ctx_cache));
   ++solve_count_;
   total_solve_ms_ += out.stats.wall_ms;
   if (metrics_ != nullptr) {
@@ -241,7 +206,7 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
     // read-modify-write target (r3's curVm), and each must see the
     // previous row's effect (see Writeback).
     COLOGNE_RETURN_IF_ERROR(
-        Writeback(out.tables, /*flush_per_delta=*/group_key_prefix > 0));
+        Writeback(out.tables, /*flush_per_delta=*/opts.group_key_prefix > 0));
     // The journal's advisory dirty-table window closes with the solve that
     // consumed it.
     touched_tables_.clear();
@@ -257,7 +222,7 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
         const datalog::Table* t = engine_.GetTable(name);
         incr->input_hashes[name] = t == nullptr ? 0 : t->ContentHash();
       }
-      incr->reuse_options_key = reuse_key;
+      incr->reuse_options = opts;
       incr->last_output = out;
       incr->reusable = true;
     }

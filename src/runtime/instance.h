@@ -29,7 +29,7 @@ namespace cologne::runtime {
 /// \brief One Cologne node.
 ///
 /// Owns a Datalog engine loaded with the program's regular and post-solve
-/// rules. InvokeSolver() runs the bridge, then *replaces* this node's
+/// rules. Solve() runs the bridge, then *replaces* this node's
 /// previously-written solver output rows with the new ones (diff-based, so
 /// downstream rules see clean insert/delete deltas).
 class Instance {
@@ -93,25 +93,9 @@ class Instance {
   /// the same path for every mode).
   Result<SolveOutput> Solve(const SolveRequest& request = SolveRequest{});
 
-  /// Deprecated pre-SolveRequest entry point; use Solve().
-  [[deprecated("use Solve(SolveRequest{})")]]
-  Result<SolveOutput> InvokeSolver() {
-    return Solve(SolveRequest{});
-  }
-
-  /// Deprecated pre-SolveRequest batched entry point; use Solve() with
-  /// mode = SolveMode::kBatched.
-  [[deprecated("use Solve(SolveRequest{.mode = SolveMode::kBatched, ...})")]]
-  Result<SolveOutput> InvokeSolverBatched(int group_key_prefix) {
-    SolveRequest req;
-    req.mode = SolveMode::kBatched;
-    req.group_key_prefix = group_key_prefix;
-    return Solve(req);
-  }
-
-  /// Per-solve knobs (SOLVER_MAX_TIME, SOLVER_BACKEND, SOLVER_SEED, ...).
-  /// Init() seeds these from the program's `param SOLVER_*` knobs; an
-  /// explicit call afterwards overrides them (the runtime caller wins).
+  /// Per-solve options. Init() sets the knob fields the program's `param`
+  /// lines set (colog/knobs.h); an explicit call afterwards overrides them
+  /// (the runtime caller wins).
   void set_solve_options(const SolveOptions& o) { solve_options_ = o; }
   const SolveOptions& solve_options() const { return solve_options_; }
 

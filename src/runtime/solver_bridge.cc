@@ -956,32 +956,6 @@ std::vector<uint64_t> ComputeFingerprints(
 
 }  // namespace
 
-SolveOptions ResolveSolveOptions(const colog::CompiledProgram& program,
-                                 SolveOptions base) {
-  const colog::SolverKnobsIR& knobs = program.knobs;
-  if (knobs.max_time_ms) base.time_limit_ms = *knobs.max_time_ms;
-  if (knobs.backend) {
-    // The planner already validated the spelling; fall back to B&B anyway.
-    solver::Backend b;
-    if (solver::ParseBackend(*knobs.backend, &b)) base.backend = b;
-  }
-  if (knobs.seed) base.seed = *knobs.seed;
-  if (knobs.restart_base_nodes) {
-    base.restart_base_nodes = *knobs.restart_base_nodes;
-  }
-  if (knobs.workers) base.num_workers = static_cast<int>(*knobs.workers);
-  if (knobs.incremental) base.incremental = *knobs.incremental;
-  if (knobs.incr_threshold_pct) {
-    base.incr_threshold_pct = static_cast<int>(*knobs.incr_threshold_pct);
-  }
-  if (knobs.cache) base.cache = *knobs.cache;
-  if (knobs.subproblems) {
-    base.subproblems = static_cast<int>(*knobs.subproblems);
-  }
-  if (knobs.naive_propagation) base.naive_propagation = *knobs.naive_propagation;
-  return base;
-}
-
 std::vector<std::string> SolverInputTables(
     const colog::CompiledProgram& program) {
   std::set<std::string> names;

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "colog/knobs.h"
 #include "colog/planner.h"
 #include "common/status.h"
 #include "datalog/engine.h"
@@ -27,28 +28,20 @@
 
 namespace cologne::runtime {
 
-/// Per-solve knobs (the paper's SOLVER_MAX_TIME plus this implementation's
-/// backend knobs; see colog::SolverKnobsIR for the in-language spellings).
-struct SolveOptions {
-  double time_limit_ms = 10'000;
+/// Per-solve options: the knob-set fields of colog::SolveKnobs (the paper's
+/// SOLVER_MAX_TIME plus this implementation's search knobs, which
+/// Instance::Init sets from the program's `param` lines) plus the fields
+/// only a runtime caller sets.
+struct SolveOptions : colog::SolveKnobs {
   uint64_t node_limit = 0;
-  /// Search strategy (SOLVER_BACKEND).
-  solver::Backend backend = solver::Backend::kBranchAndBound;
-  /// Seed for randomized search decisions (SOLVER_SEED).
-  uint64_t seed = 0x10C5;
-  /// Luby restart base for branch-and-bound, in nodes (SOLVER_RESTARTS);
-  /// 0 disables restarts.
-  uint64_t restart_base_nodes = 0;
-  /// Worker threads for the concurrent backends (SOLVER_WORKERS): portfolio
-  /// race width / parallel-LNS walk count. Sequential backends ignore it.
-  int num_workers = 1;
   /// Cap on backend improvement iterations; 0 = until the time budget.
   uint64_t max_iterations = 0;
   /// Batched-solve variable grouping: when > 0, var-table rows whose first
   /// `group_key_prefix` regular key columns agree form one decision group
   /// in the model (e.g. prefix 2 on migVm(X,Y,D,R) groups per (X,Y) link).
-  /// Group-aware backends relax whole groups as LNS neighborhoods; 0
-  /// disables grouping. See SolverBridge::SolveBatched.
+  /// Group-aware backends relax whole groups as LNS neighborhoods, and
+  /// concurrent workers spread across the batch; 0 disables grouping.
+  /// Instance::Solve sets it from SolveRequest::group_key_prefix.
   int group_key_prefix = 0;
   /// Feed the previous solution of this program back into the next solve as
   /// a warm-start hint (the recurring invokeSolver loop of Section 4.2
@@ -59,38 +52,8 @@ struct SolveOptions {
   /// Enabled by the runtime when OBS_METRICS is on; off by default so the
   /// pre-observability solve path (and its traces) is untouched.
   bool record_provenance = false;
-  /// Incremental re-solve on fact deltas (SOLVER_INCREMENTAL): fingerprint
-  /// the compiled model per decision group, compare against the previous
-  /// solve, pin the clean groups to the cached incumbent and focus search on
-  /// the dirty ones. Off by default; with it off the solve path (and its
-  /// traces) is byte-identical to the cold solver.
-  bool incremental = false;
-  /// Staleness threshold of the incremental path (SOLVER_INCR_THRESHOLD):
-  /// fall back to a cold solve when strictly more than this percentage of
-  /// decision groups changed fingerprint. 0 = any change falls back;
-  /// 100 = never fall back on account of volume.
-  int incr_threshold_pct = 50;
-  /// Context cache of exhausted-subtree proofs (SOLVER_CACHE): keyed on the
-  /// fixed decision prefix, namespaced by the model fingerprint, and —
-  /// because the Instance owns the cache — persisted across solves, LNS
-  /// neighborhoods, and incremental re-solves. A fact delta that changes any
-  /// group fingerprint changes the namespace, retiring stale proofs without
-  /// a sweep. Off by default: with it off the solve path (and its traces) is
-  /// byte-identical to the cache-free solver.
-  bool cache = false;
-  /// Subproblem-parallel B&B (SOLVER_SUBPROBLEMS): with a concurrent backend
-  /// and more than one worker, expand the root into about this many bounded
-  /// subproblems that workers steal from a shared queue instead of
-  /// re-searching from the root. 0 disables.
-  int subproblems = 0;
-  /// Legacy untyped-FIFO propagation (SOLVER_NAIVE_PROPAGATION): every
-  /// domain change wakes every watcher, linear sums are recomputed from
-  /// scratch, entailed propagators keep running. The fixpoints — and hence
-  /// the search tree and every solution trace — are identical to the
-  /// event-typed engine; only the `solve.propagations`-family effort
-  /// metrics differ. Kept as the reference mode for the confluence sweep
-  /// and the CI propagation-ratio gate.
-  bool naive_propagation = false;
+
+  bool operator==(const SolveOptions&) const = default;
 };
 
 /// How Instance::Solve runs (SolveRequest::mode).
@@ -101,8 +64,8 @@ enum class SolveMode : uint8_t {
                  ///< of the SOLVER_INCREMENTAL knob.
 };
 
-/// \brief One solve request — the single entry point Instance::Solve takes
-/// (collapsing the historical InvokeSolver / InvokeSolverBatched pair).
+/// \brief One solve request — what the single entry point Instance::Solve
+/// takes.
 struct SolveRequest {
   SolveMode mode = SolveMode::kFull;
   /// Decision-group key prefix for kBatched/kIncremental (see
@@ -114,11 +77,6 @@ struct SolveRequest {
   /// arriving over the network bypass the local journal entirely.
   std::vector<std::string> changed_tables;
 };
-
-/// Apply a compiled program's `param SOLVER_*` knobs on top of `base`.
-/// Knobs the program does not set keep their `base` values.
-SolveOptions ResolveSolveOptions(const colog::CompiledProgram& program,
-                                 SolveOptions base);
 
 /// Engine tables whose contents determine the compiled model: every table a
 /// solver rule references (bodies and heads — heads included because in a
@@ -216,13 +174,13 @@ struct IncrementalState {
   /// every engine table the model build reads, snapshotted after the last
   /// solve's writeback, plus that solve's full output. When the next
   /// incremental solve sees identical input hashes (and identical solve
-  /// knobs, captured in `reuse_options_key`), the model build, search, and
+  /// options, captured in `reuse_options`), the model build, search, and
   /// writeback are all skipped and `last_output` is returned as-is — the
   /// deterministic pipeline would reproduce it bit for bit. Content hashes
   /// are order-independent (datalog::Table::ContentHash), so journal replay
   /// after a crash converges to the same snapshot.
   std::map<std::string, uint64_t> input_hashes;
-  uint64_t reuse_options_key = 0;
+  SolveOptions reuse_options;
   SolveOutput last_output;
   bool reusable = false;
 
@@ -230,7 +188,7 @@ struct IncrementalState {
     fingerprints.clear();
     valid = false;
     input_hashes.clear();
-    reuse_options_key = 0;
+    reuse_options = SolveOptions{};
     last_output = SolveOutput{};
     reusable = false;
   }
@@ -269,24 +227,6 @@ class SolverBridge {
                             WarmStartCache* warm_cache = nullptr,
                             IncrementalState* incr = nullptr,
                             solver::ContextCache* ctx_cache = nullptr) const;
-
-  /// Batched entry point: one model solve covering several negotiation
-  /// units at once (a node's incident links aggregated per round instead of
-  /// one solve per link). Identical to Solve except that var-table rows are
-  /// partitioned into decision groups by the first `group_key_prefix`
-  /// regular key columns, so group-aware backends (lns / parallel_lns)
-  /// relax per-unit neighborhoods and concurrent workers spread across the
-  /// batch.
-  Result<SolveOutput> SolveBatched(const SolveOptions& options,
-                                   int group_key_prefix,
-                                   WarmStartCache* warm_cache = nullptr,
-                                   IncrementalState* incr = nullptr,
-                                   solver::ContextCache* ctx_cache =
-                                       nullptr) const {
-    SolveOptions o = options;
-    o.group_key_prefix = group_key_prefix;
-    return Solve(o, warm_cache, incr, ctx_cache);
-  }
 
  private:
   const colog::CompiledProgram* program_;

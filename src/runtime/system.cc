@@ -12,14 +12,15 @@ namespace cologne::runtime {
 System::System(const colog::CompiledProgram* program, size_t num_nodes,
                Options options)
     : program_(program), options_(options), net_(&sim_, options.seed) {
-  // The Colog `param NET_RELIABLE` knob or the runtime option turns on the
-  // real retransmission/FIFO transport; every engine-derived tuple is then
+  // The program's knob or the runtime option turns on each switch. With the
+  // real retransmission/FIFO transport on, every engine-derived tuple is
   // marked reliable and survives loss without driver-level anti-entropy.
-  net_reliable_ =
-      options_.net_reliable || program_->knobs.net_reliable.value_or(false);
+  // The planner already validated the knobs.
+  colog::SystemKnobs knobs;
+  (void)colog::SetKnobs(program_->knobs, nullptr, &knobs);
+  net_reliable_ = options_.net_reliable || knobs.net_reliable;
   net_.SetReliableTransport(net_reliable_);
-  obs_metrics_ =
-      options_.obs_metrics || program_->knobs.obs_metrics.value_or(false);
+  obs_metrics_ = options_.obs_metrics || knobs.obs_metrics;
   if (obs_metrics_) {
     // Fixed buckets keep the histogram line stable across scenario sizes
     // (search-tree size per solve, in choice points).

@@ -302,103 +302,5 @@ TEST(CodegenTest, SlocIgnoresBlanksAndComments) {
   EXPECT_EQ(CountSloc("// comment\n\nint x;\n  // c2\n y;\n"), 2u);
 }
 
-// --- Solver-knob extraction (planner) --------------------------------------
-
-TEST(SolverKnobsTest, KnobsExtractedIntoCompiledProgram) {
-  auto r = CompileColog(
-      "param SOLVER_BACKEND = \"lns\".\n"
-      "param SOLVER_MAX_TIME = 750.\n"
-      "param SOLVER_SEED = 13.\n"
-      "param SOLVER_RESTARTS = 256.\n"
-      "param SOLVER_WORKERS = 4.\n"
-      "goal satisfy.\n");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const SolverKnobsIR& knobs = r.value().knobs;
-  ASSERT_TRUE(knobs.backend.has_value());
-  EXPECT_EQ(*knobs.backend, "lns");
-  ASSERT_TRUE(knobs.max_time_ms.has_value());
-  EXPECT_DOUBLE_EQ(*knobs.max_time_ms, 750);
-  ASSERT_TRUE(knobs.seed.has_value());
-  EXPECT_EQ(*knobs.seed, 13u);
-  ASSERT_TRUE(knobs.restart_base_nodes.has_value());
-  EXPECT_EQ(*knobs.restart_base_nodes, 256u);
-  ASSERT_TRUE(knobs.workers.has_value());
-  EXPECT_EQ(*knobs.workers, 4u);
-}
-
-TEST(SolverKnobsTest, ConcurrentBackendSpellingsAccepted) {
-  for (const char* name : {"portfolio", "parallel_lns", "local_search"}) {
-    auto r = CompileColog("param SOLVER_BACKEND = \"" + std::string(name) +
-                          "\".\ngoal satisfy.\n");
-    ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
-    ASSERT_TRUE(r.value().knobs.backend.has_value());
-    EXPECT_EQ(*r.value().knobs.backend, name);
-  }
-}
-
-TEST(SolverKnobsTest, UnknownOrInvalidKnobsRejected) {
-  auto unknown = CompileColog("param SOLVER_TEMPERATURE = 3.\ngoal satisfy.\n");
-  ASSERT_FALSE(unknown.ok());
-  EXPECT_NE(unknown.status().message().find("unknown solver knob"),
-            std::string::npos);
-
-  auto bad_backend =
-      CompileColog("param SOLVER_BACKEND = \"tabu\".\ngoal satisfy.\n");
-  ASSERT_FALSE(bad_backend.ok());
-  EXPECT_NE(bad_backend.status().message().find("SOLVER_BACKEND"),
-            std::string::npos);
-
-  auto bad_time =
-      CompileColog("param SOLVER_MAX_TIME = -5.\ngoal satisfy.\n");
-  EXPECT_FALSE(bad_time.ok());
-
-  auto bad_seed =
-      CompileColog("param SOLVER_SEED = \"x\".\ngoal satisfy.\n");
-  EXPECT_FALSE(bad_seed.ok());
-
-  // SOLVER_WORKERS is bounded to [1, 256].
-  auto zero_workers =
-      CompileColog("param SOLVER_WORKERS = 0.\ngoal satisfy.\n");
-  ASSERT_FALSE(zero_workers.ok());
-  EXPECT_NE(zero_workers.status().message().find("SOLVER_WORKERS"),
-            std::string::npos);
-  auto too_many_workers =
-      CompileColog("param SOLVER_WORKERS = 1000.\ngoal satisfy.\n");
-  EXPECT_FALSE(too_many_workers.ok());
-}
-
-TEST(SolverKnobsTest, NetReliableKnobExtractedAndValidated) {
-  // NET_RELIABLE = 1 turns on the retransmission/FIFO transport.
-  auto on = CompileColog("param NET_RELIABLE = 1.\ngoal satisfy.\n");
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-  ASSERT_TRUE(on.value().knobs.net_reliable.has_value());
-  EXPECT_TRUE(*on.value().knobs.net_reliable);
-  // The knob is consumed into CompiledProgram::knobs, not the rule-level
-  // parameter map (same handling as SOLVER_*).
-  EXPECT_EQ(on.value().params.count("NET_RELIABLE"), 0u);
-
-  auto off = CompileColog("param NET_RELIABLE = 0.\ngoal satisfy.\n");
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  ASSERT_TRUE(off.value().knobs.net_reliable.has_value());
-  EXPECT_FALSE(*off.value().knobs.net_reliable);
-
-  auto unset = CompileColog("goal satisfy.\n");
-  ASSERT_TRUE(unset.ok());
-  EXPECT_FALSE(unset.value().knobs.net_reliable.has_value());
-
-  // Only 0/1 integers are accepted.
-  for (const char* bad :
-       {"param NET_RELIABLE = 2.\ngoal satisfy.\n",
-        "param NET_RELIABLE = \"yes\".\ngoal satisfy.\n",
-        "param NET_RELIABLE = 0.5.\ngoal satisfy.\n"}) {
-    auto r = CompileColog(bad);
-    ASSERT_FALSE(r.ok()) << bad;
-    EXPECT_NE(r.status().message().find("NET_RELIABLE"), std::string::npos)
-        << r.status().ToString();
-  }
-  // Valueless reserved knobs are rejected by the parser.
-  EXPECT_FALSE(CompileColog("param NET_RELIABLE.\ngoal satisfy.\n").ok());
-}
-
 }  // namespace
 }  // namespace cologne::colog

@@ -246,7 +246,7 @@ TEST(ReliableTraceTest, ReliableRunsAreByteIdentical) {
     cfg.demand_hi = 5;
     cfg.solver_time_ms = 5000;
     cfg.seed = 19;
-    cfg.net_reliable = true;
+    cfg.knobs["NET_RELIABLE"] = Value::Int(1);
     cfg.link_loss_prob = 0.2;
     cfg.batch_links = true;
     cfg.trace = t;

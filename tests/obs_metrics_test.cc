@@ -163,10 +163,10 @@ TEST(ObsDeterminismTest, TwoRunsByteIdenticalWithMetricsOn) {
     cfg.grid_h = 2;
     cfg.num_flows = 2;
     cfg.seed = 43;
-    cfg.solver_backend = "lns";
+    cfg.knobs["SOLVER_BACKEND"] = Value::Str("lns");
     cfg.solver_max_iterations = 8;
     cfg.link_solve_ms = 0;
-    cfg.obs_metrics = true;
+    cfg.knobs["OBS_METRICS"] = Value::Int(1);
     cfg.trace = trace;
     apps::WirelessScenario scenario(cfg);
     auto r = scenario.AssignChannels(apps::WirelessProtocol::kDistributed);

@@ -495,7 +495,7 @@ FtsConfig ScaledFts(uint64_t seed, int num_dcs) {
   cfg.seed = seed;
   cfg.batch_links = true;
   cfg.max_link_batch = 3;
-  cfg.solver_backend = "lns";
+  cfg.knobs["SOLVER_BACKEND"] = Value::Str("lns");
   cfg.solver_max_iterations = kScaleIters;
   cfg.solver_time_ms = 0;  // unlimited: the iteration cap is the budget
   return cfg;
@@ -515,7 +515,7 @@ TEST(ReliableSoakTest, LossyReliableRunClosesObjectiveGap) {
 
   for (double loss : {0.05, 0.20}) {
     FtsConfig cfg = base;
-    cfg.net_reliable = true;
+    cfg.knobs["NET_RELIABLE"] = Value::Int(1);
     cfg.link_loss_prob = loss;
     FollowTheSunScenario s(cfg);
     auto r = s.Run();
@@ -546,7 +546,7 @@ TEST(ReliableSoakTest, ReliableRunsRetireAntiEntropySweeps) {
   for (bool rel : {false, true}) {
     FtsConfig cfg = SmallFts(37, /*num_dcs=*/4);
     cfg.link_loss_prob = 0.2;
-    cfg.net_reliable = rel;
+    cfg.knobs["NET_RELIABLE"] = Value::Int(rel ? 1 : 0);
     cfg.trace = rel ? &reliable : &datagram;
     FollowTheSunScenario s(cfg);
     ASSERT_TRUE(s.Run().ok());
@@ -578,7 +578,7 @@ TEST(ScaledSoakTest, TenDcFtsChurnSoakIsDeterministic) {
        {std::pair<TraceRecorder*, double*>{&trace_a, &final_a},
         {&trace_b, &final_b}}) {
     FtsConfig cfg = ScaledFts(77, kScaleDcs);
-    cfg.net_reliable = true;
+    cfg.knobs["NET_RELIABLE"] = Value::Int(1);
     cfg.fault_plan = plan;
     cfg.trace = trace;
     FollowTheSunScenario s(cfg);
@@ -606,7 +606,7 @@ TEST(ScaledSoakTest, ThirtyNodeWirelessChurnSoakIsDeterministic) {
   cfg.num_flows = 8;
   cfg.seed = 88;
   cfg.batch_links = true;
-  cfg.net_reliable = true;
+  cfg.knobs["NET_RELIABLE"] = Value::Int(1);
   cfg.link_solve_ms = 0;  // unlimited: tiny batched models prove optimality
   WirelessScenario topo(cfg);
   net::FaultPlan::RandomConfig rc;

@@ -70,5 +70,20 @@ TEST(ScenarioSweepTest, InvariantsAndDeterminismAcrossBackends) {
   }
 }
 
+// A misspelled backend is a driver error naming the knob, never a silent
+// run of the program's default backend.
+TEST(ScenarioSweepTest, MisspelledBackendIsAnError) {
+  ScenarioGenConfig config = SweepConfig();
+  config.with_faults = false;
+  for (ScenarioApp app :
+       {ScenarioApp::kFts, ScenarioApp::kWireless, ScenarioApp::kACloud}) {
+    const Scenario s = GenerateScenario(app, 1, config);
+    const ScenarioRun run = RunScenario(s, "bnbb");
+    EXPECT_FALSE(run.ok) << s.name;
+    EXPECT_NE(run.error.find("SOLVER_BACKEND"), std::string::npos)
+        << s.name << ": " << run.error;
+  }
+}
+
 }  // namespace
 }  // namespace cologne::apps

@@ -253,15 +253,24 @@ TEST_F(IncrementalSolveTest, FactDeltaInvalidatesReuseUntilContentReturns) {
 }
 
 TEST_F(IncrementalSolveTest, KnobChangeInvalidatesReuse) {
-  ASSERT_TRUE(instance_->Solve(Incremental()).ok());
-  SolveOptions o = instance_->solve_options();
-  o.seed += 1;
-  instance_->set_solve_options(o);
-  // Same inputs, different search knobs: the cached output no longer
-  // describes what this solve would produce.
-  auto out = instance_->Solve(Incremental());
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_FALSE(out.value().incr_reused);
+  // Same inputs, different solve options: the cached output no longer
+  // describes what this solve would produce. The reuse check compares
+  // every SolveOptions field, including ones no hand-kept key listed.
+  for (auto change : {+[](SolveOptions* o) { o->seed += 1; },
+                      +[](SolveOptions* o) {
+                        o->naive_propagation = !o->naive_propagation;
+                      }}) {
+    ASSERT_TRUE(instance_->Solve(Incremental()).ok());
+    auto again = instance_->Solve(Incremental());
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    ASSERT_TRUE(again.value().incr_reused);
+    SolveOptions o = instance_->solve_options();
+    change(&o);
+    instance_->set_solve_options(o);
+    auto out = instance_->Solve(Incremental());
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_FALSE(out.value().incr_reused);
+  }
 }
 
 // ---- Context cache across solves (SOLVER_CACHE x PR 7 fingerprints) --------
@@ -344,139 +353,45 @@ TEST_F(IncrementalSolveTest, ResetWarmStartClearsContextCache) {
   EXPECT_EQ(instance_->context_cache().entries(), 0u);
 }
 
-TEST(IncrementalKnobsTest, ProgramKnobsConfigureInstanceOptions) {
-  auto compiled = colog::CompileColog(kGrouped);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  colog::CompiledProgram prog = std::move(compiled).value();
-  Instance inst(0, &prog);
-  ASSERT_TRUE(inst.Init().ok());
-  EXPECT_TRUE(inst.solve_options().incremental);
-  EXPECT_EQ(inst.solve_options().incr_threshold_pct, 60);
-}
-
-TEST(IncrementalKnobsTest, OutOfRangeValuesAreCompileErrors) {
-  auto bad_flag = colog::CompileColog(R"(
-param SOLVER_INCREMENTAL = 2.
-goal minimize C in cost(C).
-var pick(I,V) forall item(I) domain [0,1].
-d1 cost(SUM<V>) <- pick(I,V).
-)");
-  ASSERT_FALSE(bad_flag.ok());
-  EXPECT_NE(bad_flag.status().ToString().find("SOLVER_INCREMENTAL"),
-            std::string::npos);
-
-  auto bad_threshold = colog::CompileColog(R"(
-param SOLVER_INCR_THRESHOLD = 101.
-goal minimize C in cost(C).
-var pick(I,V) forall item(I) domain [0,1].
-d1 cost(SUM<V>) <- pick(I,V).
-)");
-  ASSERT_FALSE(bad_threshold.ok());
-  EXPECT_NE(bad_threshold.status().ToString().find("SOLVER_INCR_THRESHOLD"),
-            std::string::npos);
-}
-
-TEST(SolverCacheKnobsTest, ProgramKnobsConfigureInstanceOptions) {
-  auto compiled = colog::CompileColog(R"(
-param SOLVER_CACHE = 1.
-param SOLVER_SUBPROBLEMS = 16.
-goal minimize C in cost(C).
-var pick(I,V) forall item(I) domain [0,1].
-d1 cost(SUM<V>) <- pick(I,V).
-)");
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  colog::CompiledProgram prog = std::move(compiled).value();
-  Instance inst(0, &prog);
-  ASSERT_TRUE(inst.Init().ok());
-  EXPECT_TRUE(inst.solve_options().cache);
-  EXPECT_EQ(inst.solve_options().subproblems, 16);
-}
-
-TEST(SolverCacheKnobsTest, OutOfRangeValuesAreCompileErrors) {
-  auto bad_cache = colog::CompileColog(R"(
-param SOLVER_CACHE = 2.
-goal minimize C in cost(C).
-var pick(I,V) forall item(I) domain [0,1].
-d1 cost(SUM<V>) <- pick(I,V).
-)");
-  ASSERT_FALSE(bad_cache.ok());
-  EXPECT_NE(bad_cache.status().ToString().find("SOLVER_CACHE"),
-            std::string::npos);
-
-  auto bad_subproblems = colog::CompileColog(R"(
-param SOLVER_SUBPROBLEMS = 5000.
-goal minimize C in cost(C).
-var pick(I,V) forall item(I) domain [0,1].
-d1 cost(SUM<V>) <- pick(I,V).
-)");
-  ASSERT_FALSE(bad_subproblems.ok());
-  EXPECT_NE(bad_subproblems.status().ToString().find("SOLVER_SUBPROBLEMS"),
-            std::string::npos);
-}
-
-// The pre-SolveRequest shims must keep routing through Solve() unchanged.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(IncrementalSolveTest, DeprecatedShimsStillRoute) {
-  auto full = instance_->InvokeSolver();
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  ASSERT_TRUE(full.value().has_solution());
-  auto batched = instance_->InvokeSolverBatched(1);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  EXPECT_EQ(batched.value().model_groups, static_cast<size_t>(kGroups));
-}
-#pragma GCC diagnostic pop
-
-TEST(CommonConfigTest, HelpersMapSharedKnobs) {
+TEST(CommonConfigTest, HelpersMapSharedSettings) {
   apps::CommonConfig c;
   c.seed = 42;
-  c.net_reliable = true;
-  c.obs_metrics = true;
   c.link_loss_prob = 0.25;
   System::Options sys = apps::MakeSystemOptions(c);
   EXPECT_EQ(sys.seed, 42u);
-  EXPECT_TRUE(sys.net_reliable);
-  EXPECT_TRUE(sys.obs_metrics);
   EXPECT_DOUBLE_EQ(sys.default_link.drop_prob, 0.25);
 
-  c.solver_backend = "lns";
   c.solver_max_iterations = 9;
-  c.solver_incremental = true;
-  c.solver_cache = true;
-  c.solver_subproblems = 8;
-  c.solver_naive_propagation = true;
   SolveOptions base;
   base.time_limit_ms = 123;
+  base.backend = solver::Backend::kLns;
   SolveOptions o = apps::OverlaySolveOptions(c, base, /*time_limit_ms=*/-1);
   EXPECT_DOUBLE_EQ(o.time_limit_ms, 123);
   EXPECT_EQ(o.backend, solver::Backend::kLns);
   EXPECT_EQ(o.max_iterations, 9u);
-  EXPECT_TRUE(o.incremental);
-  EXPECT_TRUE(o.cache);
-  EXPECT_EQ(o.subproblems, 8);
-  EXPECT_TRUE(o.naive_propagation);
   o = apps::OverlaySolveOptions(c, base, /*time_limit_ms=*/55);
   EXPECT_DOUBLE_EQ(o.time_limit_ms, 55);
 
-  SolveRequest req = apps::MakeSolveRequest(c, 2);
+  SolveOptions incremental;
+  incremental.incremental = true;
+  SolveRequest req = apps::MakeSolveRequest(c, incremental, 2);
   EXPECT_EQ(req.mode, SolveMode::kIncremental);
   EXPECT_EQ(req.group_key_prefix, 2);
-  c.solver_incremental = false;
   c.batch_links = true;
-  req = apps::MakeSolveRequest(c, 2);
+  req = apps::MakeSolveRequest(c, SolveOptions{}, 2);
   EXPECT_EQ(req.mode, SolveMode::kBatched);
   EXPECT_EQ(req.group_key_prefix, 2);
   c.batch_links = false;
-  req = apps::MakeSolveRequest(c, 2);
+  req = apps::MakeSolveRequest(c, SolveOptions{}, 2);
   EXPECT_EQ(req.mode, SolveMode::kFull);
   EXPECT_EQ(req.group_key_prefix, 0);
 }
 
-// The scenario defaults inherit the shared knobs but keep their historical
-// per-scenario seeds.
+// The scenario defaults inherit the shared settings but keep their
+// historical per-scenario seeds.
 TEST(CommonConfigTest, ScenarioSeedsKeepHistoricalDefaults) {
   EXPECT_EQ(apps::FtsConfig{}.seed, 11u);
-  EXPECT_FALSE(apps::FtsConfig{}.solver_incremental);
+  EXPECT_TRUE(apps::FtsConfig{}.knobs.empty());
 }
 
 std::string RunFtsIncrementalTrace() {
@@ -485,11 +400,11 @@ std::string RunFtsIncrementalTrace() {
   cfg.num_dcs = 4;
   cfg.converge_sweeps = 2;
   cfg.batch_links = true;
-  cfg.net_reliable = true;
-  cfg.solver_backend = "lns";
+  cfg.knobs["NET_RELIABLE"] = Value::Int(1);
+  cfg.knobs["SOLVER_BACKEND"] = Value::Str("lns");
   cfg.solver_max_iterations = 8;
   cfg.solver_time_ms = 0;  // iteration-bounded: wall-clock independent
-  cfg.solver_incremental = true;
+  cfg.knobs["SOLVER_INCREMENTAL"] = Value::Int(1);
   cfg.trace = &rec;
   apps::FollowTheSunScenario scenario(cfg);
   auto r = scenario.Run();

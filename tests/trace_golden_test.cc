@@ -133,7 +133,7 @@ TEST(GoldenTraceTest, FollowTheSunReliableBatched) {
   cfg.capacity = 25;
   cfg.demand_hi = 5;
   cfg.seed = 47;
-  cfg.net_reliable = true;
+  cfg.knobs["NET_RELIABLE"] = Value::Int(1);
   cfg.batch_links = true;
   cfg.link_loss_prob = 0.1;
   cfg.converge_sweeps = 1;  // keep the golden compact
@@ -141,7 +141,7 @@ TEST(GoldenTraceTest, FollowTheSunReliableBatched) {
   // wall-clock cap on every CI machine, and a budget-dependent status
   // would leak into the trace. The iteration-capped LNS budget (unlimited
   // wall clock) is deterministic regardless of machine load.
-  cfg.solver_backend = "lns";
+  cfg.knobs["SOLVER_BACKEND"] = Value::Str("lns");
   cfg.solver_max_iterations = 16;
   cfg.solver_time_ms = 0;
 
@@ -163,19 +163,19 @@ TEST(GoldenTraceTest, FollowTheSunObsMetrics) {
   cfg.capacity = 25;
   cfg.demand_hi = 5;
   cfg.seed = 47;
-  cfg.net_reliable = true;
+  cfg.knobs["NET_RELIABLE"] = Value::Int(1);
   cfg.batch_links = true;
   cfg.link_loss_prob = 0.1;
   cfg.converge_sweeps = 1;
-  cfg.solver_backend = "lns";
+  cfg.knobs["SOLVER_BACKEND"] = Value::Str("lns");
   cfg.solver_max_iterations = 16;
   cfg.solver_time_ms = 0;
-  cfg.obs_metrics = true;
+  cfg.knobs["OBS_METRICS"] = Value::Int(1);
   // The golden embeds exact propagator-effort counters (solve.propagations,
   // prop.<kind>), which the event-typed engine reduces by design. Pin the
   // legacy reference mode so this trace stays byte-stable; search results
   // are identical either way.
-  cfg.solver_naive_propagation = true;
+  cfg.knobs["SOLVER_NAIVE_PROPAGATION"] = Value::Int(1);
 
   TraceRecorder trace;
   cfg.trace = &trace;

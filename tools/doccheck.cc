@@ -13,18 +13,26 @@
 //   //! compile-only               only compile (default for @-distributed
 //                                  programs, which need a full System)
 //
-// Usage: doccheck FILE.md [FILE.md ...]; exits non-zero on the first
-// failing block, printing file and line. Wired into ctest and the CI docs
-// job so the examples in docs/colog-reference.md cannot rot.
+// It also checks the reserved-knob table (the markdown table headed
+// `| Knob | Values | Meaning |`, which one of the files must hold): its rows
+// must name exactly the knobs of colog/knobs.h, each with the Values cell
+// KnobRange spells for it.
+//
+// Usage: doccheck FILE.md [FILE.md ...]; exits non-zero on any failing
+// block or knob-table mismatch, printing file and line. Wired into ctest and
+// the CI docs job so the examples and the knob table in
+// docs/colog-reference.md cannot rot.
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "colog/knobs.h"
 #include "colog/planner.h"
 #include "common/value.h"
 #include "runtime/instance.h"
@@ -175,7 +183,43 @@ int CheckBlock(const std::string& file, const Block& block) {
   return 0;
 }
 
-int CheckFile(const std::string& path) {
+// Name -> Values cell (backticks dropped) of each knob-table row.
+using KnobRows = std::map<std::string, std::string>;
+
+std::string StripTicks(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    if (c != '`') out += c;
+  }
+  return Trim(out);
+}
+
+// The documented knob table must match colog/knobs.h row for row.
+int CheckKnobTable(const KnobRows& documented) {
+  int failures = 0;
+  for (const cologne::colog::KnobSpec& spec : cologne::colog::Knobs()) {
+    auto it = documented.find(spec.name);
+    const std::string range = cologne::colog::KnobRange(spec);
+    if (it == documented.end()) {
+      fprintf(stderr, "doccheck: knob table lacks %s\n", spec.name);
+      ++failures;
+    } else if (it->second != range) {
+      fprintf(stderr, "doccheck: knob table gives %s as \"%s\", not \"%s\"\n",
+              spec.name, it->second.c_str(), range.c_str());
+      ++failures;
+    }
+  }
+  for (const auto& [name, values] : documented) {
+    if (cologne::colog::FindKnob(name) == nullptr) {
+      fprintf(stderr, "doccheck: knob table lists unknown knob %s\n",
+              name.c_str());
+      ++failures;
+    }
+  }
+  return failures;
+}
+
+int CheckFile(const std::string& path, KnobRows* knob_rows, bool* saw_table) {
   std::ifstream in(path);
   if (!in) {
     fprintf(stderr, "doccheck: cannot open %s\n", path.c_str());
@@ -184,11 +228,28 @@ int CheckFile(const std::string& path) {
   std::string line;
   int lineno = 0, blocks = 0, failures = 0;
   bool in_block = false;
+  bool in_knob_table = false;
   Block block;
   while (std::getline(in, line)) {
     ++lineno;
     std::string t = Trim(line);
     if (!in_block) {
+      if (t.rfind("| Knob | Values |", 0) == 0) {
+        in_knob_table = *saw_table = true;
+        continue;
+      }
+      in_knob_table = in_knob_table && t.rfind("|", 0) == 0;
+      if (in_knob_table && t.rfind("|---", 0) != 0) {
+        // | `NAME` | values | meaning |
+        size_t a = t.find('|', 1);
+        size_t b = a == std::string::npos ? a : t.find('|', a + 1);
+        if (b == std::string::npos) {
+          return Fail(path, lineno, "malformed knob table row");
+        }
+        (*knob_rows)[StripTicks(t.substr(1, a - 1))] =
+            StripTicks(t.substr(a + 1, b - a - 1));
+        continue;
+      }
       if (t.rfind("```colog", 0) == 0) {
         in_block = true;
         block = Block{};
@@ -236,6 +297,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   int rc = 0;
-  for (int i = 1; i < argc; ++i) rc |= CheckFile(argv[i]);
-  return rc;
+  KnobRows knob_rows;
+  bool saw_table = false;
+  for (int i = 1; i < argc; ++i) {
+    rc |= CheckFile(argv[i], &knob_rows, &saw_table);
+  }
+  if (!saw_table) {
+    fprintf(stderr, "doccheck: no reserved-knob table found\n");
+    return 1;
+  }
+  return CheckKnobTable(knob_rows) == 0 ? rc : 1;
 }

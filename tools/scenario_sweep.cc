@@ -28,6 +28,7 @@
 
 #include "apps/scenariogen.h"
 #include "common/json.h"
+#include "solver/types.h"
 
 namespace {
 
@@ -133,6 +134,14 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       backends = SplitCsv(v);
       if (backends.empty()) return Usage(argv[0]);
+      for (const std::string& name : backends) {
+        cologne::solver::Backend parsed;
+        if (!cologne::solver::ParseBackend(name, &parsed)) {
+          std::fprintf(stderr, "scenario_sweep: unknown backend \"%s\"\n",
+                       name.c_str());
+          return Usage(argv[0]);
+        }
+      }
     } else if (arg == "--iterations") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
