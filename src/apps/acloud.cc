@@ -21,6 +21,34 @@ const char* ACloudPolicyName(ACloudPolicy p) {
   return "?";
 }
 
+namespace {
+
+/// Journal `row` into `table` unless the table already holds it.
+Status InsertFactOnce(runtime::Instance* inst, const std::string& table,
+                      const Row& row) {
+  if (inst->engine().GetTable(table)->Contains(row)) return Status::OK();
+  return inst->ApplyFact(table, row, +1);
+}
+
+}  // namespace
+
+Status SyncKeyedFacts(runtime::Instance* inst, const std::string& table,
+                      const std::set<Row>& want) {
+  for (const Row& row : inst->engine().GetTable(table)->Rows()) {
+    // Delete rows whose key is no longer wanted; keyed replacement handles
+    // changed rows on insert.
+    bool keep = false;
+    for (const Row& w : want) {
+      if (w[0] == row[0]) keep = true;
+    }
+    if (!keep) COLOGNE_RETURN_IF_ERROR(inst->ApplyFact(table, row, -1));
+  }
+  for (const Row& row : want) {
+    COLOGNE_RETURN_IF_ERROR(InsertFactOnce(inst, table, row));
+  }
+  return Status::OK();
+}
+
 ACloudScenario::ACloudScenario(const ACloudConfig& config)
     : config_(config), trace_(config.trace), rng_(config.seed) {
   num_hosts_ = config.num_dcs * config.hosts_per_dc;
@@ -157,7 +185,7 @@ Result<int> ACloudScenario::RunCologne(int dc, runtime::Instance* inst,
   }
 
   // Refresh facts (keyed tables replace rows in place). Stale vm/origin rows
-  // for VMs that left the filter are deleted via table diff below.
+  // for VMs that left the filter are deleted by SyncKeyedFacts.
   std::set<Row> want_vm, want_origin;
   for (size_t i : movable) {
     const Vm& vm = vms_[i];
@@ -166,31 +194,16 @@ Result<int> ACloudScenario::RunCologne(int dc, runtime::Instance* inst,
                     Value::Int(config_.vm_mem_gb)});
     want_origin.insert({Value::Int(vm.id), Value::Int(vm.host)});
   }
-  // Fact refresh goes through the instance's durable journal (ApplyFact), so
-  // a crashed DC rebuilds its last-known workload on restart.
-  for (const std::string& table : {std::string("vm"), std::string("origin")}) {
-    const auto& want = table == "vm" ? want_vm : want_origin;
-    for (const Row& row : eng.GetTable(table)->Rows()) {
-      // Delete rows whose key (Vid) is no longer wanted; keyed replacement
-      // handles changed rows on insert.
-      bool keep = false;
-      for (const Row& w : want) {
-        if (w[0] == row[0]) keep = true;
-      }
-      if (!keep) COLOGNE_RETURN_IF_ERROR(inst->ApplyFact(table, row, -1));
-    }
-    for (const Row& row : want) {
-      COLOGNE_RETURN_IF_ERROR(inst->ApplyFact(table, row, +1));
-    }
-  }
+  COLOGNE_RETURN_IF_ERROR(SyncKeyedFacts(inst, "vm", want_vm));
+  COLOGNE_RETURN_IF_ERROR(SyncKeyedFacts(inst, "origin", want_origin));
   for (int h = lo_host; h < hi_host; ++h) {
-    COLOGNE_RETURN_IF_ERROR(inst->ApplyFact(
-        "host",
+    COLOGNE_RETURN_IF_ERROR(InsertFactOnce(
+        inst, "host",
         {Value::Int(h), Value::Int(residual[static_cast<size_t>(h)]),
-         Value::Int(0)},
-        +1));
-    COLOGNE_RETURN_IF_ERROR(inst->ApplyFact(
-        "hostMemThres", {Value::Int(h), Value::Int(config_.host_mem_gb)}, +1));
+         Value::Int(0)}));
+    COLOGNE_RETURN_IF_ERROR(
+        InsertFactOnce(inst, "hostMemThres",
+                       {Value::Int(h), Value::Int(config_.host_mem_gb)}));
   }
   COLOGNE_RETURN_IF_ERROR(inst->Flush());
 
@@ -275,10 +288,8 @@ Result<std::vector<ACloudInterval>> ACloudScenario::Run(ACloudPolicy policy) {
       auto inst = std::make_unique<runtime::Instance>(dc, &prog);
       COLOGNE_RETURN_IF_ERROR(inst->Init());
       // Read-modify-write so the knobs Init() applied survive.
-      runtime::SolveOptions opts = OverlaySolveOptions(
-          config_, inst->solve_options(), config_.solver_time_ms);
-      opts.warm_start = config_.solver_warm_start;
-      inst->set_solve_options(opts);
+      inst->set_solve_options(OverlaySolveOptions(
+          config_, inst->solve_options(), config_.solver_time_ms));
       if (config_.solve_trace != nullptr) {
         inst->set_trace(config_.solve_trace);
       }
@@ -317,8 +328,8 @@ Result<std::vector<ACloudInterval>> ACloudScenario::Run(ACloudPolicy policy) {
         instances[static_cast<size_t>(config_.crash_dc)]->crashed()) {
       runtime::Instance* victim =
           instances[static_cast<size_t>(config_.crash_dc)].get();
-      COLOGNE_RETURN_IF_ERROR(
-          victim->Restart(config_.crash_retain_warm_start));
+      // The warm-start cache dies with the crashed process.
+      COLOGNE_RETURN_IF_ERROR(victim->Restart(/*retain_warm_start=*/false));
       COLOGNE_RETURN_IF_ERROR(victim->ReplayBaseFacts());
       m.recovered = true;
       if (config_.solve_trace != nullptr) {

@@ -5,6 +5,7 @@
 #define COLOGNE_APPS_ACLOUD_H_
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -51,8 +52,6 @@ struct ACloudConfig : CommonConfig {
   double heuristic_ratio = 1.05;
   int max_migrates = 3;        ///< Per DC per interval, ACloud (M) only.
   double solver_time_ms = 1500;
-  /// Reuse each DC's previous placement as a warm start for the next solve.
-  bool solver_warm_start = true;
   TraceConfig trace;
   // --- Fault injection -------------------------------------------------------
   /// DC whose Cologne instance crashes mid-replay (-1 = no crash). While
@@ -63,8 +62,6 @@ struct ACloudConfig : CommonConfig {
   /// Interval index at which the instance restarts, rebuilding its tables
   /// from the durable base-fact journal (-1 = stays down).
   int restart_interval = -1;
-  /// Keep the warm-start cache across the crash (both paths are tested).
-  bool crash_retain_warm_start = false;
   /// Record invokeSolver outcomes + crash/restart transitions (optional).
   /// The OBS_METRICS knob additionally folds per-interval `metrics`
   /// snapshots + solve provenance into this trace.
@@ -88,6 +85,16 @@ struct ACloudInterval {
   /// True on the interval where a crashed instance rebuilt and rejoined.
   bool recovered = false;
 };
+
+/// Make the base facts of `table` (keyed on its first column) on `inst`
+/// match `want`: retract each row whose key is no longer wanted, insert
+/// each wanted row the table does not hold. Goes through the durable
+/// journal, so a crashed DC rebuilds its last-known workload on restart.
+/// Held rows are not re-inserted: tables count derivations, and one
+/// retraction must remove a VM that left the CPU filter from the next
+/// model.
+Status SyncKeyedFacts(runtime::Instance* inst, const std::string& table,
+                      const std::set<Row>& want);
 
 /// \brief Trace replay of the ACloud workload under one policy.
 class ACloudScenario {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <set>
 
-#include "apps/negotiation.h"
 #include "apps/programs.h"
 
 namespace cologne::apps {
@@ -114,16 +113,9 @@ Result<FtsResult> FollowTheSunScenario::Run() {
   result.initial_cost = GlobalCost();
   result.series.push_back({0, result.initial_cost, 100.0});
 
-  std::set<std::pair<NodeId, NodeId>> pending(links_.begin(), links_.end());
-  std::map<std::pair<NodeId, NodeId>, int> fail_count;
-
-  // ---- Fault plan + recovery hook ------------------------------------------
-  // A restarted node re-reads its VM inventory from the hypervisor (the
-  // mirrors), discards any half-open negotiation session, and re-negotiates
-  // each of its links: its in-memory decisions died with it, and every
-  // negotiation is a cost-non-increasing local improvement step, so the
-  // renegotiation pass pulls the disturbed region back toward the no-fault
-  // optimum.
+  // The hypervisor's VM inventory (the mirrors) is ground truth: re-read it
+  // into a node's engine, squashing any divergence accumulated through
+  // earlier message loss.
   auto refresh_inventory = [this, N](NodeId x) {
     runtime::Instance& inst = sys_->node(x);
     if (inst.crashed()) return;
@@ -133,211 +125,96 @@ Result<FtsResult> FollowTheSunScenario::Run() {
                     Value::Int(cur_vm_[static_cast<size_t>(x)][static_cast<size_t>(d)])});
     }
   };
-  sys_->SetRestartHook([this, refresh_inventory, &pending](NodeId x) {
-    runtime::Instance& inst = sys_->node(x);
-    if (config_.refresh_on_restart) {
-      // The renegotiation sessions below start with an inventory exchange:
-      // the restarted node and its peers re-read ground truth, squashing
-      // any divergence accumulated through earlier message loss.
-      refresh_inventory(x);
-      for (const auto& link : links_) {
-        if (link.first == x) refresh_inventory(link.second);
-        if (link.second == x) refresh_inventory(link.first);
-      }
-    }
-    datalog::Table* set_link = inst.engine().GetTable("setLink");
-    if (set_link != nullptr) {
-      for (const Row& row : set_link->Rows()) {
-        int guard = 0;
-        while (set_link->Contains(row) && guard++ < 8) {
-          (void)inst.DeleteFact("setLink", row);
-        }
-      }
-    }
-    for (const auto& link : links_) {
-      if (link.first == x || link.second == x) pending.insert(link);
-    }
-  });
-  if (!config_.fault_plan.empty()) {
-    COLOGNE_RETURN_IF_ERROR(sys_->ApplyFaultPlan(config_.fault_plan));
-  }
-
-  // ---- Negotiation rounds ----------------------------------------------------
-  const int max_rounds =
-      config_.max_rounds > 0
-          ? config_.max_rounds
-          : static_cast<int>(links_.size()) * (3 + config_.converge_sweeps) + 8;
-  double round_start = 0;
-  Status failure;  // first negotiation error, surfaced for fault-free runs
   const bool faulty =
       !config_.fault_plan.empty() || config_.link_loss_prob > 0;
   int extra_passes = 0;
   double last_pass_cost = result.initial_cost + 1;  // first pass always runs
-  while (result.rounds < max_rounds) {
-    if (pending.empty() && !sys_->AnyRestartPending()) {
-      // The pass is complete; renegotiate every link until a full pass
-      // leaves the global cost unchanged (periodic negotiation converging
-      // to a fixpoint). A pass that *worsened* the cost — divergence from
-      // messages lost mid-negotiation — keeps sweeping so later, cleaner
-      // passes repair the damage.
-      double cost_now = GlobalCost();
-      if (extra_passes >= config_.converge_sweeps) break;
-      if (std::abs(cost_now - last_pass_cost) < 1e-9) break;  // fixpoint
-      last_pass_cost = cost_now;
-      ++extra_passes;
-      if (faulty && config_.refresh_on_restart && !sys_->net_reliable()) {
-        // Periodic anti-entropy: each sweep opens with an inventory sync
-        // plus a reliable send-log resync so divergence accumulated through
-        // message loss (lost r2/r3 updates, lost localized tmp tuples)
-        // cannot compound across passes — the anytime-DCOP recipe for
-        // tolerating lossy *datagram* transports. Retired on reliable runs:
-        // the FIFO retransmission channel delivers everything, so there is
-        // no loss-induced divergence to repair.
-        for (int x = 0; x < n; ++x) refresh_inventory(x);
-        for (int x = 0; x < n; ++x) (void)sys_->ResyncNode(x);
-      }
-      pending.insert(links_.begin(), links_.end());
-    }
-    ++result.rounds;
-    // Greedy matching (apps/negotiation.h): classic mode pairs nodes one
-    // link per round; batched mode lets an initiator claim all its pending
-    // incident links with free peers and solve them as one batched model.
-    std::vector<NegotiationBatch<NodeId>> batches = ClaimBatches(
-        links_, &pending, static_cast<size_t>(n), config_.batch_links,
-        config_.max_link_batch,
-        [this, &result](const std::pair<NodeId, NodeId>& l) {
-          if (sys_->NodePermanentlyDown(l.first) ||
-              sys_->NodePermanentlyDown(l.second)) {
-            ++result.abandoned_links;
-            return LinkClaim::kDrop;
-          }
-          // A temporarily-down endpoint keeps the link pending for later.
-          if (sys_->node(l.first).crashed() || sys_->node(l.second).crashed()) {
-            return LinkClaim::kDefer;
-          }
-          return LinkClaim::kClaim;
-        });
-    for (const auto& [init, peers] : batches) {
-      result.max_batch =
-          std::max(result.max_batch, static_cast<int>(peers.size()));
-      sys_->sim().ScheduleAt(round_start + 0.1, [this, init, peers, N] {
-        for (NodeId peer : peers) {
-          (void)sys_->InsertFact(init, "setLink", {N(init), N(peer)});
-          (void)sys_->InsertFact(peer, "setLink", {N(peer), N(init)});
-        }
-      });
-      sys_->sim().ScheduleAt(
-          round_start + 2.0,
-          [this, init, peers, N, &result, &failure, &pending, &fail_count,
-           faulty] {
-            auto link_of = [init](NodeId peer) {
-              return peer < init ? std::make_pair(peer, init)
-                                 : std::make_pair(init, peer);
-            };
-            auto requeue_all = [&] {
-              for (NodeId peer : peers) {
-                auto link = link_of(peer);
-                ++result.failed_rounds;
-                ++fail_count[link];
-                if (sys_->NodePermanentlyDown(link.first) ||
-                    sys_->NodePermanentlyDown(link.second)) {
-                  ++result.abandoned_links;
-                } else {
-                  pending.insert(link);
-                }
-              }
-            };
-            bool peer_down = sys_->node(init).crashed();
-            for (NodeId peer : peers) {
-              peer_down = peer_down || sys_->node(peer).crashed();
-            }
-            if (peer_down) {
-              // An endpoint died between setup and solve: the whole batch
-              // is retried (partial application would desynchronize r2/r3).
-              requeue_all();
-              return;
-            }
-            runtime::Instance& inst = sys_->node(init);
-            // Read-modify-write so the knobs Init() applied survive.
-            inst.set_solve_options(OverlaySolveOptions(
-                config_, inst.solve_options(), config_.solver_time_ms));
-            // Batched: one model covering every link of the batch, grouped
-            // per (X, Y) link prefix of the migVm key for per-link LNS
-            // neighborhoods.
-            runtime::SolveRequest req =
-                MakeSolveRequest(config_, inst.solve_options(), 2);
-            req.changed_tables = inst.touched_tables();
-            auto out = inst.Solve(req);
-            if (!out.ok()) {
-              if (faulty) {
-                requeue_all();
-              } else if (failure.ok()) {
-                failure = out.status();
-              }
-              return;
-            }
-            ++result.solves;
-            for (NodeId peer : peers) {
-              auto link = link_of(peer);
-              if (auto fit = fail_count.find(link); fit != fail_count.end()) {
-                ++result.recovered_rounds;
-                fail_count.erase(fit);  // one recovery per failure streak
-              }
-            }
-            result.avg_link_solve_ms += out.value().stats.wall_ms;
-            // Account migrations and mirror curVm updates (r3 applied them
-            // inside the engines; we mirror for global cost computation).
-            auto it = out.value().tables.find("migVm");
-            if (it == out.value().tables.end()) return;
-            for (const Row& row : it->second) {
-              int64_t moved = row[3].as_int();
-              if (moved == 0) continue;
-              NodeId peer = row[1].as_node();
-              int d = static_cast<int>(row[2].as_int());
-              double mc = static_cast<double>(mig_cost_[link_of(peer)]);
-              // Physical clamp: a hypervisor cannot migrate VMs it does not
-              // run. Only binds when message loss has let a node's engine
-              // view drift from ground truth (no-op on consistent state,
-              // where constraint c3 already guarantees feasibility).
-              if (moved > 0) {
-                moved = std::min(
-                    moved, cur_vm_[static_cast<size_t>(init)][static_cast<size_t>(d)]);
-              } else {
-                moved = -std::min(
-                    -moved, cur_vm_[static_cast<size_t>(peer)][static_cast<size_t>(d)]);
-              }
-              if (moved == 0) continue;
-              cur_vm_[static_cast<size_t>(init)][static_cast<size_t>(d)] -= moved;
-              cur_vm_[static_cast<size_t>(peer)][static_cast<size_t>(d)] += moved;
-              accumulated_mig_cost_ +=
-                  static_cast<double>(std::abs(moved)) * mc;
-              total_moved_ += static_cast<int>(std::abs(moved));
-            }
-          });
-      // Clear the negotiation before the next round begins.
-      sys_->sim().ScheduleAt(round_start + 4.0, [this, init, peers, N] {
-        for (NodeId peer : peers) {
-          (void)sys_->node(init).DeleteFact("setLink", {N(init), N(peer)});
-          (void)sys_->node(peer).DeleteFact("setLink", {N(peer), N(init)});
-        }
-      });
-    }
-    round_start += config_.round_period_s;
-    sys_->RunUntil(round_start);
-    // Round-boundary metrics snapshot (no-op, and no trace line, unless the
-    // observability knob is on).
-    sys_->SnapshotMetrics(static_cast<uint64_t>(result.rounds));
-    result.series.push_back(
-        {round_start, GlobalCost(), GlobalCost() / result.initial_cost * 100});
-  }
-  result.abandoned_links += static_cast<int>(pending.size());
-  sys_->RunToQuiescence();
-  COLOGNE_RETURN_IF_ERROR(failure);
 
+  NegotiationProtocol protocol;
+  protocol.links = links_;
+  protocol.config = &config_;
+  protocol.fault_plan = &config_.fault_plan;
+  protocol.solve_ms = config_.solver_time_ms;
+  protocol.peer_sets_link = true;
+  protocol.converge_sweeps = config_.converge_sweeps;
+  // A restarted node and its peers open their renegotiation sessions with
+  // an inventory exchange. Every negotiation is a cost-non-increasing local
+  // improvement step, so the renegotiation pass pulls the disturbed region
+  // back toward the no-fault optimum.
+  protocol.on_restart = [this, refresh_inventory](NodeId x) {
+    refresh_inventory(x);
+    for (const auto& link : links_) {
+      if (link.first == x) refresh_inventory(link.second);
+      if (link.second == x) refresh_inventory(link.first);
+    }
+  };
+  // The pass is complete; renegotiate every link until a full pass leaves
+  // the global cost unchanged (periodic negotiation converging to a
+  // fixpoint). A pass that *worsened* the cost — divergence from messages
+  // lost mid-negotiation — keeps sweeping so later, cleaner passes repair
+  // the damage.
+  protocol.on_pass_done = [this, n, faulty, refresh_inventory, &extra_passes,
+                           &last_pass_cost] {
+    double cost_now = GlobalCost();
+    if (extra_passes >= config_.converge_sweeps) return false;
+    if (std::abs(cost_now - last_pass_cost) < 1e-9) return false;  // fixpoint
+    last_pass_cost = cost_now;
+    ++extra_passes;
+    if (faulty && !sys_->net_reliable()) {
+      // Periodic anti-entropy: each sweep opens with an inventory sync plus
+      // a reliable send-log resync so divergence accumulated through
+      // message loss (lost r2/r3 updates, lost localized tmp tuples) cannot
+      // compound across passes — the anytime-DCOP recipe for tolerating
+      // lossy *datagram* transports. Retired on reliable runs: the FIFO
+      // retransmission channel delivers everything, so there is no
+      // loss-induced divergence to repair.
+      for (int x = 0; x < n; ++x) refresh_inventory(x);
+      for (int x = 0; x < n; ++x) (void)sys_->ResyncNode(x);
+    }
+    return true;
+  };
+  protocol.on_solved = [this, &result](
+                           NodeId init, const std::vector<NodeId>&,
+                           const runtime::SolveOutput& out) {
+    result.avg_link_solve_ms += out.stats.wall_ms;
+    // Account migrations and mirror curVm updates (r3 applied them inside
+    // the engines; we mirror for global cost computation).
+    auto it = out.tables.find("migVm");
+    if (it == out.tables.end()) return;
+    for (const Row& row : it->second) {
+      int64_t moved = row[3].as_int();
+      if (moved == 0) continue;
+      NodeId peer = row[1].as_node();
+      int d = static_cast<int>(row[2].as_int());
+      double mc = static_cast<double>(mig_cost_[std::minmax(init, peer)]);
+      // Physical clamp: a hypervisor cannot migrate VMs it does not run.
+      // Only binds when message loss has let a node's engine view drift
+      // from ground truth (no-op on consistent state, where constraint c3
+      // already guarantees feasibility).
+      if (moved > 0) {
+        moved = std::min(
+            moved, cur_vm_[static_cast<size_t>(init)][static_cast<size_t>(d)]);
+      } else {
+        moved = -std::min(
+            -moved, cur_vm_[static_cast<size_t>(peer)][static_cast<size_t>(d)]);
+      }
+      if (moved == 0) continue;
+      cur_vm_[static_cast<size_t>(init)][static_cast<size_t>(d)] -= moved;
+      cur_vm_[static_cast<size_t>(peer)][static_cast<size_t>(d)] += moved;
+      accumulated_mig_cost_ += static_cast<double>(std::abs(moved)) * mc;
+      total_moved_ += static_cast<int>(std::abs(moved));
+    }
+  };
+  protocol.on_round_end = [this, &result](double t_s) {
+    result.series.push_back(
+        {t_s, GlobalCost(), GlobalCost() / result.initial_cost * 100});
+  };
+  COLOGNE_ASSIGN_OR_RETURN(kBps, RunNegotiation(sys_.get(), protocol, &result));
+  // Figure 5: per-node communication overhead over the run.
+  result.avg_per_node_kBps = kBps;
   result.final_cost = GlobalCost();
   result.reduction_pct =
       (result.initial_cost - result.final_cost) / result.initial_cost * 100;
-  result.converge_time_s = round_start;
   result.total_vms_migrated = total_moved_;
   // Batched runs amortize one solve over several links; the honest per-COP
   // figure divides by actual invocations, not the link count.
@@ -346,17 +223,6 @@ Result<FtsResult> FollowTheSunScenario::Run() {
   } else if (!links_.empty()) {
     result.avg_link_solve_ms /= static_cast<double>(links_.size());
   }
-  result.messages_dropped = sys_->network().TotalDropped();
-  for (int x = 0; x < n; ++x) {
-    result.crashes += static_cast<int>(sys_->node(x).crash_count());
-  }
-  // Figure 5: per-node communication overhead over the run.
-  double bytes = 0;
-  for (int x = 0; x < n; ++x) {
-    bytes += static_cast<double>(sys_->network().StatsOf(x).bytes_sent);
-  }
-  double duration = std::max(result.converge_time_s, 1.0);
-  result.avg_per_node_kBps = bytes / n / duration / 1024.0;
   return result;
 }
 

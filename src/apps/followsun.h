@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "apps/common_config.h"
+#include "apps/negotiation.h"
 #include "colog/planner.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -37,7 +38,6 @@ struct FtsConfig : CommonConfig {
   int mig_lo = 10;
   int mig_hi = 20;
   int op_cost = 10;
-  double round_period_s = 5.0;
   double solver_time_ms = 500;
   bool migration_limit = false;  ///< Adds d11/c3 (<= max_migrates per link).
   int max_migrates = 20;
@@ -46,14 +46,6 @@ struct FtsConfig : CommonConfig {
   net::FaultPlan fault_plan;
   /// Record every delivery/drop/fault/solve into this trace (optional).
   runtime::TraceRecorder* trace = nullptr;
-  /// On node restart, re-insert the node's current VM inventory (curVm) —
-  /// the hypervisor re-reads ground truth on boot. Disable to test pure
-  /// journal-replay recovery.
-  bool refresh_on_restart = true;
-  /// Negotiation-round cap; 0 = auto (3x the link count + 8). Rounds whose
-  /// negotiation fails (crashed endpoint, solve failure) are retried until
-  /// the cap.
-  int max_rounds = 0;
   /// After the initial pass over all links, renegotiate every link for up
   /// to this many additional passes until a pass leaves the global cost
   /// unchanged (the paper's periodic negotiation converging to a fixpoint;
@@ -69,27 +61,16 @@ struct FtsSample {
   double normalized = 0;      ///< Relative to the pre-optimization cost (%).
 };
 
-/// Full outcome of one distributed execution.
-struct FtsResult {
+/// Full outcome of one distributed execution; the solve and churn counters
+/// live in the NegotiationStats base.
+struct FtsResult : NegotiationStats {
   std::vector<FtsSample> series;     ///< Cost after each negotiation round.
   double initial_cost = 0;
   double final_cost = 0;
   double reduction_pct = 0;          ///< (initial-final)/initial * 100.
-  double converge_time_s = 0;
   double avg_per_node_kBps = 0;      ///< Figure 5 measurement.
   int total_vms_migrated = 0;        ///< Sum of |R| across links.
   double avg_link_solve_ms = 0;      ///< Section 6.3: per-link COP time.
-  int rounds = 0;
-  int solves = 0;             ///< invokeSolver executions across the run.
-  int max_batch = 0;          ///< Largest link batch covered by one solve.
-  // --- Churn accounting ------------------------------------------------------
-  int failed_rounds = 0;      ///< Negotiations that failed and were requeued.
-  int recovered_rounds = 0;   ///< Previously-failed negotiations that later
-                              ///< completed (post-restart recovery).
-  int abandoned_links = 0;    ///< Links never negotiated (permanent crash /
-                              ///< round cap).
-  uint64_t messages_dropped = 0;  ///< In-flight losses across all nodes.
-  int crashes = 0;                ///< Node crashes observed during the run.
 };
 
 /// \brief Runs the distributed Follow-the-Sun program to a fixpoint.

@@ -1,5 +1,8 @@
-// Greedy per-round negotiation matching, shared by the Follow-the-Sun and
-// wireless scenario drivers.
+// The per-link negotiation protocol shared by the Follow-the-Sun (paper
+// Section 4.3) and distributed wireless (Section 3.2, Appendix A.3)
+// drivers: greedy per-round matching plus the one round loop that opens a
+// `setLink` session, runs invokeSolver at the initiator, and closes the
+// session, with failed-round retry under churn.
 //
 // Classic mode pairs nodes one link each per round (paper footnote 1: the
 // higher-id endpoint initiates). Batched mode lets an initiator claim
@@ -10,10 +13,17 @@
 #define COLOGNE_APPS_NEGOTIATION_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <utility>
 #include <vector>
+
+#include "apps/common_config.h"
+#include "common/status.h"
+#include "net/fault_plan.h"
+#include "runtime/system.h"
 
 namespace cologne::apps {
 
@@ -104,6 +114,58 @@ std::vector<NegotiationBatch<typename Link::first_type>> ClaimBatches(
   }
   return batches;
 }
+
+/// Counters every negotiating driver reports; FtsResult and
+/// ChannelAssignment derive from this.
+struct NegotiationStats {
+  int rounds = 0;
+  double converge_time_s = 0;  ///< Virtual time of the last round boundary.
+  int solves = 0;             ///< invokeSolver executions across the run.
+  int max_batch = 0;          ///< Largest link batch covered by one solve.
+  // --- Churn accounting ------------------------------------------------------
+  int failed_rounds = 0;      ///< Negotiations that failed and were requeued.
+  int recovered_rounds = 0;   ///< Previously-failed negotiations that later
+                              ///< completed (post-restart recovery).
+  int abandoned_links = 0;    ///< Links never negotiated (permanent crash /
+                              ///< round cap).
+  uint64_t messages_dropped = 0;  ///< In-flight losses across all nodes.
+  int crashes = 0;                ///< Node crashes observed during the run.
+};
+
+/// A driver's links and the steps where the two case studies differ.
+struct NegotiationProtocol {
+  std::vector<std::pair<NodeId, NodeId>> links;  ///< (a < b), claim order.
+  const CommonConfig* config = nullptr;
+  const net::FaultPlan* fault_plan = nullptr;  ///< Empty = happy path.
+  double solve_ms = 0;  ///< Wall-clock budget of each initiator solve.
+  /// Both endpoints hold `setLink` in a session (Follow-the-Sun); else
+  /// only the initiator does (wireless).
+  bool peer_sets_link = false;
+  int converge_sweeps = 0;  ///< Passes on_pass_done may add (round cap).
+  /// A node restarted; runs before its sessions are discarded and its
+  /// links requeued.
+  std::function<void(NodeId)> on_restart;
+  /// Every link is settled: true renegotiates all links, false ends.
+  std::function<bool()> on_pass_done;
+  std::function<void(NodeId init, const std::vector<NodeId>& peers,
+                     const runtime::SolveOutput& out)>
+      on_solved;
+  std::function<void(double t_s)> on_round_end;  ///< After the snapshot.
+};
+
+/// \brief Runs negotiation rounds on `sys` until every link is settled (or
+/// the round cap), then drains the network.
+///
+/// Each 5 s round claims links (ClaimBatches); per batch the session opens
+/// at +0.1 s, the initiator solves at +2.0 s and the session closes at
+/// +4.0 s. A batch with an endpoint down at solve time, or a failed solve
+/// under faults, is requeued; links with a permanently down endpoint are
+/// abandoned; a restarted node's links are requeued. Fills `stats` and
+/// returns the per-node send rate in kB/s, or the first solve error of a
+/// fault-free run.
+Result<double> RunNegotiation(runtime::System* sys,
+                              const NegotiationProtocol& protocol,
+                              NegotiationStats* stats);
 
 }  // namespace cologne::apps
 

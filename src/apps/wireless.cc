@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "apps/negotiation.h"
 #include "apps/programs.h"
 
 namespace cologne::apps {
@@ -204,130 +203,22 @@ Result<ChannelAssignment> WirelessScenario::RunDistributed() {
   sys.RunToQuiescence();
 
   ChannelAssignment result;
-  Status failure;
-  const bool faulty =
-      !config_.fault_plan.empty() || config_.link_loss_prob > 0;
-  std::set<Link> pending(links_.begin(), links_.end());
-  std::map<Link, int> fail_count;
-
-  // A rebooted node drops any half-open negotiation session and
-  // re-negotiates its links: its assign decisions (solver output) died with
-  // its engine and must be re-derived.
-  sys.SetRestartHook([this, &sys, &pending](NodeId x) {
-    runtime::Instance& inst = sys.node(x);
-    for (const Link& link : links_) {
-      if (link.first == x || link.second == x) pending.insert(link);
-    }
-    datalog::Table* set_link = inst.engine().GetTable("setLink");
-    if (set_link == nullptr) return;
-    for (const Row& row : set_link->Rows()) {
-      int guard = 0;
-      while (set_link->Contains(row) && guard++ < 8) {
-        (void)inst.DeleteFact("setLink", row);
-      }
-    }
-  });
-  if (!config_.fault_plan.empty()) {
-    COLOGNE_RETURN_IF_ERROR(sys.ApplyFaultPlan(config_.fault_plan));
-  }
-
-  const int max_rounds = config_.max_rounds > 0
-                             ? config_.max_rounds
-                             : static_cast<int>(links_.size()) * 3 + 8;
-  int rounds = 0;
-  double round_start = 0;
-  while ((!pending.empty() || sys.AnyRestartPending()) && rounds < max_rounds) {
-    ++rounds;
-    // Greedy matching (apps/negotiation.h): classic mode pairs nodes one
-    // link per round; batched mode lets an initiator claim all its pending
-    // incident links with free peers and solve them as one batched model.
-    std::vector<NegotiationBatch<int>> batches = ClaimBatches(
-        links_, &pending, static_cast<size_t>(num_nodes()),
-        config_.batch_links, config_.max_link_batch, [&sys](const Link& l) {
-          if (sys.NodePermanentlyDown(l.first) ||
-              sys.NodePermanentlyDown(l.second)) {
-            // Abandoned: derived from the missing channel afterwards.
-            return LinkClaim::kDrop;
-          }
-          if (sys.node(l.first).crashed() || sys.node(l.second).crashed()) {
-            return LinkClaim::kDefer;  // retry once the endpoint is back
-          }
-          return LinkClaim::kClaim;
-        });
-    for (const auto& [init, peers] : batches) {
-      result.max_batch =
-          std::max(result.max_batch, static_cast<int>(peers.size()));
-      sys.sim().ScheduleAt(round_start + 0.1, [&sys, init, peers, N] {
-        for (int peer : peers) {
-          (void)sys.InsertFact(init, "setLink", {N(init), N(peer)});
-        }
-      });
-      sys.sim().ScheduleAt(
-          round_start + 2.0,
-          [this, &sys, &result, &failure, &pending, &fail_count, init, peers,
-           faulty] {
-            auto link_of = [init](int peer) {
-              return peer < init ? Link{peer, init} : Link{init, peer};
-            };
-            auto requeue_all = [&] {
-              for (int peer : peers) {
-                Link l = link_of(peer);
-                ++result.failed_rounds;
-                ++fail_count[l];
-                if (!sys.NodePermanentlyDown(l.first) &&
-                    !sys.NodePermanentlyDown(l.second)) {
-                  pending.insert(l);
-                }
-              }
-            };
-            bool down = sys.node(init).crashed();
-            for (int peer : peers) down = down || sys.node(peer).crashed();
-            if (down) {
-              requeue_all();
-              return;
-            }
-            runtime::Instance& inst = sys.node(init);
-            inst.set_solve_options(OverlaySolveOptions(
-                config_, inst.solve_options(), config_.link_solve_ms));
-            // Batched: decision groups per (X, Y) assign-key prefix.
-            runtime::SolveRequest req =
-                MakeSolveRequest(config_, inst.solve_options(), 2);
-            req.changed_tables = inst.touched_tables();
-            auto out = inst.Solve(req);
-            if (!out.ok()) {
-              if (faulty) {
-                requeue_all();
-              } else if (failure.ok()) {
-                failure = out.status();
-              }
-              return;
-            }
-            ++result.solves;
-            for (int peer : peers) {
-              Link l = link_of(peer);
-              if (auto fit = fail_count.find(l); fit != fail_count.end()) {
-                ++result.recovered_rounds;
-                fail_count.erase(fit);  // one recovery per failure streak
-              }
-            }
-            result.total_solve_ms += out.value().stats.wall_ms;
-          });
-      sys.sim().ScheduleAt(round_start + 4.0, [&sys, init, peers, N] {
-        for (int peer : peers) {
-          (void)sys.node(init).DeleteFact("setLink", {N(init), N(peer)});
-        }
-      });
-    }
-    round_start += config_.round_period_s;
-    sys.RunUntil(round_start);
-    sys.SnapshotMetrics(static_cast<uint64_t>(rounds));
-  }
-  sys.RunToQuiescence();
-  COLOGNE_RETURN_IF_ERROR(failure);
+  NegotiationProtocol protocol;
+  protocol.links = links_;
+  protocol.config = &config_;
+  protocol.fault_plan = &config_.fault_plan;
+  protocol.solve_ms = config_.link_solve_ms;
+  protocol.on_solved = [&result](NodeId, const std::vector<NodeId>&,
+                                 const runtime::SolveOutput& out) {
+    result.total_solve_ms += out.stats.wall_ms;
+  };
+  COLOGNE_ASSIGN_OR_RETURN(kBps, RunNegotiation(&sys, protocol, &result));
+  result.per_node_kBps = kBps;
 
   // Collect assignments from each initiator's materialized assign table.
   // Links that never got a channel (endpoint dead for good, round cap, or a
-  // crashed initiator that lost its decisions) are the abandoned set.
+  // crashed initiator that lost its decisions) are the abandoned set; it
+  // replaces the loop's count of links it gave up on.
   for (const Link& l : links_) {
     int init = std::max(l.first, l.second);
     const datalog::Table* assign = sys.node(init).engine().GetTable("assign");
@@ -340,17 +231,6 @@ Result<ChannelAssignment> WirelessScenario::RunDistributed() {
   }
   result.abandoned_links =
       static_cast<int>(links_.size() - result.channel.size());
-  result.converge_time_s = round_start;
-  result.messages_dropped = sys.network().TotalDropped();
-  for (int v = 0; v < num_nodes(); ++v) {
-    result.crashes += static_cast<int>(sys.node(v).crash_count());
-  }
-  double bytes = 0;
-  for (int v = 0; v < num_nodes(); ++v) {
-    bytes += static_cast<double>(sys.network().StatsOf(v).bytes_sent);
-  }
-  result.per_node_kBps =
-      bytes / num_nodes() / std::max(round_start, 1.0) / 1024.0;
   result.interference_cost = InterferenceCost(result.channel);
   return result;
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "apps/common_config.h"
+#include "apps/negotiation.h"
 #include "colog/planner.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -47,35 +48,26 @@ struct WirelessConfig : CommonConfig {
                                 ///< (primary users), Figure 7's policy.
   int num_flows = 15;
   double link_capacity_mbps = 18.0;  ///< Nominal per-link rate.
-  double round_period_s = 5.0;
   double solver_time_ms = 4000;      ///< Centralized COP budget.
   double link_solve_ms = 200;        ///< Per-link COP budget (distributed).
   /// Injected faults for the distributed protocols (empty = happy path).
   net::FaultPlan fault_plan;
   /// Record deliveries/drops/faults/solves of distributed runs (optional).
   runtime::TraceRecorder* trace = nullptr;
-  /// Negotiation-round cap for distributed runs; 0 = auto (3x links + 8).
-  int max_rounds = 0;
 };
 
 /// An undirected link (a < b).
 using Link = std::pair<int, int>;
 
-/// Result of running a channel-assignment protocol.
-struct ChannelAssignment {
+/// Result of running a channel-assignment protocol. Only the distributed
+/// protocols fill the NegotiationStats counters (converge_time_s is the
+/// centralized solve time); abandoned_links counts links left without a
+/// channel.
+struct ChannelAssignment : NegotiationStats {
   std::map<Link, int> channel;   ///< Per undirected link.
-  double converge_time_s = 0;
   double per_node_kBps = 0;      ///< Distributed protocols only.
   double total_solve_ms = 0;
   double interference_cost = 0;  ///< Conflicting adjacent link pairs.
-  int solves = 0;                ///< invokeSolver executions (distributed).
-  int max_batch = 0;             ///< Largest link batch in one solve.
-  // --- Churn accounting (distributed protocols under a fault plan) ----------
-  int failed_rounds = 0;         ///< Negotiations that failed and requeued.
-  int recovered_rounds = 0;      ///< Failed negotiations that later completed.
-  int abandoned_links = 0;       ///< Links never assigned a channel.
-  uint64_t messages_dropped = 0; ///< In-flight losses across all nodes.
-  int crashes = 0;               ///< Node crashes observed during the run.
 };
 
 /// \brief The wireless testbed model: topology, interference, throughput.

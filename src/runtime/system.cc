@@ -12,15 +12,15 @@ namespace cologne::runtime {
 System::System(const colog::CompiledProgram* program, size_t num_nodes,
                Options options)
     : program_(program), options_(options), net_(&sim_, options.seed) {
-  // The program's knob or the runtime option turns on each switch. With the
-  // real retransmission/FIFO transport on, every engine-derived tuple is
-  // marked reliable and survives loss without driver-level anti-entropy.
-  // The planner already validated the knobs.
+  // The program's knob or the runtime option turns on the reliable
+  // transport; with it on, every engine-derived tuple is marked reliable and
+  // survives loss without driver-level anti-entropy. The planner already
+  // validated the knobs.
   colog::SystemKnobs knobs;
   (void)colog::SetKnobs(program_->knobs, nullptr, &knobs);
   net_reliable_ = options_.net_reliable || knobs.net_reliable;
   net_.SetReliableTransport(net_reliable_);
-  obs_metrics_ = options_.obs_metrics || knobs.obs_metrics;
+  obs_metrics_ = knobs.obs_metrics;
   if (obs_metrics_) {
     // Fixed buckets keep the histogram line stable across scenario sizes
     // (search-tree size per solve, in choice points).
@@ -409,7 +409,7 @@ void System::ScheduleDebtReconcile(NodeId dst, NodeId src) {
   uint64_t gen = it == rx_[static_cast<size_t>(dst)].end()
                      ? 0
                      : it->second.sync_gen;
-  sim_.Schedule(options_.reconcile_delay_s, [this, dst, src, gen] {
+  sim_.Schedule(kReconcileDelayS, [this, dst, src, gen] {
     if (node(dst).crashed()) return;
     auto it = rx_[static_cast<size_t>(dst)].find(src);
     if (it == rx_[static_cast<size_t>(dst)].end()) return;

@@ -49,19 +49,10 @@ class System {
   struct Options {
     net::LinkConfig default_link;  ///< Used by ConnectAll/AddLink default.
     uint64_t seed = 1;             ///< Network RNG seed (loss draws).
-    /// Delay after a restart before leftover-debt reconciliation retracts
-    /// rows the new incarnation no longer derives (must exceed the longest
-    /// one-way link delay so the rejoin replay has landed).
-    double reconcile_delay_s = 1.0;
     /// Carry every engine-derived tuple over the real retransmission/FIFO
     /// transport (net/reliable_channel.h). Also enabled by the program's
     /// `param NET_RELIABLE = 1` knob; the union of the two wins.
     bool net_reliable = false;
-    /// Deterministic observability (metrics registry + solve provenance).
-    /// Also enabled by the program's `param OBS_METRICS = 1` knob; the union
-    /// of the two wins. Off by default: traces are then byte-identical to
-    /// pre-observability runs.
-    bool obs_metrics = false;
   };
 
   System(const colog::CompiledProgram* program, size_t num_nodes,
@@ -79,8 +70,9 @@ class System {
   /// True when ordinary traffic rides the reliable FIFO transport (the
   /// NET_RELIABLE knob or Options::net_reliable).
   bool net_reliable() const { return net_reliable_; }
-  /// True when the observability layer is on (the OBS_METRICS knob or
-  /// Options::obs_metrics).
+  /// True when the observability layer (metrics registry + solve
+  /// provenance) is on: the program's `param OBS_METRICS = 1` knob. Off by
+  /// default, so traces are byte-identical to pre-observability runs.
   bool obs_metrics() const { return obs_metrics_; }
   /// The system-wide metrics registry (solve counters accumulate here from
   /// every node; network counters are pulled in at SnapshotMetrics time).
@@ -166,8 +158,12 @@ class System {
   /// correct for resyncing a *live* node, where already-embedded rows are
   /// debt-suppressed and must not re-fire state-update rules.
   void ReplaySentLog(NodeId src, NodeId dst, bool net_state);
-  /// After `reconcile_delay_s`, retract any debt still outstanding at
-  /// `dst` toward `src` — rows `src` no longer stands behind.
+  /// Delay after a restart before leftover-debt reconciliation retracts
+  /// rows the new incarnation no longer derives (must exceed the longest
+  /// one-way link delay so the rejoin replay has landed).
+  static constexpr double kReconcileDelayS = 1.0;
+  /// After kReconcileDelayS, retract any debt still outstanding at `dst`
+  /// toward `src` — rows `src` no longer stands behind.
   void ScheduleDebtReconcile(NodeId dst, NodeId src);
 
   /// One remote tuple this node shipped, in send order (the anti-entropy

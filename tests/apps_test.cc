@@ -113,6 +113,40 @@ TEST(ACloudScenarioTest, MigrationLimitRespected) {
   }
 }
 
+// Regression: the ACloud driver refreshes vm/origin every interval. Held
+// rows must not be re-inserted: tables count derivations, so each repeat
+// would raise the row's count and the single retraction when the VM drops
+// under the CPU filter would leave it (and its variables) in later models.
+TEST(ACloudScenarioTest, FactSyncRetractsVmThatLeavesTheFilter) {
+  auto prog = colog::CompileColog(ACloudProgram(false));
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  runtime::Instance inst(0, &prog.value());
+  ASSERT_TRUE(inst.Init().ok());
+  auto vm = [](int64_t id, int64_t cpu) {
+    return Row{Value::Int(id), Value::Int(cpu), Value::Int(2)};
+  };
+  const std::set<Row> both{vm(1, 40), vm(2, 60)};
+  for (int interval = 0; interval < 3; ++interval) {
+    ASSERT_TRUE(SyncKeyedFacts(&inst, "vm", both).ok());
+    ASSERT_TRUE(inst.Flush().ok());
+  }
+  // VM 2's load changed (keyed replacement); VM 1 left the filter.
+  ASSERT_TRUE(SyncKeyedFacts(&inst, "vm", {vm(2, 70)}).ok());
+  ASSERT_TRUE(inst.Flush().ok());
+  auto expect_only_vm2 = [&](const char* when) {
+    const datalog::Table* table = inst.engine().GetTable("vm");
+    EXPECT_FALSE(table->Contains(vm(1, 40))) << when << ": VM 1 leaked";
+    EXPECT_TRUE(table->Contains(vm(2, 70))) << when;
+    EXPECT_EQ(table->Rows().size(), 1u) << when;
+  };
+  expect_only_vm2("live");
+  // The durable journal rebuilds the same table after a crash.
+  ASSERT_TRUE(inst.Crash().ok());
+  ASSERT_TRUE(inst.Restart(/*retain_warm_start=*/false).ok());
+  ASSERT_TRUE(inst.ReplayBaseFacts().ok());
+  expect_only_vm2("replayed");
+}
+
 TEST(FollowTheSunTest, CostDecreasesAndConverges) {
   FtsConfig cfg;
   cfg.num_dcs = 4;

@@ -557,6 +557,44 @@ TEST(ReliableSoakTest, ReliableRunsRetireAntiEntropySweeps) {
       << "reliable runs must not need anti-entropy replays";
 }
 
+// Objective bound of the datagram anti-entropy sweeps: the 4-DC workload of
+// bench_fig4_followsun's `loss20` churn case (seed 104, 20% loss on every
+// link for the whole run, NET_RELIABLE off) must land within 1.25x of its
+// no-fault final cost (it lands at 1.10x). The sweeps' send-log replays
+// must arrive in order: routed over the retransmitting channel instead,
+// replays delayed by retransmission land behind newer datagrams and the
+// run ends at 1.86x.
+TEST(ReliableSoakTest, DatagramAntiEntropyBoundsLossyObjective) {
+  FtsConfig base;
+  base.num_dcs = 4;
+  base.seed = 104;
+  base.solver_time_ms = 5000;  // generous cap; solves prove optimality in ms
+  FollowTheSunScenario no_fault(base);
+  auto r0 = no_fault.Run();
+  ASSERT_TRUE(r0.ok()) << r0.status().ToString();
+
+  FtsConfig cfg = base;
+  cfg.fault_plan.seed = cfg.seed;
+  for (int a = 0; a < cfg.num_dcs; ++a) {
+    for (int b = a + 1; b < cfg.num_dcs; ++b) {
+      net::LinkFault f;
+      f.a = a;
+      f.b = b;
+      f.loss.push_back({0.0, 1e9, 0.20});
+      cfg.fault_plan.links.push_back(std::move(f));
+    }
+  }
+  FollowTheSunScenario lossy(cfg);
+  auto r = lossy.Run();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const FtsResult& res = r.value();
+  EXPECT_GT(res.messages_dropped, 0u) << "loss never hit the wire";
+  EXPECT_EQ(res.abandoned_links, 0);
+  EXPECT_LE(res.final_cost, r0.value().final_cost * 1.25)
+      << "no-fault " << r0.value().final_cost << ", lossy "
+      << res.final_cost;
+}
+
 // 10-DC Follow-the-Sun churn soak (loss windows, flaps, duplication,
 // reordering, crash/restart) over the reliable transport with batched
 // solves: byte-identical traces across runs — the same determinism
