@@ -337,6 +337,28 @@ Result<CompiledProgram> Plan(const AnalyzedProgram& analyzed) {
   out.solver_rules = std::move(ordered);
   for (SolverRuleIR& c : constraints) out.solver_rules.push_back(std::move(c));
 
+  // A symbolic STDEV lives in the model only as its integer surrogate; the
+  // bridge computes the true value for the solve's output, but a derivation
+  // reading the cell would build on the surrogate. The goal may read it.
+  std::set<std::string> stdev_tables;
+  for (const SolverRuleIR& r : out.solver_rules) {
+    if (!r.is_constraint && r.ir.agg &&
+        r.ir.agg->kind == datalog::AggKind::kStdev &&
+        out.IsSolverCol(r.ir.head.table, r.ir.agg->arg_index)) {
+      stdev_tables.insert(r.ir.head.table);
+    }
+  }
+  for (const SolverRuleIR& r : out.solver_rules) {
+    if (r.is_constraint) continue;
+    for (const AtomIR& a : r.ir.body) {
+      if (stdev_tables.count(a.table)) {
+        return Status(Status::PlanError(
+            "rule " + r.ir.label + " reads " + a.table +
+            ", a STDEV over solver attributes; only the goal may use it"));
+      }
+    }
+  }
+
   // ---- Var declarations ------------------------------------------------------
   for (const VarDeclStmt& v : analyzed.var_decls) {
     VarDeclIR ir;

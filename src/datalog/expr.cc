@@ -165,6 +165,34 @@ Result<Value> Arith(ExprOp op, const Value& a, const Value& b) {
 
 }  // namespace
 
+Result<Value> EvalUnaryOp(ExprOp op, const Value& a) {
+  switch (op) {
+    case ExprOp::kNeg:
+      if (a.is_int()) return Value::Int(-a.as_int());
+      if (a.is_double()) return Value::Double(-a.as_double());
+      return Status::RuntimeError("negating non-numeric value");
+    case ExprOp::kAbs:
+      if (a.is_int()) return Value::Int(std::abs(a.as_int()));
+      if (a.is_double()) return Value::Double(std::fabs(a.as_double()));
+      return Status::RuntimeError("abs of non-numeric value");
+    case ExprOp::kNot:
+      return Value::Int(ValueIsTrue(a) ? 0 : 1);
+    default:
+      return Status::RuntimeError("bad unary op");
+  }
+}
+
+Result<Value> EvalBinaryOp(ExprOp op, const Value& a, const Value& b) {
+  if (op == ExprOp::kAnd) {
+    return Value::Int(ValueIsTrue(a) && ValueIsTrue(b) ? 1 : 0);
+  }
+  if (op == ExprOp::kOr) {
+    return Value::Int(ValueIsTrue(a) || ValueIsTrue(b) ? 1 : 0);
+  }
+  if (IsComparison(op)) return Compare(op, a, b);
+  return Arith(op, a, b);
+}
+
 Result<Value> EvalExpr(const Expr& e, const std::vector<Value>& slots) {
   switch (e.op) {
     case ExprOp::kConst:
@@ -184,21 +212,11 @@ Result<Value> EvalExpr(const Expr& e, const std::vector<Value>& slots) {
       }
       return v;
     }
-    case ExprOp::kNeg: {
-      COLOGNE_ASSIGN_OR_RETURN(v, EvalExpr(e.kids[0], slots));
-      if (v.is_int()) return Value::Int(-v.as_int());
-      if (v.is_double()) return Value::Double(-v.as_double());
-      return Status::RuntimeError("negating non-numeric value");
-    }
-    case ExprOp::kAbs: {
-      COLOGNE_ASSIGN_OR_RETURN(v, EvalExpr(e.kids[0], slots));
-      if (v.is_int()) return Value::Int(std::abs(v.as_int()));
-      if (v.is_double()) return Value::Double(std::fabs(v.as_double()));
-      return Status::RuntimeError("abs of non-numeric value");
-    }
+    case ExprOp::kNeg:
+    case ExprOp::kAbs:
     case ExprOp::kNot: {
       COLOGNE_ASSIGN_OR_RETURN(v, EvalExpr(e.kids[0], slots));
-      return Value::Int(ValueIsTrue(v) ? 0 : 1);
+      return EvalUnaryOp(e.op, v);
     }
     case ExprOp::kAnd: {
       COLOGNE_ASSIGN_OR_RETURN(a, EvalExpr(e.kids[0], slots));
@@ -215,8 +233,7 @@ Result<Value> EvalExpr(const Expr& e, const std::vector<Value>& slots) {
     default: {
       COLOGNE_ASSIGN_OR_RETURN(a, EvalExpr(e.kids[0], slots));
       COLOGNE_ASSIGN_OR_RETURN(b, EvalExpr(e.kids[1], slots));
-      if (IsComparison(e.op)) return Compare(e.op, a, b);
-      return Arith(e.op, a, b);
+      return EvalBinaryOp(e.op, a, b);
     }
   }
 }

@@ -87,6 +87,14 @@ struct Expr {
 /// promotes to double; comparisons yield Int(0/1).
 Result<Value> EvalExpr(const Expr& e, const std::vector<Value>& slots);
 
+/// Apply a unary operator (kNeg, kAbs, kNot) to a concrete operand.
+Result<Value> EvalUnaryOp(ExprOp op, const Value& a);
+
+/// Apply a binary operator to two concrete operands that are both already
+/// evaluated (kAnd/kOr therefore do not short-circuit). Same results and
+/// errors as EvalExpr over two constants.
+Result<Value> EvalBinaryOp(ExprOp op, const Value& a, const Value& b);
+
 /// Truthiness of a concrete value (nonzero numeric).
 bool ValueIsTrue(const Value& v);
 

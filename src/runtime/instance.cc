@@ -262,10 +262,12 @@ Status Instance::Writeback(
   // decision records and only ever *upsert*: each solve covers the current
   // forall bindings, and decisions for bindings outside this solve (e.g.
   // links negotiated in earlier Follow-the-Sun rounds) must survive.
+  static const std::vector<Row> kNoRows;
   for (const auto& [name, rows] : owned_rows_) {
     if (program_->var_tables.count(name)) continue;
-    const std::vector<Row>& fresh = next.count(name) ? next[name]
-                                                     : std::vector<Row>{};
+    auto next_it = next.find(name);
+    const std::vector<Row>& fresh =
+        next_it == next.end() ? kNoRows : next_it->second;
     for (const Row& old : rows) {
       if (!std::binary_search(fresh.begin(), fresh.end(), old)) {
         COLOGNE_RETURN_IF_ERROR(engine_.Apply(name, old, -1));

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 #include <string_view>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -82,19 +83,31 @@ struct SVal {
   }
 };
 
-// Evaluation context for one Solve() pass.
+// Evaluate a LinExpr under a solution.
+int64_t EvalLin(const LinExpr& e, const solver::Solution& sol) {
+  int64_t v = e.constant;
+  for (const auto& [c, var] : e.terms) v += c * sol.ValueOf(var);
+  return v;
+}
+
+// Evaluation context for one Solve(): each solver rule is evaluated once,
+// bottom-up, into the constraint network. Solver attributes are affine
+// expressions registered in `sym_exprs_` and referenced from rows via
+// Value::Sym(index); after the search, Substitute() replaces every symbolic
+// cell with its value under the incumbent, which turns the bridge-local
+// tables into the solve's concrete output.
 //
-// In symbolic mode, solver attributes are affine expressions registered in
-// `sym_exprs` and referenced from rows via Value::Sym(index). In concrete
-// mode (the post-solution pass), every cell is a plain value and aggregates
-// use the engine's concrete aggregate functions (so STDEV etc. are exact).
+// Joins read each table in one fixed scan order: the bridge-local rows in
+// derivation order, or the engine table's sorted snapshot (taken once per
+// solve). Bound columns are probed through hash indexes built lazily from
+// that order, so a probe yields exactly the rows a nested-loop scan would
+// accept, in the same order; variable ids and propagator order therefore
+// do not depend on the index.
 class BridgeEval {
  public:
-  BridgeEval(const CompiledProgram* program, datalog::Engine* engine,
-             Model* model /* nullptr => concrete mode */)
+  BridgeEval(const CompiledProgram* program, const datalog::Engine* engine,
+             Model* model)
       : program_(program), engine_(engine), model_(model) {}
-
-  bool symbolic() const { return model_ != nullptr; }
 
   std::map<std::string, std::vector<Row>>& tables() { return tables_; }
 
@@ -108,8 +121,8 @@ class BridgeEval {
   };
   const std::vector<VarRow>& var_rows() const { return var_rows_; }
 
-  // ---- Variable instantiation (symbolic mode) -----------------------------
-  Status InstantiateVars(std::vector<std::pair<IntVar, Value*>>* var_cells) {
+  // ---- Variable instantiation -----------------------------------------------
+  Status InstantiateVars() {
     for (const VarDeclIR& decl : program_->var_decls) {
       const datalog::Table* forall = engine_->GetTable(decl.forall_table);
       if (forall == nullptr) {
@@ -142,34 +155,17 @@ class BridgeEval {
         var_rows_.push_back(std::move(vrow));
         out.push_back(std::move(row));
       }
-      if (var_cells != nullptr) {
-        for (Row& row : out) {
-          for (Value& cell : row) {
-            if (cell.is_sym()) {
-              const LinExpr& e = sym_exprs_[static_cast<size_t>(cell.sym_index())];
-              // Freshly created: single 1*v term.
-              var_cells->push_back({e.terms[0].second, &cell});
-            }
-          }
-        }
-      }
     }
     return Status::OK();
-  }
-
-  // Concrete mode: seed the var tables with already-substituted rows.
-  void SeedTable(const std::string& name, std::vector<Row> rows) {
-    tables_[name] = std::move(rows);
   }
 
   // ---- Rule evaluation ------------------------------------------------------
   Status EvalRule(const SolverRuleIR& srule) {
     const RuleIR& rule = srule.ir;
-    if (srule.is_constraint && !symbolic()) return Status::OK();
-
     cur_rule_ = &rule;
     cur_constraint_ = srule.is_constraint;
     agg_groups_.clear();
+    PrepareRule(rule);
 
     std::vector<Value> slots(static_cast<size_t>(rule.num_slots));
     std::vector<char> guards_done(rule.sels.size() + rule.assigns.size(), 0);
@@ -177,12 +173,10 @@ class BridgeEval {
     if (srule.is_constraint) {
       // Head is a pattern over an existing table: every row must satisfy the
       // body.
-      std::vector<Row> head_rows = RowsOf(rule.head.table);
-      for (const Row& hrow : head_rows) {
+      for (const Row& hrow : RowsOf(rule.head.table)) {
         std::vector<Value> s = slots;
         std::vector<char> g = guards_done;
-        std::vector<int> bound;
-        COLOGNE_ASSIGN_OR_RETURN(ok, MatchAtom(rule.head, hrow, s, &bound));
+        COLOGNE_ASSIGN_OR_RETURN(ok, MatchAtom(rule.head, hrow, s));
         if (!ok) continue;
         COLOGNE_RETURN_IF_ERROR(JoinBody(rule, 0, s, g, nullptr));
       }
@@ -193,6 +187,9 @@ class BridgeEval {
     std::vector<Row> emitted;
     COLOGNE_RETURN_IF_ERROR(JoinBody(rule, 0, slots, guards_done, &emitted));
     auto& out = tables_[rule.head.table];
+    // The head's scan order changes (or it now shadows an engine table):
+    // indexes over the old rows are stale.
+    indexes_.erase(rule.head.table);
 
     if (rule.agg) {
       // `emitted` holds group rows; aggregate per group.
@@ -222,7 +219,7 @@ class BridgeEval {
   // a channel) — the solve then degrades to pure satisfaction.
   Result<SVal> GoalValue() {
     const auto& goal = program_->goal;
-    std::vector<Row> rows = RowsOf(goal.table);
+    const std::vector<Row>& rows = RowsOf(goal.table);
     if (rows.empty()) {
       return SVal::Concrete(Value::Int(0));
     }
@@ -234,8 +231,19 @@ class BridgeEval {
     return ToSVal(rows[0][static_cast<size_t>(goal.col)]);
   }
 
-  const LinExpr& SymExpr(int32_t idx) const {
-    return sym_exprs_[static_cast<size_t>(idx)];
+  /// Replace every symbolic cell of the bridge-local tables with its value
+  /// under `sol`. Every encoding is value-exact (the sum of abs variables is
+  /// the SUMABS, MIN/MAX are pinned by their exactness OR, reified
+  /// comparisons are 0/1, ...) except STDEV, whose model cell is the integer
+  /// surrogate: it is recomputed from its substituted inputs.
+  void Substitute(const solver::Solution& sol) {
+    for (auto& [name, rows] : tables_) {
+      for (Row& row : rows) {
+        for (Value& cell : row) {
+          if (cell.is_sym()) cell = SymValue(cell.sym_index(), sol);
+        }
+      }
+    }
   }
 
   /// Mirror every rule-originated PostRel into `out` (provenance recording).
@@ -244,13 +252,91 @@ class BridgeEval {
   }
 
  private:
-  // Rows of a table: bridge-local solver table first, engine table otherwise.
-  std::vector<Row> RowsOf(const std::string& name) {
+  // A hash index over one table's scan order, keyed by the values of a
+  // column set: projected key -> row positions, ascending.
+  struct JoinIndex {
+    struct RowHasher {
+      size_t operator()(const Row& r) const {
+        return static_cast<size_t>(HashRow(r));
+      }
+    };
+    // False when an indexed cell is symbolic (unification may post an
+    // equality or reject the join) or a double (hash/== disagree on -0.0):
+    // such a column set is always scanned.
+    bool usable = true;
+    std::unordered_map<Row, std::vector<uint32_t>, RowHasher> buckets;
+  };
+
+  // Per-depth working state of the rule being evaluated, reused across
+  // rows: the binding copies handed to the next depth and the probe's
+  // column set and key.
+  struct Frame {
+    std::vector<Value> slots;
+    std::vector<char> done;
+    std::vector<int> cols;
+    Row key;
+  };
+
+  // Slot dependencies of a guard, computed once per rule: the whole
+  // expression and, for an equality, each side (the binding forms test
+  // readiness of one side).
+  struct GuardDeps {
+    std::vector<int> all;
+    std::vector<int> lhs;
+    std::vector<int> rhs;
+  };
+
+  // How a guard's slots are bound right now.
+  enum class Binding { kUnbound, kConcrete, kSymbolic };
+
+  static std::vector<int> SlotsOf(const Expr& e) {
+    std::vector<int> deps;
+    e.CollectSlots(&deps);
+    std::sort(deps.begin(), deps.end());
+    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+    return deps;
+  }
+
+  static Binding BindingOf(const std::vector<int>& deps,
+                           const std::vector<Value>& slots) {
+    Binding b = Binding::kConcrete;
+    for (int d : deps) {
+      const Value& v = slots[static_cast<size_t>(d)];
+      if (v.is_null()) return Binding::kUnbound;
+      if (v.is_sym()) b = Binding::kSymbolic;
+    }
+    return b;
+  }
+
+  void PrepareRule(const RuleIR& rule) {
+    sel_deps_.clear();
+    for (const datalog::SelIR& sel : rule.sels) {
+      GuardDeps d;
+      d.all = SlotsOf(sel.expr);
+      if (sel.expr.op == ExprOp::kEq) {
+        d.lhs = SlotsOf(sel.expr.kids[0]);
+        d.rhs = SlotsOf(sel.expr.kids[1]);
+      }
+      sel_deps_.push_back(std::move(d));
+    }
+    assign_deps_.clear();
+    for (const datalog::AssignIR& as : rule.assigns) {
+      assign_deps_.push_back(SlotsOf(as.expr));
+    }
+    frames_.assign(rule.body.size(), Frame{});
+  }
+
+  // Rows of a table in scan order: the bridge-local solver table first, the
+  // engine table's sorted snapshot otherwise.
+  const std::vector<Row>& RowsOf(const std::string& name) {
     auto it = tables_.find(name);
     if (it != tables_.end()) return it->second;
-    const datalog::Table* t = engine_->GetTable(name);
-    if (t == nullptr) return {};
-    return t->Rows();
+    auto [snap, fresh] = snapshots_.try_emplace(name);
+    if (fresh) {
+      const datalog::Table* t = engine_->GetTable(name);
+      if (t != nullptr) snap->second = t->Rows();
+    }
+    return snap->second;
   }
 
   int32_t Register(LinExpr e) {
@@ -258,7 +344,20 @@ class BridgeEval {
     return static_cast<int32_t>(sym_exprs_.size() - 1);
   }
 
-  Result<SVal> ToSVal(const Value& v) {
+  Value SymValue(int32_t idx, const solver::Solution& sol) const {
+    auto it = stdev_inputs_.find(idx);
+    if (it == stdev_inputs_.end()) {
+      return Value::Int(EvalLin(sym_exprs_[static_cast<size_t>(idx)], sol));
+    }
+    std::vector<Value> xs;
+    xs.reserve(it->second.size());
+    for (const LinExpr& e : it->second) {
+      xs.push_back(Value::Int(EvalLin(e, sol)));
+    }
+    return datalog::ComputeAggregate(AggKind::kStdev, xs);
+  }
+
+  SVal ToSVal(const Value& v) const {
     if (v.is_sym()) return SVal::Sym(sym_exprs_[static_cast<size_t>(v.sym_index())]);
     return SVal::Concrete(v);
   }
@@ -279,7 +378,7 @@ class BridgeEval {
   // derivation rules it is an error (joins on solver attributes are
   // disallowed, Section 5.3).
   Result<bool> MatchAtom(const AtomIR& atom, const Row& row,
-                         std::vector<Value>& slots, std::vector<int>* bound) {
+                         std::vector<Value>& slots) {
     for (size_t i = 0; i < atom.args.size(); ++i) {
       const TermIR& term = atom.args[i];
       const Value& v = row[i];
@@ -290,7 +389,6 @@ class BridgeEval {
         Value& s = slots[static_cast<size_t>(term.slot)];
         if (s.is_null()) {
           s = v;
-          if (bound) bound->push_back(term.slot);
           continue;
         }
         test = &s;
@@ -302,10 +400,8 @@ class BridgeEval {
               "rule " + cur_rule_->label +
               ": join on a solver attribute is not supported");
         }
-        COLOGNE_ASSIGN_OR_RETURN(a, ToSVal(*test));
-        COLOGNE_ASSIGN_OR_RETURN(b, ToSVal(v));
-        COLOGNE_ASSIGN_OR_RETURN(ea, a.AsExpr());
-        COLOGNE_ASSIGN_OR_RETURN(eb, b.AsExpr());
+        COLOGNE_ASSIGN_OR_RETURN(ea, ToSVal(*test).AsExpr());
+        COLOGNE_ASSIGN_OR_RETURN(eb, ToSVal(v).AsExpr());
         model_->PostRel(ea, Rel::kEq, eb);
         RecordPost(ea, Rel::kEq, eb);
         continue;
@@ -324,15 +420,71 @@ class BridgeEval {
       return Emit(rule, slots, emitted);
     }
     const AtomIR& atom = rule.body[depth];
-    std::vector<Row> rows = RowsOf(atom.table);
-    for (const Row& row : rows) {
-      std::vector<Value> s = slots;
-      std::vector<char> g = guards_done;
-      COLOGNE_ASSIGN_OR_RETURN(ok, MatchAtom(atom, row, s, nullptr));
-      if (!ok) continue;
-      COLOGNE_RETURN_IF_ERROR(JoinBody(rule, depth + 1, s, g, emitted));
+    const std::vector<Row>& rows = RowsOf(atom.table);
+    Frame& f = frames_[depth];
+    auto visit = [&](const Row& row) -> Status {
+      f.slots = slots;
+      f.done = guards_done;
+      COLOGNE_ASSIGN_OR_RETURN(ok, MatchAtom(atom, row, f.slots));
+      if (!ok) return Status::OK();
+      return JoinBody(rule, depth + 1, f.slots, f.done, emitted);
+    };
+    if (const std::vector<uint32_t>* hits = Probe(atom, slots, rows, f)) {
+      for (uint32_t pos : *hits) COLOGNE_RETURN_IF_ERROR(visit(rows[pos]));
+    } else {
+      for (const Row& row : rows) COLOGNE_RETURN_IF_ERROR(visit(row));
     }
     return Status::OK();
+  }
+
+  // Positions of the rows of `rows` whose bound columns (constants and
+  // already-bound slots of `atom`) equal the current bindings, in scan
+  // order; nullptr means "scan every row" (nothing bound, or a symbolic or
+  // double cell on either side, where MatchAtom's unification rules apply).
+  // MatchAtom still runs on every candidate, so repeated slots inside the
+  // atom are checked there.
+  const std::vector<uint32_t>* Probe(const AtomIR& atom,
+                                     const std::vector<Value>& slots,
+                                     const std::vector<Row>& rows, Frame& f) {
+    f.cols.clear();
+    f.key.clear();
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      const TermIR& term = atom.args[i];
+      const Value& v = term.is_const ? term.const_val
+                                     : slots[static_cast<size_t>(term.slot)];
+      if (v.is_null()) continue;
+      if (v.is_sym() || v.is_double()) return nullptr;
+      f.cols.push_back(static_cast<int>(i));
+      f.key.push_back(v);
+    }
+    if (f.cols.empty()) return nullptr;
+    const JoinIndex& index = IndexFor(atom.table, f.cols, rows);
+    if (!index.usable) return nullptr;
+    auto it = index.buckets.find(f.key);
+    return it == index.buckets.end() ? &kNoRows : &it->second;
+  }
+
+  const JoinIndex& IndexFor(const std::string& table,
+                            const std::vector<int>& cols,
+                            const std::vector<Row>& rows) {
+    auto [it, fresh] = indexes_[table].try_emplace(cols);
+    JoinIndex& index = it->second;
+    if (!fresh) return index;
+    Row proj;
+    for (size_t pos = 0; pos < rows.size(); ++pos) {
+      proj.clear();
+      for (int c : cols) {
+        const Value& v = rows[pos][static_cast<size_t>(c)];
+        if (v.is_sym() || v.is_double()) {
+          index.usable = false;
+          index.buckets.clear();
+          return index;
+        }
+        proj.push_back(v);
+      }
+      index.buckets[proj].push_back(static_cast<uint32_t>(pos));
+    }
+    return index;
   }
 
   // Run ready guards; Result<false> = a selection filtered this branch out.
@@ -343,7 +495,8 @@ class BridgeEval {
       progress = false;
       for (size_t i = 0; i < rule.sels.size(); ++i) {
         if (done[i]) continue;
-        COLOGNE_ASSIGN_OR_RETURN(state, TrySelection(rule.sels[i].expr, slots));
+        COLOGNE_ASSIGN_OR_RETURN(
+            state, TrySelection(rule.sels[i].expr, sel_deps_[i], slots));
         if (state == GuardState::kNotReady) continue;
         if (state == GuardState::kFailed) return false;
         done[i] = 1;
@@ -353,8 +506,9 @@ class BridgeEval {
         size_t gi = rule.sels.size() + i;
         if (done[gi]) continue;
         const auto& as = rule.assigns[i];
-        if (!Ready(as.expr, slots)) continue;
-        COLOGNE_ASSIGN_OR_RETURN(v, Eval(as.expr, slots));
+        Binding b = BindingOf(assign_deps_[i], slots);
+        if (b == Binding::kUnbound) continue;
+        COLOGNE_ASSIGN_OR_RETURN(v, EvalBound(as.expr, b, slots));
         Value& target = slots[static_cast<size_t>(as.slot)];
         Value newv = FromSVal(v);
         if (target.is_null()) {
@@ -371,23 +525,15 @@ class BridgeEval {
 
   enum class GuardState { kNotReady, kPassed, kFailed };
 
-  static bool Ready(const Expr& e, const std::vector<Value>& slots) {
-    std::vector<int> deps;
-    e.CollectSlots(&deps);
-    for (int d : deps) {
-      if (slots[static_cast<size_t>(d)].is_null()) return false;
+  // Evaluate an expression whose slots are all bound: straight through the
+  // concrete evaluator when none is symbolic.
+  Result<SVal> EvalBound(const Expr& e, Binding b,
+                         const std::vector<Value>& slots) {
+    if (b == Binding::kConcrete) {
+      COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalExpr(e, slots));
+      return SVal::Concrete(std::move(v));
     }
-    return true;
-  }
-
-  // Collect unbound slots of an expression.
-  static void UnboundSlots(const Expr& e, const std::vector<Value>& slots,
-                           std::vector<int>* out) {
-    std::vector<int> deps;
-    e.CollectSlots(&deps);
-    for (int d : deps) {
-      if (slots[static_cast<size_t>(d)].is_null()) out->push_back(d);
-    }
+    return Eval(e, slots);
   }
 
   // Selection handling with the binding forms of Section 5.3:
@@ -395,7 +541,8 @@ class BridgeEval {
   //   (X == k) == boolexpr     (X unbound)    bind X := k * [boolexpr]
   //   boolexpr == (X == k)     symmetric
   // plus plain filtering / hard-constraint posting.
-  Result<GuardState> TrySelection(const Expr& e, std::vector<Value>& slots) {
+  Result<GuardState> TrySelection(const Expr& e, const GuardDeps& deps,
+                                  std::vector<Value>& slots) {
     if (e.op == ExprOp::kEq) {
       const Expr& l = e.kids[0];
       const Expr& r = e.kids[1];
@@ -405,8 +552,9 @@ class BridgeEval {
         const Expr& b = side == 0 ? r : l;
         if (a.op == ExprOp::kSlot &&
             slots[static_cast<size_t>(a.slot)].is_null()) {
-          if (!Ready(b, slots)) return GuardState::kNotReady;
-          COLOGNE_ASSIGN_OR_RETURN(v, Eval(b, slots));
+          Binding bb = BindingOf(side == 0 ? deps.rhs : deps.lhs, slots);
+          if (bb == Binding::kUnbound) return GuardState::kNotReady;
+          COLOGNE_ASSIGN_OR_RETURN(v, EvalBound(b, bb, slots));
           slots[static_cast<size_t>(a.slot)] = FromSVal(v);
           return GuardState::kPassed;
         }
@@ -414,7 +562,6 @@ class BridgeEval {
       // Form 2: (X == k) == boolexpr with X unbound.
       for (int side = 0; side < 2; ++side) {
         const Expr& pat = side == 0 ? l : r;
-        const Expr& other = side == 0 ? r : l;
         if (pat.op != ExprOp::kEq) continue;
         const Expr* slot_kid = nullptr;
         const Expr* const_kid = nullptr;
@@ -431,9 +578,11 @@ class BridgeEval {
         if (const_kid->op != ExprOp::kConst || !const_kid->const_val.is_int()) {
           continue;
         }
-        if (!Ready(other, slots)) return GuardState::kNotReady;
+        const Expr& other = side == 0 ? r : l;
+        Binding ob = BindingOf(side == 0 ? deps.rhs : deps.lhs, slots);
+        if (ob == Binding::kUnbound) return GuardState::kNotReady;
         int64_t k = const_kid->const_val.as_int();
-        COLOGNE_ASSIGN_OR_RETURN(cond, Eval(other, slots));
+        COLOGNE_ASSIGN_OR_RETURN(cond, EvalBound(other, ob, slots));
         Value bound;
         if (cond.symbolic) {
           LinExpr scaled = cond.expr;
@@ -447,7 +596,13 @@ class BridgeEval {
       }
     }
     // Plain evaluation: not ready / filter / hard constraint.
-    if (!Ready(e, slots)) return GuardState::kNotReady;
+    Binding b = BindingOf(deps.all, slots);
+    if (b == Binding::kUnbound) return GuardState::kNotReady;
+    if (b == Binding::kConcrete) {
+      COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalExpr(e, slots));
+      return datalog::ValueIsTrue(v) ? GuardState::kPassed
+                                     : GuardState::kFailed;
+    }
     return EvalCondition(e, slots);
   }
 
@@ -459,9 +614,8 @@ class BridgeEval {
       COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
       COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1], slots));
       if (!a.symbolic && !b.symbolic) {
-        Expr probe = Expr::Binary(e.op, Expr::Const(a.concrete),
-                                  Expr::Const(b.concrete));
-        COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalExpr(probe, {}));
+        COLOGNE_ASSIGN_OR_RETURN(
+            v, datalog::EvalBinaryOp(e.op, a.concrete, b.concrete));
         return datalog::ValueIsTrue(v) ? GuardState::kPassed
                                        : GuardState::kFailed;
       }
@@ -586,14 +740,13 @@ class BridgeEval {
     }
   }
 
-  Result<SVal> ConcreteUnary(ExprOp op, const Value& a) {
-    Expr probe = Expr::Unary(op, Expr::Const(a));
-    COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalExpr(probe, {}));
+  static Result<SVal> ConcreteUnary(ExprOp op, const Value& a) {
+    COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalUnaryOp(op, a));
     return SVal::Concrete(std::move(v));
   }
-  Result<SVal> ConcreteBinary(ExprOp op, const Value& a, const Value& b) {
-    Expr probe = Expr::Binary(op, Expr::Const(a), Expr::Const(b));
-    COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalExpr(probe, {}));
+  static Result<SVal> ConcreteBinary(ExprOp op, const Value& a,
+                                     const Value& b) {
+    COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalBinaryOp(op, a, b));
     return SVal::Concrete(std::move(v));
   }
 
@@ -623,8 +776,7 @@ class BridgeEval {
         return Status::SolverError("rule " + rule.label +
                                    ": unbound aggregate input");
       }
-      COLOGNE_ASSIGN_OR_RETURN(sval, ToSVal(v));
-      agg_groups_[group].push_back(std::move(sval));
+      agg_groups_[group].push_back(ToSVal(v));
       return Status::OK();
     }
     Row row;
@@ -673,8 +825,8 @@ class BridgeEval {
         return Value::Int(static_cast<int64_t>(vals.size()));
       case AggKind::kStdev: {
         // Integer surrogate: J = sum_i (n*x_i - S)^2 = n^2 * sum (x_i-mean)^2.
-        // Minimizing J minimizes the stdev; the true stdev is recomputed
-        // concretely after the solve.
+        // Minimizing J minimizes the stdev. The inputs are kept with J's
+        // index so Substitute() computes the true stdev under the solution.
         int64_t n = static_cast<int64_t>(vals.size());
         LinExpr total;
         std::vector<LinExpr> exprs;
@@ -690,7 +842,9 @@ class BridgeEval {
           dev -= total;
           j += LinExpr(model_->MakeSquare(dev));
         }
-        return Value::Sym(Register(std::move(j)));
+        int32_t idx = Register(std::move(j));
+        stdev_inputs_[idx] = std::move(exprs);
+        return Value::Sym(idx);
       }
       case AggKind::kMin:
       case AggKind::kMax: {
@@ -738,24 +892,28 @@ class BridgeEval {
     return Status::SolverError("unsupported symbolic aggregate");
   }
 
+  static inline const std::vector<uint32_t> kNoRows;
+
   const CompiledProgram* program_;
-  datalog::Engine* engine_;
+  const datalog::Engine* engine_;
   Model* model_;
   std::vector<VarRow> var_rows_;
   std::vector<LinExpr> sym_exprs_;
+  // STDEV surrogate index -> the aggregate's input expressions.
+  std::map<int32_t, std::vector<LinExpr>> stdev_inputs_;
   std::map<std::string, std::vector<Row>> tables_;
+  // Engine tables read this solve, each sorted once (Table::Rows()).
+  std::map<std::string, std::vector<Row>> snapshots_;
+  // table -> bound column set -> index over RowsOf(table).
+  std::map<std::string, std::map<std::vector<int>, JoinIndex>> indexes_;
   std::map<Row, std::vector<SVal>> agg_groups_;
   const RuleIR* cur_rule_ = nullptr;
   bool cur_constraint_ = false;
+  std::vector<GuardDeps> sel_deps_;
+  std::vector<std::vector<int>> assign_deps_;
+  std::vector<Frame> frames_;
   std::vector<PostedConstraint>* record_ = nullptr;
 };
-
-// Evaluate a LinExpr under a solution.
-int64_t EvalLin(const LinExpr& e, const solver::Solution& sol) {
-  int64_t v = e.constant;
-  for (const auto& [c, var] : e.terms) v += c * sol.ValueOf(var);
-  return v;
-}
 
 // ---- Solve provenance (ISSUE 6) -------------------------------------------
 
@@ -983,20 +1141,19 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   Model model;
   const bool incremental = options.incremental && incr != nullptr;
 
-  // ---- Phase A: build the constraint network --------------------------------
-  BridgeEval sym_eval(program_, engine_, &model);
+  // ---- Build the constraint network: one pass over the solver rules -------
+  BridgeEval eval(program_, engine_, &model);
   std::vector<PostedConstraint> posted;
-  if (options.record_provenance) sym_eval.RecordConstraintsTo(&posted);
-  std::vector<std::pair<IntVar, Value*>> var_cells;
-  COLOGNE_RETURN_IF_ERROR(sym_eval.InstantiateVars(&var_cells));
+  if (options.record_provenance) eval.RecordConstraintsTo(&posted);
+  COLOGNE_RETURN_IF_ERROR(eval.InstantiateVars());
 
   for (const SolverRuleIR& rule : program_->solver_rules) {
-    COLOGNE_RETURN_IF_ERROR(sym_eval.EvalRule(rule));
+    COLOGNE_RETURN_IF_ERROR(eval.EvalRule(rule));
   }
 
   bool optimizing = program_->goal.present && !program_->goal.table.empty();
   if (optimizing) {
-    COLOGNE_ASSIGN_OR_RETURN(goal_val, sym_eval.GoalValue());
+    COLOGNE_ASSIGN_OR_RETURN(goal_val, eval.GoalValue());
     COLOGNE_ASSIGN_OR_RETURN(goal_expr, goal_val.AsExpr());
     if (program_->goal.type == GoalType::kMinimize) {
       model.Minimize(goal_expr);
@@ -1013,7 +1170,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   if (options.group_key_prefix > 0) {
     std::vector<std::pair<Row, std::vector<IntVar>>> groups;  // ordered
     std::map<std::pair<std::string, Row>, size_t> index;
-    for (const BridgeEval::VarRow& vr : sym_eval.var_rows()) {
+    for (const BridgeEval::VarRow& vr : eval.var_rows()) {
       Row prefix(vr.key.begin(),
                  vr.key.begin() +
                      std::min<size_t>(vr.key.size(),
@@ -1038,7 +1195,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   out.model_vars = model.num_vars();
   out.model_propagators = model.num_propagators();
 
-  // ---- Phase B: search -------------------------------------------------------
+  // ---- Search -------------------------------------------------------
   Model::Options sopts;
   sopts.time_limit_ms = options.time_limit_ms;
   sopts.node_limit = options.node_limit;
@@ -1061,7 +1218,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
     hints.assign(model.num_vars(), Model::Options::kNoHint);
   }
   if (use_cache && !warm_cache->empty()) {
-    for (const BridgeEval::VarRow& vr : sym_eval.var_rows()) {
+    for (const BridgeEval::VarRow& vr : eval.var_rows()) {
       auto tit = warm_cache->rows.find(*vr.table);
       if (tit == warm_cache->rows.end()) continue;
       auto rit = tit->second.find(vr.key);
@@ -1089,7 +1246,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
     // discover a feasible point from scratch over [-cap, cap]^n, which is
     // exponential exactly when batching makes n large. Infeasible hints are
     // repaired by the search, never trusted.
-    for (const BridgeEval::VarRow& vr : sym_eval.var_rows()) {
+    for (const BridgeEval::VarRow& vr : eval.var_rows()) {
       for (solver::IntVar v : vr.vars) {
         int64_t& h = hints[static_cast<size_t>(v.id)];
         if (h == Model::Options::kNoHint &&
@@ -1113,7 +1270,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   const bool context_caching = ctx_cache != nullptr && options.cache;
   std::vector<uint64_t> fps;
   if (incremental || context_caching) {
-    fps = ComputeFingerprints(model, sym_eval.var_rows());
+    fps = ComputeFingerprints(model, eval.var_rows());
   }
   if (context_caching) {
     // Namespace the persistent proof cache by the model fingerprint: a fact
@@ -1171,7 +1328,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   if (!sol.has_solution()) return out;
 
   if (options.record_provenance) {
-    out.provenance = BuildProvenance(model, sym_eval.var_rows(), group_keys,
+    out.provenance = BuildProvenance(model, eval.var_rows(), group_keys,
                                      posted, cache_hints, sol);
   }
 
@@ -1183,7 +1340,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
       incr->valid = true;
     }
     ++warm_cache->generation;
-    for (const BridgeEval::VarRow& vr : sym_eval.var_rows()) {
+    for (const BridgeEval::VarRow& vr : eval.var_rows()) {
       std::vector<int64_t> vals;
       vals.reserve(vr.vars.size());
       for (IntVar v : vr.vars) vals.push_back(sol.ValueOf(v));
@@ -1204,33 +1361,16 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
     }
   }
 
-  // ---- Phase C: concrete re-evaluation under the solution --------------------
-  BridgeEval conc_eval(program_, engine_, nullptr);
-  // Substitute solution values into the var-table rows.
-  for (const auto& [name, rows] : sym_eval.tables()) {
-    if (!program_->var_tables.count(name)) continue;
-    std::vector<Row> concrete_rows = rows;
-    for (Row& row : concrete_rows) {
-      for (Value& cell : row) {
-        if (cell.is_sym()) {
-          cell = Value::Int(
-              EvalLin(sym_eval.SymExpr(cell.sym_index()), sol));
-        }
-      }
-    }
-    conc_eval.SeedTable(name, std::move(concrete_rows));
-  }
-  for (const SolverRuleIR& rule : program_->solver_rules) {
-    COLOGNE_RETURN_IF_ERROR(conc_eval.EvalRule(rule));
-  }
+  // ---- Output: the same tables with the incumbent substituted -------------
+  eval.Substitute(sol);
   if (optimizing) {
-    COLOGNE_ASSIGN_OR_RETURN(goal_val, conc_eval.GoalValue());
+    COLOGNE_ASSIGN_OR_RETURN(goal_val, eval.GoalValue());
     if (!goal_val.symbolic && goal_val.concrete.is_numeric()) {
       out.objective = goal_val.concrete.as_double();
       out.has_objective = true;
     }
   }
-  out.tables = std::move(conc_eval.tables());
+  out.tables = std::move(eval.tables());
   return out;
 }
 

@@ -9,9 +9,19 @@
 //      over solver attributes into constraint-network nodes,
 //   3. evaluates solver *constraint* rules, posting hard constraints,
 //   4. runs branch-and-bound under the goal, and
-//   5. re-evaluates the derivation rules concretely under the solution so the
-//      optimization output can be materialized back into engine tables
-//      (triggering downstream incremental evaluation, Section 5.1).
+//   5. substitutes the solution into the tables step 2 built (every symbolic
+//      cell becomes its value under the incumbent; a STDEV cell, which the
+//      model holds as an integer surrogate, is recomputed from its
+//      substituted inputs), so the optimization output can be materialized
+//      back into engine tables (triggering downstream incremental
+//      evaluation, Section 5.1).
+//
+// Each solver rule is evaluated once per solve. Joins read every table in a
+// fixed scan order (bridge-local rows in derivation order, engine tables as
+// one sorted snapshot per solve) and probe bound columns through hash
+// indexes built lazily from that order, so a probe yields the rows a
+// nested-loop scan would accept, in the same order: variable ids,
+// propagator order and model fingerprints do not depend on the index.
 #ifndef COLOGNE_RUNTIME_SOLVER_BRIDGE_H_
 #define COLOGNE_RUNTIME_SOLVER_BRIDGE_H_
 

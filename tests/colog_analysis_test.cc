@@ -259,6 +259,29 @@ d2 t2(C) <- t1(C1), C==C1+1.
   EXPECT_NE(r.status().message().find("cyclic"), std::string::npos);
 }
 
+TEST(PlannerTest, DerivationReadingSymbolicStdevRejected) {
+  // A STDEV over solver attributes exists in the model only as its integer
+  // surrogate, so no derivation may build on it; the goal may read it.
+  const char* reads = R"(
+goal minimize C in scaled(C).
+var v(X,V) forall base(X) domain [0,3].
+d1 spread(STDEV<V>) <- v(X,V).
+d2 scaled(C) <- spread(S), C==2*S.
+)";
+  auto r = CompileColog(reads);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("rule d2"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("STDEV"), std::string::npos);
+
+  const char* goal_only = R"(
+goal minimize S in spread(S).
+var v(X,V) forall base(X) domain [0,3].
+d1 spread(STDEV<V>) <- v(X,V).
+)";
+  EXPECT_TRUE(CompileColog(goal_only).ok());
+}
+
 TEST(PlannerTest, ParamResolvedToConstant) {
   auto r = CompileColog(kACloud);
   ASSERT_TRUE(r.ok());

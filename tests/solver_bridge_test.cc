@@ -1,14 +1,25 @@
 // Property tests for the solver bridge: full Colog pipeline vs brute-force
-// enumeration on randomized instances, and coverage of every symbolic
-// aggregate construction.
+// enumeration on randomized instances, coverage of every symbolic aggregate
+// construction (objective and substituted output rows), the join paths
+// (index probes, scans, symbolic unification), and pinned model
+// fingerprints for the case-study programs.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <ostream>
 #include <set>
 
+#include "apps/programs.h"
 #include "colog/planner.h"
 #include "common/rng.h"
 #include "runtime/instance.h"
+#include "runtime/system.h"
+
+namespace cologne {
+// Readable gtest output for Values (and so for rows and tables).
+void PrintTo(const Value& v, std::ostream* os) { *os << v.ToString(); }
+}  // namespace cologne
 
 namespace cologne::runtime {
 namespace {
@@ -17,6 +28,27 @@ Row R(std::initializer_list<int64_t> xs) {
   Row r;
   for (int64_t x : xs) r.push_back(Value::Int(x));
   return r;
+}
+
+using Tables = std::map<std::string, std::vector<Row>>;
+
+// Compile `src`, load `facts`, and run one solve; the output tables of the
+// solve (in derivation order) are returned through `out`.
+void SolveProgram(const char* src,
+                  const std::vector<std::pair<std::string, Row>>& facts,
+                  SolveOutput* out) {
+  auto compiled = colog::CompileColog(src);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  colog::CompiledProgram prog = std::move(compiled).value();
+  Instance inst(0, &prog);
+  ASSERT_TRUE(inst.Init().ok());
+  for (const auto& [table, row] : facts) {
+    ASSERT_TRUE(inst.InsertFact(table, row).ok()) << table;
+  }
+  auto solved = inst.Solve();
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  ASSERT_TRUE(solved.value().has_solution());
+  *out = std::move(solved).value();
 }
 
 // Minimal balance program: minimize the scaled variance of host loads.
@@ -103,6 +135,18 @@ c1 net(F) -> F==3.
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE(out.value().has_solution());
   EXPECT_DOUBLE_EQ(out.value().objective, 3) << "no cancellation: |sum|=3";
+  // The derived rows hold the substituted aggregates: SUMABS over the flow
+  // rows, and the plain SUM the constraint pinned.
+  const Tables& t = out.value().tables;
+  ASSERT_EQ(t.at("flow").size(), 3u);
+  int64_t sum = 0, sum_abs = 0;
+  for (const Row& row : t.at("flow")) {
+    sum += row[1].as_int();
+    sum_abs += std::abs(row[1].as_int());
+  }
+  EXPECT_EQ(t.at("net"), std::vector<Row>{R({sum})});
+  EXPECT_EQ(t.at("total"), std::vector<Row>{R({sum_abs})});
+  EXPECT_EQ(sum, 3);
 }
 
 TEST(BridgeAggregateTest, MaxAggregateMinimizesPeak) {
@@ -129,6 +173,20 @@ d3 peak(MAX<V>) <- load(B,V).
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE(out.value().has_solution());
   EXPECT_DOUBLE_EQ(out.value().objective, 2);
+  // Per-bin loads and the MAX over them, as substituted output rows.
+  const Tables& t = out.value().tables;
+  std::map<int64_t, int64_t> load;
+  for (const Row& row : t.at("put")) load[row[1].as_int()] += row[2].as_int();
+  std::vector<Row> want_load;
+  int64_t peak = 0;
+  for (const auto& [bin, l] : load) {
+    want_load.push_back(R({bin, l}));
+    peak = std::max(peak, l);
+  }
+  EXPECT_EQ(t.at("load"), want_load);
+  EXPECT_EQ(t.at("peak"), std::vector<Row>{R({peak})});
+  EXPECT_EQ(t.at("cnt"),
+            (std::vector<Row>{R({0, 1}), R({1, 1}), R({2, 1}), R({3, 1})}));
 }
 
 TEST(BridgeAggregateTest, UniqueAggregateConstrainsDistinctValues) {
@@ -155,6 +213,42 @@ d2 spread(SUM<V>) <- pick(I,V).
     values.insert(row[1].as_int());
   }
   EXPECT_LE(values.size(), 2u);
+  // The UNIQUE row counts the distinct substituted picks.
+  const Tables& t = out.value().tables;
+  std::set<int64_t> picked;
+  for (const Row& row : t.at("pick")) picked.insert(row[1].as_int());
+  EXPECT_EQ(t.at("distinct"),
+            std::vector<Row>{R({static_cast<int64_t>(picked.size())})});
+  EXPECT_EQ(t.at("spread"), std::vector<Row>{R({5})});
+}
+
+TEST(BridgeAggregateTest, StdevGoalReportsTrueStdev) {
+  // The model minimizes an integer surrogate; the output carries the true
+  // population stdev of the host loads. VMs {10,20,40} on two hosts: the
+  // best split is 40 | 10+20, loads {40,30}, stdev 5.
+  SolveOutput out;
+  SolveProgram(kBalance,
+               {{"vm", R({0, 10})},
+                {"vm", R({1, 20})},
+                {"vm", R({2, 40})},
+                {"host", R({0})},
+                {"host", R({1})}},
+               &out);
+  EXPECT_EQ(out.status, solver::SolveStatus::kOptimal);
+  std::vector<double> loads;
+  for (const Row& row : out.tables.at("hostCpu")) {
+    loads.push_back(static_cast<double>(row[1].as_int()));
+  }
+  ASSERT_EQ(loads.size(), 2u);
+  double mean = (loads[0] + loads[1]) / 2;
+  double stdev = std::sqrt(((loads[0] - mean) * (loads[0] - mean) +
+                            (loads[1] - mean) * (loads[1] - mean)) /
+                           2);
+  EXPECT_DOUBLE_EQ(stdev, 5.0);
+  EXPECT_TRUE(out.has_objective);
+  EXPECT_DOUBLE_EQ(out.objective, stdev);
+  ASSERT_EQ(out.tables.at("spread").size(), 1u);
+  EXPECT_EQ(out.tables.at("spread")[0][0], Value::Double(5.0));
 }
 
 TEST(BridgeGoalTest, MaximizeGoal) {
@@ -235,6 +329,117 @@ c2 ch(A,B,C) -> lo(A,L), C>=L.
   EXPECT_TRUE(inst.engine().GetTable("ch")->Contains(R({2, 1, 4})));
 }
 
+TEST(BridgeJoinTest, RepeatedSlotInsideOneAtom) {
+  // loop(I,V) reads edge(I,I) before I is bound (the scan checks the
+  // repeated slot) and loop2 after (both columns probe with the same key);
+  // only the self-loops at 0 and 2 qualify.
+  const char* src = R"(
+goal maximize S in total(S).
+var pick(I,V) forall item(I) domain [0,2].
+d1 loop(I,V) <- edge(I,I), pick(I,V).
+d2 loop2(I,V) <- pick(I,V), edge(I,I).
+d3 total(SUM<V>) <- loop(I,V).
+c1 loop2(I,V) -> V<=2.
+)";
+  SolveOutput out;
+  SolveProgram(src,
+               {{"item", R({0})},
+                {"item", R({1})},
+                {"item", R({2})},
+                {"item", R({3})},
+                {"edge", R({0, 0})},
+                {"edge", R({0, 1})},
+                {"edge", R({1, 2})},
+                {"edge", R({2, 2})}},
+               &out);
+  EXPECT_DOUBLE_EQ(out.objective, 4);
+  EXPECT_EQ(out.tables.at("loop"), (std::vector<Row>{R({0, 2}), R({2, 2})}));
+  EXPECT_EQ(out.tables.at("loop2"), out.tables.at("loop"));
+}
+
+TEST(BridgeJoinTest, ConstantTermsInBodyAtoms) {
+  // Constants probe like bound columns: pick(2,V) selects one var row, and
+  // w(I,7) keeps only the weight-7 items.
+  const char* src = R"(
+goal maximize S in total(S).
+var pick(I,V) forall item(I) domain [0,3].
+d1 fixed(V) <- pick(2,V).
+d2 heavy(I,C) <- pick(I,V), w(I,7), C==7*V.
+d3 total(SUM<C>) <- heavy(I,C).
+c1 fixed(V) -> V==1.
+)";
+  SolveOutput out;
+  SolveProgram(src,
+               {{"item", R({0})},
+                {"item", R({1})},
+                {"item", R({2})},
+                {"w", R({0, 7})},
+                {"w", R({1, 5})},
+                {"w", R({2, 7})}},
+               &out);
+  EXPECT_EQ(out.tables.at("fixed"), std::vector<Row>{R({1})});
+  EXPECT_EQ(out.tables.at("heavy"), (std::vector<Row>{R({0, 21}), R({2, 7})}));
+  EXPECT_DOUBLE_EQ(out.objective, 28);
+}
+
+TEST(BridgeJoinTest, SecondDerivationOfAHeadReachesLaterProbes) {
+  // d1 and d1b both derive `cost`. Derivations run in source order once
+  // their inputs exist, so seen1 probes cost(I,...) between the two
+  // producers and seen2 after both: seen2 must see d1b's rows too (the
+  // index seen1 built is over the shorter table).
+  const char* src = R"(
+goal maximize S in total(S).
+var pick(I,V) forall item(I) domain [0,1].
+d1 cost(I,C) <- pick(I,V), w(I,W), C==V*W.
+d2 seen1(I,C) <- item(I), cost(I,C).
+d1b cost(I,C) <- pick(I,V), extra(I,W), C==V*W.
+d3 seen2(I,C) <- item(I), cost(I,C).
+d4 total(SUM<C>) <- seen2(I,C).
+c1 seen1(I,C) -> C>=0.
+)";
+  SolveOutput out;
+  SolveProgram(src,
+               {{"item", R({0})},
+                {"item", R({1})},
+                {"w", R({0, 3})},
+                {"w", R({1, 4})},
+                {"extra", R({0, 10})}},
+               &out);
+  EXPECT_EQ(out.tables.at("cost"),
+            (std::vector<Row>{R({0, 3}), R({1, 4}), R({0, 10})}));
+  EXPECT_EQ(out.tables.at("seen1"), (std::vector<Row>{R({0, 3}), R({1, 4})}));
+  EXPECT_EQ(out.tables.at("seen2"),
+            (std::vector<Row>{R({0, 3}), R({0, 10}), R({1, 4})}));
+  EXPECT_DOUBLE_EQ(out.objective, 17);
+}
+
+TEST(BridgeConstraintTest, SymbolicUnificationThroughBoundColumn) {
+  // c1's body atom x(J,V) has J bound to a regular value and V bound to the
+  // head row's solver variable: the join scans, and each clash on V posts
+  // an equality, tying x(0) and x(1) under the tighter cap.
+  const char* src = R"(
+goal maximize S in total(S).
+var x(I,V) forall item(I) domain [0,5].
+d1 total(SUM<V>) <- x(I,V).
+c1 x(I,V) -> twin(I,J), x(J,V).
+c2 x(I,V) -> cap(I,M), V<=M.
+)";
+  SolveOutput out;
+  SolveProgram(src,
+               {{"item", R({0})},
+                {"item", R({1})},
+                {"item", R({2})},
+                {"twin", R({0, 1})},
+                {"twin", R({1, 0})},
+                {"cap", R({0, 2})},
+                {"cap", R({1, 5})},
+                {"cap", R({2, 5})}},
+               &out);
+  EXPECT_EQ(out.tables.at("x"),
+            (std::vector<Row>{R({0, 2}), R({1, 2}), R({2, 5})}));
+  EXPECT_DOUBLE_EQ(out.objective, 9);
+}
+
 TEST(BridgeErrorTest, JoinOnSolverAttributeRejected) {
   // Section 5.3: joins on solver attributes are not allowed in derivations.
   const char* src = R"(
@@ -254,6 +459,129 @@ d2 total(SUM<V>) <- pairCost(I,J,V).
   ASSERT_FALSE(out.ok());
   EXPECT_NE(out.status().message().find("join on a solver attribute"),
             std::string::npos);
+}
+
+// ---- Pinned model build -----------------------------------------------------
+//
+// One incremental solve straight through SolverBridge for each case-study
+// program at a small fixed size. The per-group fingerprints hash every var
+// row (table, key, variable ids, domains) and every propagator's
+// DebugString, so they pin variable numbering, propagator order and every
+// constant the rules baked in. A change to the bridge's rule evaluation
+// that is meant to leave the model alone must leave these values alone.
+
+std::map<std::string, uint64_t> ModelFingerprints(
+    const colog::CompiledProgram& prog, datalog::Engine* engine, int prefix) {
+  SolveOptions opts;
+  opts.time_limit_ms = 0;
+  opts.node_limit = 2000;
+  opts.incremental = true;
+  opts.group_key_prefix = prefix;
+  WarmStartCache cache;
+  IncrementalState incr;
+  SolverBridge bridge(&prog, engine);
+  auto out = bridge.Solve(opts, &cache, &incr);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  if (!out.ok()) return {};
+  EXPECT_TRUE(out.value().has_solution());
+  EXPECT_TRUE(incr.valid);
+  return incr.fingerprints;
+}
+
+TEST(BridgeModelPinTest, ACloudFingerprints) {
+  auto compiled = colog::CompileColog(apps::ACloudProgram(true, 2));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  colog::CompiledProgram prog = std::move(compiled).value();
+  Instance inst(0, &prog);
+  ASSERT_TRUE(inst.Init().ok());
+  const int64_t cpu[4] = {30, 10, 25, 40};
+  const int64_t mem[4] = {4, 2, 8, 6};
+  for (int64_t v = 0; v < 4; ++v) {
+    ASSERT_TRUE(inst.InsertFact("vm", R({v, cpu[v], mem[v]})).ok());
+    ASSERT_TRUE(inst.InsertFact("origin", R({v, v % 3})).ok());
+  }
+  for (int64_t h = 0; h < 3; ++h) {
+    ASSERT_TRUE(inst.InsertFact("host", R({h, 5 * h, 0})).ok());
+    ASSERT_TRUE(inst.InsertFact("hostMemThres", R({h, 14})).ok());
+  }
+  const std::map<std::string, uint64_t> want = {
+      {"0", 2644413083004124052ull},
+      {"1", 2593005066488361165ull},
+      {"2", 9892763220824851203ull},
+      {"3", 525753909578176908ull},
+  };
+  EXPECT_EQ(ModelFingerprints(prog, &inst.engine(), 1), want);
+}
+
+TEST(BridgeModelPinTest, FollowTheSunFingerprints) {
+  auto compiled = colog::CompileColog(
+      apps::FollowTheSunDistributedProgram(true, 60, 20, /*batched=*/true));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  colog::CompiledProgram prog = std::move(compiled).value();
+  System sys(&prog, 3);
+  ASSERT_TRUE(sys.Init().ok());
+  auto N = [](NodeId x) { return Value::Node(x); };
+  for (NodeId x = 0; x < 3; ++x) {
+    for (int64_t d = 0; d < 3; ++d) {
+      ASSERT_TRUE(sys.InsertFact(
+                         x, "curVm",
+                         {N(x), Value::Int(d), Value::Int(5 + 3 * x + d)})
+                      .ok());
+      ASSERT_TRUE(sys.InsertFact(x, "commCost",
+                                 {N(x), Value::Int(d),
+                                  Value::Int(x == d ? 1 : 10 + 2 * x + d)})
+                      .ok());
+      ASSERT_TRUE(sys.InsertFact(x, "dc", {N(x), Value::Int(d)}).ok());
+    }
+    ASSERT_TRUE(sys.InsertFact(x, "opCost", {N(x), Value::Int(2)}).ok());
+    ASSERT_TRUE(sys.InsertFact(x, "resource", {N(x), Value::Int(40)}).ok());
+  }
+  for (auto [a, b] : {std::pair<NodeId, NodeId>{0, 1}, {0, 2}}) {
+    ASSERT_TRUE(sys.AddLink(a, b).ok());
+    ASSERT_TRUE(sys.InsertFact(a, "link", {N(a), N(b)}).ok());
+    ASSERT_TRUE(sys.InsertFact(b, "link", {N(b), N(a)}).ok());
+    ASSERT_TRUE(sys.InsertFact(a, "migCost", {N(a), N(b), Value::Int(3)}).ok());
+    ASSERT_TRUE(sys.InsertFact(b, "migCost", {N(b), N(a), Value::Int(3)}).ok());
+  }
+  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(1)}).ok());
+  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(2)}).ok());
+  sys.RunToQuiescence();
+  const std::map<std::string, uint64_t> want = {
+      {"@0,@1", 9448090661494875409ull},
+      {"@0,@2", 13732084249801228668ull},
+  };
+  EXPECT_EQ(ModelFingerprints(prog, &sys.node(0).engine(), 2), want);
+}
+
+TEST(BridgeModelPinTest, WirelessFingerprints) {
+  auto compiled = colog::CompileColog(
+      apps::WirelessDistributedProgram(8, 2, /*two_hop=*/true,
+                                       /*batched=*/true));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  colog::CompiledProgram prog = std::move(compiled).value();
+  System sys(&prog, 4);
+  ASSERT_TRUE(sys.Init().ok());
+  auto N = [](NodeId x) { return Value::Node(x); };
+  for (auto [a, b] :
+       {std::pair<NodeId, NodeId>{0, 1}, {0, 2}, {1, 2}, {2, 3}}) {
+    ASSERT_TRUE(sys.AddLink(a, b).ok());
+    ASSERT_TRUE(sys.InsertFact(a, "link", {N(a), N(b)}).ok());
+    ASSERT_TRUE(sys.InsertFact(b, "link", {N(b), N(a)}).ok());
+  }
+  ASSERT_TRUE(sys.InsertFact(1, "primaryUser", {N(1), Value::Int(3)}).ok());
+  ASSERT_TRUE(sys.InsertFact(2, "primaryUser", {N(2), Value::Int(5)}).ok());
+  // Channels neighbors already negotiated.
+  ASSERT_TRUE(sys.InsertFact(1, "assign", {N(1), N(2), Value::Int(4)}).ok());
+  ASSERT_TRUE(sys.InsertFact(2, "assign", {N(2), N(3), Value::Int(6)}).ok());
+  sys.RunToQuiescence();
+  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(1)}).ok());
+  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(2)}).ok());
+  sys.RunToQuiescence();
+  const std::map<std::string, uint64_t> want = {
+      {"@0,@1", 3256916290002170029ull},
+      {"@0,@2", 8060533884054238725ull},
+  };
+  EXPECT_EQ(ModelFingerprints(prog, &sys.node(0).engine(), 2), want);
 }
 
 }  // namespace
