@@ -1,7 +1,6 @@
 #include "net/fault_plan.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/json.h"
 #include "common/rng.h"
@@ -38,169 +37,69 @@ void AppendWindows(JsonWriter* w, const char* key,
   w->EndArray();
 }
 
-// ---- Minimal JSON reader (canonical subset emitted by ToJson) ---------------
+// Reads plan fields through the checked JsonValue accessors. The first
+// error sticks; it names the field, and its byte offset locates it.
+struct PlanReader {
+  Status status;
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double num = 0;
-  std::string str;
-  std::vector<JsonValue> arr;
-  std::vector<std::pair<std::string, JsonValue>> obj;
-
-  const JsonValue* Get(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
+  void Fail(const char* field, const std::string& what) {
+    if (status.ok()) {
+      status = Status::ParseError(
+          StrFormat("fault plan JSON: %s: %s", field, what.c_str()));
     }
+  }
+
+  template <typename T, typename U>
+  void Take(const Result<U>& r, const char* field, T* out) {
+    if (r.ok()) {
+      *out = static_cast<T>(r.value());
+    } else {
+      Fail(field, r.status().message());
+    }
+  }
+
+  // Member `key` of `obj`, which must be an object; nullptr when absent.
+  const JsonValue* Get(const JsonValue& obj, const char* key) {
+    if (obj.kind == JsonValue::Kind::kObject) return obj.Find(key);
+    Fail(key, StrFormat("byte %zu: expected an object", obj.offset));
     return nullptr;
   }
-};
 
-struct JsonParser {
-  const char* p;
-  const char* end;
-  Status error = Status::OK();
-
-  void Skip() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) ++p;
+  const std::vector<JsonValue>& Array(const JsonValue& obj, const char* key) {
+    static const std::vector<JsonValue> kAbsent;
+    const JsonValue* v = Get(obj, key);
+    if (v != nullptr && v->kind != JsonValue::Kind::kArray) {
+      Fail(key, StrFormat("byte %zu: expected an array", v->offset));
+    }
+    return v != nullptr ? v->items : kAbsent;  // a non-array has no items
   }
 
-  bool Fail(const std::string& msg) {
-    if (error.ok()) {
-      error = Status::ParseError("fault plan JSON: " + msg);
-    }
-    return false;
+  void Number(const JsonValue& obj, const char* key, double* out) {
+    if (const JsonValue* v = Get(obj, key)) Take(v->AsDouble(), key, out);
   }
 
-  bool ParseString(std::string* out) {
-    if (p >= end || *p != '"') return Fail("expected string");
-    ++p;
-    out->clear();
-    while (p < end && *p != '"') {
-      if (*p == '\\' && p + 1 < end) {
-        ++p;
-        switch (*p) {
-          case 'n': *out += '\n'; break;
-          case 't': *out += '\t'; break;
-          case 'r': *out += '\r'; break;
-          default: *out += *p;
-        }
-      } else {
-        *out += *p;
-      }
-      ++p;
-    }
-    if (p >= end) return Fail("unterminated string");
-    ++p;
-    return true;
+  void Node(const JsonValue& v, const char* field, NodeId* out) {
+    int64_t n = 0;
+    Take(v.AsInt(), field, &n);
+    *out = static_cast<NodeId>(n);
+    if (*out != n) Fail(field, StrFormat("byte %zu: out of range", v.offset));
   }
 
-  bool Parse(JsonValue* out) {
-    Skip();
-    if (p >= end) return Fail("unexpected end of input");
-    char c = *p;
-    if (c == '{') {
-      ++p;
-      out->kind = JsonValue::Kind::kObject;
-      Skip();
-      if (p < end && *p == '}') {
-        ++p;
-        return true;
+  void Windows(const JsonValue& obj, const char* key, bool with_p,
+               std::vector<LinkFault::Window>* out) {
+    for (const JsonValue& win : Array(obj, key)) {
+      const std::vector<JsonValue>& t = win.items;
+      if (t.size() < 2) {
+        Fail(key, StrFormat("byte %zu: window needs [t0,t1]", win.offset));
+        continue;
       }
-      while (true) {
-        Skip();
-        std::string key;
-        if (!ParseString(&key)) return false;
-        Skip();
-        if (p >= end || *p != ':') return Fail("expected ':'");
-        ++p;
-        JsonValue v;
-        if (!Parse(&v)) return false;
-        out->obj.emplace_back(std::move(key), std::move(v));
-        Skip();
-        if (p < end && *p == ',') {
-          ++p;
-          continue;
-        }
-        if (p < end && *p == '}') {
-          ++p;
-          return true;
-        }
-        return Fail("expected ',' or '}'");
-      }
+      LinkFault::Window& w = out->emplace_back();
+      Take(t[0].AsDouble(), key, &w.t0);
+      Take(t[1].AsDouble(), key, &w.t1);
+      if (with_p && t.size() >= 3) Take(t[2].AsDouble(), key, &w.p);
     }
-    if (c == '[') {
-      ++p;
-      out->kind = JsonValue::Kind::kArray;
-      Skip();
-      if (p < end && *p == ']') {
-        ++p;
-        return true;
-      }
-      while (true) {
-        JsonValue v;
-        if (!Parse(&v)) return false;
-        out->arr.push_back(std::move(v));
-        Skip();
-        if (p < end && *p == ',') {
-          ++p;
-          continue;
-        }
-        if (p < end && *p == ']') {
-          ++p;
-          return true;
-        }
-        return Fail("expected ',' or ']'");
-      }
-    }
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->str);
-    }
-    if (c == 't' || c == 'f') {
-      out->kind = JsonValue::Kind::kBool;
-      const char* word = c == 't' ? "true" : "false";
-      size_t len = c == 't' ? 4 : 5;
-      if (static_cast<size_t>(end - p) < len ||
-          std::string_view(p, len) != word) {
-        return Fail("bad literal");
-      }
-      out->b = c == 't';
-      p += len;
-      return true;
-    }
-    if (c == 'n') {
-      if (static_cast<size_t>(end - p) < 4 || std::string_view(p, 4) != "null") {
-        return Fail("bad literal");
-      }
-      p += 4;
-      return true;
-    }
-    char* num_end = nullptr;
-    out->kind = JsonValue::Kind::kNumber;
-    out->num = strtod(p, &num_end);
-    if (num_end == p || num_end > end) return Fail("bad number");
-    p = num_end;
-    return true;
   }
 };
-
-Result<std::vector<LinkFault::Window>> ReadWindows(const JsonValue& v,
-                                                   bool with_p) {
-  std::vector<LinkFault::Window> out;
-  for (const JsonValue& wv : v.arr) {
-    if (wv.arr.size() < 2) {
-      return Status::ParseError("fault plan JSON: window needs [t0,t1]");
-    }
-    LinkFault::Window w;
-    w.t0 = wv.arr[0].num;
-    w.t1 = wv.arr[1].num;
-    if (with_p && wv.arr.size() >= 3) w.p = wv.arr[2].num;
-    out.push_back(w);
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -318,69 +217,50 @@ std::string FaultPlan::ToJson() const {
 }
 
 Result<FaultPlan> FaultPlan::FromJson(const std::string& json) {
-  JsonParser parser{json.data(), json.data() + json.size()};
-  JsonValue root;
-  if (!parser.Parse(&root)) return parser.error;
-  if (root.kind != JsonValue::Kind::kObject) {
-    return Status::ParseError("fault plan JSON: expected object");
-  }
+  COLOGNE_ASSIGN_OR_RETURN(root, ParseJson(json));
+  return FromJson(root);
+}
+
+Result<FaultPlan> FaultPlan::FromJson(const JsonValue& root) {
+  PlanReader r;
   FaultPlan plan;
-  if (const JsonValue* v = root.Get("seed")) {
-    plan.seed = static_cast<uint64_t>(v->num);
+  if (const JsonValue* seed = r.Get(root, "seed")) {
+    r.Take(seed->AsUInt(), "seed", &plan.seed);
   }
-  if (const JsonValue* v = root.Get("links")) {
-    for (const JsonValue& lv : v->arr) {
-      LinkFault f;
-      if (const JsonValue* a = lv.Get("a")) f.a = static_cast<NodeId>(a->num);
-      if (const JsonValue* b = lv.Get("b")) f.b = static_cast<NodeId>(b->num);
-      if (const JsonValue* w = lv.Get("down")) {
-        COLOGNE_ASSIGN_OR_RETURN(ws, ReadWindows(*w, false));
-        f.down = std::move(ws);
-      }
-      if (const JsonValue* w = lv.Get("loss")) {
-        COLOGNE_ASSIGN_OR_RETURN(ws, ReadWindows(*w, true));
-        f.loss = std::move(ws);
-      }
-      if (const JsonValue* w = lv.Get("dup")) {
-        COLOGNE_ASSIGN_OR_RETURN(ws, ReadWindows(*w, true));
-        f.duplicate = std::move(ws);
-      }
-      if (const JsonValue* w = lv.Get("reorder")) {
-        COLOGNE_ASSIGN_OR_RETURN(ws, ReadWindows(*w, true));
-        f.reorder = std::move(ws);
-      }
-      plan.links.push_back(std::move(f));
+  for (const JsonValue& lv : r.Array(root, "links")) {
+    LinkFault& f = plan.links.emplace_back();
+    if (const JsonValue* a = r.Get(lv, "a")) r.Node(*a, "a", &f.a);
+    if (const JsonValue* b = r.Get(lv, "b")) r.Node(*b, "b", &f.b);
+    r.Windows(lv, "down", false, &f.down);
+    r.Windows(lv, "loss", true, &f.loss);
+    r.Windows(lv, "dup", true, &f.duplicate);
+    r.Windows(lv, "reorder", true, &f.reorder);
+  }
+  for (const JsonValue& pv : r.Array(root, "partitions")) {
+    PartitionFault& part = plan.partitions.emplace_back();
+    for (const JsonValue& m : r.Array(pv, "group")) {
+      r.Node(m, "group", &part.group.emplace_back());
+    }
+    // SeveredAt binary-searches the member set; hand-edited plans may
+    // list members in any order.
+    std::sort(part.group.begin(), part.group.end());
+    r.Number(pv, "t0", &part.t0);
+    r.Number(pv, "t1", &part.t1);
+  }
+  for (const JsonValue& cv : r.Array(root, "crashes")) {
+    CrashFault& c = plan.crashes.emplace_back();
+    if (const JsonValue* n = r.Get(cv, "node")) r.Node(*n, "node", &c.node);
+    r.Number(cv, "t", &c.t);
+    r.Number(cv, "restart", &c.restart_t);
+    // Written as 0/1; hand-edited plans may use a bool.
+    const JsonValue* warm = r.Get(cv, "retain_warm");
+    if (warm != nullptr && warm->kind == JsonValue::Kind::kBool) {
+      c.retain_warm_start = warm->boolean;
+    } else if (warm != nullptr) {
+      r.Take(warm->AsDouble(), "retain_warm", &c.retain_warm_start);
     }
   }
-  if (const JsonValue* v = root.Get("partitions")) {
-    for (const JsonValue& pv : v->arr) {
-      PartitionFault part;
-      if (const JsonValue* g = pv.Get("group")) {
-        for (const JsonValue& m : g->arr) {
-          part.group.push_back(static_cast<NodeId>(m.num));
-        }
-        // SeveredAt binary-searches the member set; hand-edited plans may
-        // list members in any order.
-        std::sort(part.group.begin(), part.group.end());
-      }
-      if (const JsonValue* t = pv.Get("t0")) part.t0 = t->num;
-      if (const JsonValue* t = pv.Get("t1")) part.t1 = t->num;
-      plan.partitions.push_back(std::move(part));
-    }
-  }
-  if (const JsonValue* v = root.Get("crashes")) {
-    for (const JsonValue& cv : v->arr) {
-      CrashFault c;
-      if (const JsonValue* n = cv.Get("node")) c.node = static_cast<NodeId>(n->num);
-      if (const JsonValue* t = cv.Get("t")) c.t = t->num;
-      if (const JsonValue* t = cv.Get("restart")) c.restart_t = t->num;
-      if (const JsonValue* r = cv.Get("retain_warm")) {
-        c.retain_warm_start =
-            r->kind == JsonValue::Kind::kBool ? r->b : r->num != 0;
-      }
-      plan.crashes.push_back(c);
-    }
-  }
+  if (!r.status.ok()) return r.status;
   return plan;
 }
 

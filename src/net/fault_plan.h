@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/status.h"
 #include "common/value.h"
 
@@ -97,8 +98,12 @@ struct FaultPlan {
   /// empty sections omitted). Equal plans render identically.
   std::string ToJson() const;
 
-  /// Parse a plan rendered by ToJson (accepts any field order).
+  /// Parse a plan rendered by ToJson, in any member order and whitespace,
+  /// ignoring unknown keys. Trailing content, a wrong-typed field or an
+  /// out-of-range number is a ParseError naming the field.
   static Result<FaultPlan> FromJson(const std::string& json);
+  /// The same, from a parsed object (a trace header's `fault_plan`).
+  static Result<FaultPlan> FromJson(const JsonValue& root);
 
   /// Knobs for Random(); probabilities are per-link (or per-plan for
   /// partition/crash) chances that the corresponding fault appears at all.

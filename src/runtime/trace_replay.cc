@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/json.h"
 #include "common/strings.h"
@@ -214,41 +213,28 @@ std::string DiffTraces(const std::vector<std::string>& a,
 }
 
 Result<TraceHeader> ParseTraceHeader(const std::string& header_line) {
-  // The header is canonical: fixed field order, fault_plan last.
-  auto find_field = [&](const char* key) -> size_t {
-    std::string needle = StrFormat("\"%s\":", key);
-    return header_line.find(needle);
-  };
-  size_t ev = header_line.find("\"ev\":\"header\"");
-  if (ev == std::string::npos) {
+  // Fields are read by key, so their order is not significant.
+  COLOGNE_ASSIGN_OR_RETURN(line, ParseJson(header_line));
+  const JsonValue* ev = line.Find("ev");
+  if (ev == nullptr || ev->text != "header") {
     return Status::ParseError("not a trace header line");
   }
   TraceHeader out;
-  size_t prog = find_field("program");
-  if (prog != std::string::npos) {
-    size_t begin = header_line.find('"', prog + 10);
-    size_t end = header_line.find('"', begin + 1);
-    if (begin == std::string::npos || end == std::string::npos) {
-      return Status::ParseError("malformed program field");
+  if (const JsonValue* program = line.Find("program")) {
+    if (program->kind != JsonValue::Kind::kString) {
+      return Status::ParseError(StrFormat(
+          "program: byte %zu: expected a string", program->offset));
     }
-    out.program = header_line.substr(begin + 1, end - begin - 1);
+    out.program = program->text;
   }
-  size_t seed = find_field("seed");
-  if (seed != std::string::npos) {
-    out.seed = strtoull(header_line.c_str() + seed + 7, nullptr, 10);
+  if (const JsonValue* seed = line.Find("seed")) {
+    Result<uint64_t> v = seed->AsUInt();
+    if (!v.ok()) return Status::ParseError("seed: " + v.status().message());
+    out.seed = v.value();
   }
-  size_t plan = find_field("fault_plan");
-  if (plan != std::string::npos) {
-    // The plan object runs to the final '}' of the line (it is the last
-    // field in the canonical header).
-    size_t begin = plan + 13;
-    size_t end = header_line.rfind('}');
-    if (end == std::string::npos || end <= begin) {
-      return Status::ParseError("malformed fault_plan field");
-    }
-    COLOGNE_ASSIGN_OR_RETURN(
-        parsed, net::FaultPlan::FromJson(header_line.substr(begin, end - begin)));
-    out.plan = std::move(parsed);
+  if (const JsonValue* plan = line.Find("fault_plan")) {
+    COLOGNE_ASSIGN_OR_RETURN(read, net::FaultPlan::FromJson(*plan));
+    out.plan = std::move(read);
   }
   return out;
 }

@@ -1,6 +1,8 @@
-// Unit tests for common utilities: Status/Result, Value, stats, RNG, strings.
+// Unit tests for common utilities: Status/Result, Value, stats, RNG, strings,
+// and the JSON writer/reader pair.
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -174,6 +176,116 @@ TEST(StringsTest, SplitJoinTrim) {
 TEST(StringsTest, FormatAndLower) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(ToLower("MiNiMiZe"), "minimize");
+}
+
+TEST(JsonTest, EverySingleByteStringRoundTrips) {
+  for (int b = 0; b < 256; ++b) {
+    std::string in(1, static_cast<char>(b));
+    JsonWriter w;
+    w.BeginArray().String(in).EndArray();
+    auto parsed = ParseJson(w.str());
+    ASSERT_TRUE(parsed.ok()) << "byte " << b << ": "
+                             << parsed.status().ToString();
+    ASSERT_EQ(parsed.value().items.size(), 1u);
+    EXPECT_EQ(parsed.value().items[0].text, in) << "byte " << b;
+  }
+}
+
+TEST(JsonTest, DecodesEscapes) {
+  auto parsed = ParseJson(R"("\"\\\/\b\f\n\r\t\u0041\u00e9\ud83d\ude00")");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().text, "\"\\/\b\f\n\r\tA\xc3\xa9\xf0\x9f\x98\x80");
+  EXPECT_FALSE(ParseJson(R"("\u00g1")").ok());
+  EXPECT_FALSE(ParseJson(R"("\u12")").ok());
+  EXPECT_FALSE(ParseJson(R"("\x")").ok());
+}
+
+TEST(JsonTest, NumbersKeepTheirSpelling) {
+  auto parsed = ParseJson("[0.1,-0,1e+05,18446744073709551615]");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::vector<JsonValue>& items = parsed.value().items;
+  ASSERT_EQ(items.size(), 4u);
+  EXPECT_EQ(items[0].text, "0.1");
+  EXPECT_EQ(items[1].text, "-0");
+  EXPECT_EQ(items[2].text, "1e+05");
+  EXPECT_DOUBLE_EQ(items[0].AsDouble().value(), 0.1);
+  EXPECT_EQ(items[1].AsInt().value(), 0);
+  EXPECT_EQ(items[2].AsInt().value(), 100000);
+  EXPECT_EQ(items[3].AsUInt().value(), 18446744073709551615ull);
+  JsonWriter w;
+  w.BeginArray();
+  for (const JsonValue& v : items) w.Raw(v.text);
+  w.EndArray();
+  EXPECT_EQ(w.str(), "[0.1,-0,1e+05,18446744073709551615]");
+}
+
+TEST(JsonTest, CheckedIntegerAccessors) {
+  auto parsed = ParseJson(R"([1.5,"7",1e300,-1,9223372036854775808,
+                              -9223372036854775808,2.0,true])");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::vector<JsonValue>& v = parsed.value().items;
+  EXPECT_FALSE(v[0].AsInt().ok());
+  EXPECT_FALSE(v[1].AsInt().ok());
+  EXPECT_FALSE(v[2].AsInt().ok());
+  EXPECT_FALSE(v[2].AsUInt().ok());
+  EXPECT_FALSE(v[3].AsUInt().ok());
+  EXPECT_EQ(v[3].AsInt().value(), -1);
+  EXPECT_FALSE(v[4].AsInt().ok());
+  EXPECT_EQ(v[4].AsUInt().value(), 9223372036854775808ull);
+  EXPECT_EQ(v[5].AsInt().value(), INT64_MIN);
+  EXPECT_EQ(v[6].AsInt().value(), 2);
+  EXPECT_FALSE(v[7].AsInt().ok());
+  EXPECT_FALSE(v[1].AsDouble().ok());
+  EXPECT_FALSE(ParseJson("1e400").value().AsDouble().ok());
+  EXPECT_EQ(v[1].AsInt().status().code(), StatusCode::kParseError);
+}
+
+TEST(JsonTest, ErrorsCarryTheByteOffset) {
+  struct Case {
+    const char* in;
+    const char* offset;
+  };
+  for (const Case& c : {Case{"{\"a\":1,}", "byte 7"},
+                        Case{"[1,2] x", "byte 6"},
+                        Case{"[01]", "byte 2"},
+                        Case{"{\"a\" 1}", "byte 5"},
+                        Case{"\"abc", "byte 4"},
+                        Case{"", "byte 0"},
+                        Case{"[1,2,", "byte 5"},
+                        Case{"nul", "byte 0"}}) {
+    auto parsed = ParseJson(c.in);
+    ASSERT_FALSE(parsed.ok()) << c.in;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError) << c.in;
+    EXPECT_NE(parsed.status().message().find(c.offset), std::string::npos)
+        << c.in << " -> " << parsed.status().message();
+  }
+  auto parsed = ParseJson("[true, \"x\"]");
+  ASSERT_TRUE(parsed.ok());
+  auto bad = parsed.value().items[1].AsInt();
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("byte 7"), std::string::npos)
+      << bad.status().message();
+}
+
+TEST(JsonTest, NestingIsCapped) {
+  std::string ok(kMaxJsonDepth, '[');
+  ok += std::string(kMaxJsonDepth, ']');
+  EXPECT_TRUE(ParseJson(ok).ok());
+  std::string deep(kMaxJsonDepth + 1, '[');
+  deep += std::string(kMaxJsonDepth + 1, ']');
+  auto parsed = ParseJson(deep);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("nesting"), std::string::npos);
+}
+
+TEST(JsonTest, ObjectsAcceptWhitespaceAndFindFirstMember) {
+  auto parsed = ParseJson(" {\n\t\"a\" : [ 1 , 2 ] ,\r\n \"a\": null } ");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* a = parsed.value().Find("a");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->kind, JsonValue::Kind::kArray);
+  EXPECT_EQ(a->items.size(), 2u);
+  EXPECT_EQ(parsed.value().Find("b"), nullptr);
 }
 
 }  // namespace

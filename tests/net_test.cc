@@ -251,6 +251,52 @@ TEST(FaultPlanTest, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(parsed.value().crashes[0].restart_t, 12.5);
 }
 
+TEST(FaultPlanTest, JsonAcceptsHandEditedPlans) {
+  // Whitespace, any member order, unknown keys, and retain_warm as a bool.
+  auto parsed = FaultPlan::FromJson(
+      "{ \"crashes\": [ {\"retain_warm\": true, \"t\": 2, \"node\": 4,"
+      " \"note\": \"x\"} ],\n  \"seed\": 5, \"extra\": [1, {}] }");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().seed, 5u);
+  ASSERT_EQ(parsed.value().crashes.size(), 1u);
+  EXPECT_EQ(parsed.value().crashes[0].node, 4);
+  EXPECT_TRUE(parsed.value().crashes[0].retain_warm_start);
+}
+
+TEST(FaultPlanTest, JsonRejectsTrailingContent) {
+  auto parsed = FaultPlan::FromJson("{\"seed\":3}garbage{");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_NE(parsed.status().message().find("trailing"), std::string::npos)
+      << parsed.status().message();
+}
+
+TEST(FaultPlanTest, JsonRejectsWrongTypedField) {
+  auto parsed = FaultPlan::FromJson("{\"crashes\":[{\"node\":\"7\",\"t\":1}]}");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_NE(parsed.status().message().find("node:"), std::string::npos)
+      << parsed.status().message();
+}
+
+TEST(FaultPlanTest, JsonRejectsOutOfRangeNumbers) {
+  auto node = FaultPlan::FromJson("{\"crashes\":[{\"node\":1e300,\"t\":1}]}");
+  ASSERT_FALSE(node.ok());
+  EXPECT_EQ(node.status().code(), StatusCode::kParseError);
+  EXPECT_NE(node.status().message().find("node:"), std::string::npos)
+      << node.status().message();
+  auto seed = FaultPlan::FromJson("{\"seed\":-1,\"crashes\":[{\"node\":1,\"t\":1}]}");
+  ASSERT_FALSE(seed.ok());
+  EXPECT_EQ(seed.status().code(), StatusCode::kParseError);
+  EXPECT_NE(seed.status().message().find("seed"), std::string::npos)
+      << seed.status().message();
+  // In range for int64 but not for a 32-bit node id.
+  auto wide = FaultPlan::FromJson("{\"links\":[{\"a\":0,\"b\":4294967296}]}");
+  ASSERT_FALSE(wide.ok());
+  EXPECT_NE(wide.status().message().find("b:"), std::string::npos)
+      << wide.status().message();
+}
+
 TEST(FaultPlanTest, RandomIsDeterministic) {
   std::vector<std::pair<NodeId, NodeId>> links{{0, 1}, {1, 2}, {0, 2}};
   FaultPlan a = FaultPlan::Random(7, 3, links);

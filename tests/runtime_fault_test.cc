@@ -292,6 +292,30 @@ TEST(TraceDeterminismTest, HeaderReproducesTheRun) {
   EXPECT_EQ(DiffTraces(original.lines(), replay.lines()), "");
 }
 
+TEST(TraceDeterminismTest, HeaderProgramWithQuotesRoundTrips) {
+  TraceRecorder trace;
+  trace.Header("my \"prog\"", 5, net::FaultPlan{});
+  auto header = ParseTraceHeader(trace.lines()[0]);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header.value().program, "my \"prog\"");
+  EXPECT_EQ(header.value().seed, 5u);
+}
+
+TEST(TraceDeterminismTest, HeaderSeedIsReadFromTheTopLevelOnly) {
+  // No top-level seed: the nested fault_plan.seed must not leak into it.
+  auto header = ParseTraceHeader(
+      "{\"fault_plan\":{\"seed\":77},\"program\":\"p\",\"ev\":\"header\"}");
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header.value().seed, 0u);
+  EXPECT_EQ(header.value().plan.seed, 77u);
+  EXPECT_EQ(header.value().program, "p");
+  // Lines that are not a JSON object with "ev":"header" stay rejected.
+  EXPECT_FALSE(ParseTraceHeader("{\"ev\":\"solve\",\"seed\":1}").ok());
+  EXPECT_FALSE(ParseTraceHeader("[\"ev\",\"header\"]").ok());
+  EXPECT_FALSE(ParseTraceHeader("{\"ev\":\"header\"").ok());
+  EXPECT_FALSE(ParseTraceHeader("{\"ev\":\"header\",\"seed\":-1}").ok());
+}
+
 // --- Acceptance: crash/restart reconvergence ---------------------------------
 
 TEST(CrashRecoveryTest, FtsReconvergesWithin5PctOfNoFaultObjective) {

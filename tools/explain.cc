@@ -17,183 +17,19 @@
 // emitted after round R's events, so every event up to and including that
 // line (and after round R-1's line) belongs to round R.
 //
-// Output is deterministic — CI diffs it against a golden answer file.
+// Output is deterministic — ctest `explain_golden` diffs it with a golden.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "runtime/trace_replay.h"
 
 namespace cologne::runtime {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal parser for the canonical trace JSON (no whitespace, fixed escapes).
-// Only the shapes TraceRecorder emits are supported; anything else is a
-// parse error, which is what we want for a format checker.
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  std::string text;  // number: raw spelling; string: unescaped contents
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  const JsonValue* Find(const char* key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  int64_t AsInt() const { return strtoll(text.c_str(), nullptr, 10); }
-  uint64_t AsUInt() const { return strtoull(text.c_str(), nullptr, 10); }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& in) : in_(in) {}
-
-  bool Parse(JsonValue* out) {
-    return ParseValue(out) && pos_ == in_.size();
-  }
-
- private:
-  bool ParseValue(JsonValue* out) {
-    if (pos_ >= in_.size()) return false;
-    char c = in_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->text);
-    }
-    if (c == 't' || c == 'f') {
-      out->kind = JsonValue::Kind::kBool;
-      const char* word = c == 't' ? "true" : "false";
-      size_t len = strlen(word);
-      if (in_.compare(pos_, len, word) != 0) return false;
-      out->b = c == 't';
-      pos_ += len;
-      return true;
-    }
-    if (c == 'n') {
-      if (in_.compare(pos_, 4, "null") != 0) return false;
-      out->kind = JsonValue::Kind::kNull;
-      pos_ += 4;
-      return true;
-    }
-    // Number: take the maximal run of number characters, keep the raw
-    // spelling so values round-trip exactly as the writer rendered them.
-    size_t start = pos_;
-    while (pos_ < in_.size() &&
-           (strchr("+-.eE", in_[pos_]) != nullptr ||
-            (in_[pos_] >= '0' && in_[pos_] <= '9'))) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out->kind = JsonValue::Kind::kNumber;
-    out->text = in_.substr(start, pos_ - start);
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (in_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < in_.size() && in_[pos_] != '"') {
-      char c = in_[pos_++];
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= in_.size()) return false;
-      char esc = in_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'r': out->push_back('\r'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'u': {
-          // The canonical writer only emits \u00XX for control bytes.
-          if (pos_ + 4 > in_.size()) return false;
-          unsigned code = static_cast<unsigned>(
-              strtoul(in_.substr(pos_, 4).c_str(), nullptr, 16));
-          pos_ += 4;
-          out->push_back(static_cast<char>(code));
-          break;
-        }
-        default: return false;
-      }
-    }
-    if (pos_ >= in_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    if (pos_ < in_.size() && in_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (pos_ >= in_.size() || !ParseString(&key)) return false;
-      if (pos_ >= in_.size() || in_[pos_] != ':') return false;
-      ++pos_;
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->fields.emplace_back(std::move(key), std::move(value));
-      if (pos_ >= in_.size()) return false;
-      if (in_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (in_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    if (pos_ < in_.size() && in_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->items.push_back(std::move(value));
-      if (pos_ >= in_.size()) return false;
-      if (in_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (in_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  const std::string& in_;
-  size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Trace model
@@ -247,21 +83,37 @@ struct Trace {
   }
 };
 
+// Checked number reads for one event; a failed read, or a value that does
+// not fit its field, marks the event malformed.
+struct Numbers {
+  bool ok = true;
+  template <typename T, typename U>
+  void Read(const Result<U>& r, T* out) {
+    if (r.ok()) *out = static_cast<T>(r.value());
+    ok = ok && r.ok() && static_cast<U>(*out) == r.value();
+  }
+};
+
 bool ParseSolve(const JsonValue& line, SolveEvent* out) {
   const JsonValue* t = line.Find("t");
   const JsonValue* node = line.Find("node");
   const JsonValue* status = line.Find("status");
   if (t == nullptr || node == nullptr || status == nullptr) return false;
+  Numbers num;
   out->t = t->text;
-  out->node = static_cast<int>(node->AsInt());
+  num.Read(node->AsInt(), &out->node);
   out->status = status->text;
   if (const JsonValue* v = line.Find("objective")) {
     out->has_objective = true;
     out->objective = v->text;
   }
-  if (const JsonValue* v = line.Find("vars")) out->vars = v->AsUInt();
-  if (const JsonValue* v = line.Find("groups")) out->groups = v->AsUInt();
-  if (const JsonValue* v = line.Find("warm")) out->warm = v->AsInt() != 0;
+  if (const JsonValue* v = line.Find("vars")) num.Read(v->AsUInt(), &out->vars);
+  if (const JsonValue* v = line.Find("groups")) {
+    num.Read(v->AsUInt(), &out->groups);
+  }
+  int64_t warm = 0;
+  if (const JsonValue* v = line.Find("warm")) num.Read(v->AsInt(), &warm);
+  out->warm = warm != 0;
   if (const JsonValue* v = line.Find("prov")) {
     for (const JsonValue& g : v->items) {
       ProvGroup group;
@@ -275,36 +127,47 @@ bool ParseSolve(const JsonValue& line, SolveEvent* out) {
       out->prov.push_back(std::move(group));
     }
   }
-  return true;
+  return num.ok;
 }
 
 bool ParseMetrics(const JsonValue& line, MetricsEvent* out) {
   const JsonValue* t = line.Find("t");
   const JsonValue* round = line.Find("round");
   if (t == nullptr || round == nullptr) return false;
+  Numbers num;
   out->t = t->text;
-  out->round = round->AsUInt();
+  num.Read(round->AsUInt(), &out->round);
   if (const JsonValue* c = line.Find("counters")) {
-    for (const auto& [name, v] : c->fields) out->counters[name] = v.AsUInt();
+    for (const auto& [name, v] : c->members) {
+      num.Read(v.AsUInt(), &out->counters[name]);
+    }
   }
   if (const JsonValue* g = line.Find("gauges")) {
-    for (const auto& [name, v] : g->fields) out->gauges[name] = v.AsInt();
+    for (const auto& [name, v] : g->members) {
+      num.Read(v.AsInt(), &out->gauges[name]);
+    }
   }
   if (const JsonValue* h = line.Find("hist")) {
-    for (const auto& [name, v] : h->fields) {
+    for (const auto& [name, v] : h->members) {
       MetricsEvent::Hist hist;
       if (const JsonValue* le = v.Find("le")) {
-        for (const JsonValue& b : le->items) hist.le.push_back(b.AsInt());
+        for (const JsonValue& b : le->items) {
+          num.Read(b.AsInt(), &hist.le.emplace_back());
+        }
       }
       if (const JsonValue* n = v.Find("n")) {
-        for (const JsonValue& b : n->items) hist.n.push_back(b.AsUInt());
+        for (const JsonValue& b : n->items) {
+          num.Read(b.AsUInt(), &hist.n.emplace_back());
+        }
       }
-      if (const JsonValue* c = v.Find("count")) hist.count = c->AsUInt();
-      if (const JsonValue* s = v.Find("sum")) hist.sum = s->AsInt();
+      if (const JsonValue* c = v.Find("count")) {
+        num.Read(c->AsUInt(), &hist.count);
+      }
+      if (const JsonValue* s = v.Find("sum")) num.Read(s->AsInt(), &hist.sum);
       out->hists[name] = std::move(hist);
     }
   }
-  return true;
+  return num.ok;
 }
 
 Result<Trace> LoadTrace(const std::string& path) {
@@ -317,30 +180,22 @@ Result<Trace> LoadTrace(const std::string& path) {
   // Indices of solve events still waiting for their round's metrics line.
   std::vector<size_t> open_solves;
   for (size_t i = 1; i < lines.size(); ++i) {
-    JsonValue value;
-    if (!JsonParser(lines[i]).Parse(&value)) {
-      return Status::ParseError("line " + std::to_string(i + 1) +
-                                " is not canonical trace JSON");
-    }
+    auto bad = [&](const std::string& what) {
+      return Status::ParseError("line " + std::to_string(i + 1) + ": " + what);
+    };
+    Result<JsonValue> parsed = ParseJson(lines[i]);
+    if (!parsed.ok()) return bad(parsed.status().message());
+    const JsonValue& value = parsed.value();
     const JsonValue* ev = value.Find("ev");
-    if (ev == nullptr) {
-      return Status::ParseError("line " + std::to_string(i + 1) +
-                                " has no \"ev\" field");
-    }
+    if (ev == nullptr) return bad("no \"ev\" field");
     if (ev->text == "solve") {
       SolveEvent solve;
-      if (!ParseSolve(value, &solve)) {
-        return Status::ParseError("line " + std::to_string(i + 1) +
-                                  ": malformed solve event");
-      }
+      if (!ParseSolve(value, &solve)) return bad("malformed solve event");
       open_solves.push_back(trace.solves.size());
       trace.solves.push_back(std::move(solve));
     } else if (ev->text == "metrics") {
       MetricsEvent metrics;
-      if (!ParseMetrics(value, &metrics)) {
-        return Status::ParseError("line " + std::to_string(i + 1) +
-                                  ": malformed metrics event");
-      }
+      if (!ParseMetrics(value, &metrics)) return bad("malformed metrics event");
       for (size_t s : open_solves) trace.solves[s].round = metrics.round;
       open_solves.clear();
       trace.metrics.push_back(std::move(metrics));
