@@ -1,6 +1,8 @@
 #include "common/value.h"
 
-#include <cstring>
+#include <cstdio>
+#include <mutex>
+#include <unordered_set>
 
 namespace cologne {
 
@@ -18,6 +20,21 @@ uint64_t FnvMix(uint64_t h, const void* data, size_t n) {
 }
 }  // namespace
 
+Value Value::Str(std::string v) {
+  // Append-only: entries are never erased, and unordered_set nodes do not
+  // move on rehash, so the returned pointer stays valid for the process.
+  // Leaked on purpose so no Value outlives its string during static
+  // destruction.
+  struct Interner {
+    std::mutex mu;
+    std::unordered_set<std::string> strings;
+  };
+  static auto* interner = new Interner;
+  std::lock_guard<std::mutex> lock(interner->mu);
+  const std::string* s = &*interner->strings.insert(std::move(v)).first;
+  return Value(ValueType::kString, reinterpret_cast<uintptr_t>(s));
+}
+
 uint64_t Value::Hash() const {
   uint64_t h = kFnvOffset;
   uint8_t tag = static_cast<uint8_t>(type());
@@ -31,7 +48,9 @@ uint64_t Value::Hash() const {
       break;
     }
     case ValueType::kDouble: {
-      double v = std::get<double>(repr_);
+      // -0.0 == 0.0, so both must hash alike.
+      double v = as_double();
+      if (v == 0.0) v = 0.0;
       h = FnvMix(h, &v, sizeof(v));
       break;
     }
@@ -60,7 +79,7 @@ std::string Value::ToString() const {
     case ValueType::kInt: return std::to_string(as_int());
     case ValueType::kDouble: {
       char buf[48];
-      snprintf(buf, sizeof(buf), "%g", std::get<double>(repr_));
+      std::snprintf(buf, sizeof(buf), "%g", as_double());
       return buf;
     }
     case ValueType::kString: return "\"" + as_string() + "\"";

@@ -410,8 +410,11 @@ void Engine::AddWatcher(const std::string& table, WatchFn fn) {
 size_t Engine::MemoryEstimate() const {
   size_t bytes = 0;
   for (const auto& [name, t] : tables_) {
-    // Rough: 48 bytes/value + row bookkeeping, times index fanout of ~2.
-    bytes += t->size() * (t->schema().arity() * 48 + 64) * 2;
+    // Each visible row is held twice (derivation counts and the ordered
+    // visible set); each copy is a Row header, its cells and the container
+    // node around it.
+    const size_t row_bytes = sizeof(Row) + t->schema().arity() * sizeof(Value);
+    bytes += t->size() * (row_bytes + kTableNodeBytes) * 2;
   }
   return bytes;
 }

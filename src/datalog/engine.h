@@ -82,8 +82,12 @@ class Engine {
   const EngineStats& stats() const { return stats_; }
 
   /// Approximate resident size of all tables (bytes), for the memory
-  /// footprint numbers reported in the paper's Section 6.
+  /// footprint numbers reported in the paper's Section 6: per visible row,
+  /// `2 * (sizeof(Row) + arity * sizeof(Value) + kTableNodeBytes)`.
   size_t MemoryEstimate() const;
+
+  /// Container-node bookkeeping per stored row copy in MemoryEstimate.
+  static constexpr size_t kTableNodeBytes = 40;
 
  private:
   struct PendingDelta {

@@ -261,8 +261,9 @@ class BridgeEval {
       }
     };
     // False when an indexed cell is symbolic (unification may post an
-    // equality or reject the join) or a double (hash/== disagree on -0.0):
-    // such a column set is always scanned.
+    // equality or reject the join) or a double: such a column set is always
+    // scanned. Hash and == agree on doubles (both zeros hash alike); they
+    // stay unindexed only because a NaN key never equals itself.
     bool usable = true;
     std::unordered_map<Row, std::vector<uint32_t>, RowHasher> buckets;
   };

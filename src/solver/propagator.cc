@@ -341,11 +341,11 @@ int64_t CeilDiv128(__int128 a, __int128 b) {
   return static_cast<int64_t>(q);
 }
 
-// Prune pass of `sign*e + add <= 0` given the precomputed sum of minima of
-// the transformed expression. Term-for-term identical to the historical
+// Prune pass of `sign*e + add <= 0` given `sum_min`, the precomputed sum of
+// minima of the transformed expression (`add` included). Term-for-term identical to the historical
 // single-function PruneLe; split out so the incremental path can supply
 // `sum_min` from its live aggregates instead of the O(all terms) first loop.
-bool PruneLeWithSum(PropCtx& ctx, const LinExpr& e, int64_t sign, int64_t add,
+bool PruneLeWithSum(PropCtx& ctx, const LinExpr& e, int64_t sign,
                     __int128 sum_min) {
   if (sum_min > 0) return false;
   for (const auto& [c, v] : e.terms) {
@@ -386,7 +386,7 @@ bool PruneLe(PropCtx& ctx, const LinExpr& e, int64_t sign = 1,
     const __int128 ce = static_cast<__int128>(sign) * c;
     sum_min += ce * (ce >= 0 ? d.min() : d.max());
   }
-  return PruneLeWithSum(ctx, e, sign, add, sum_min);
+  return PruneLeWithSum(ctx, e, sign, sum_min);
 }
 
 bool PruneNe(PropCtx& ctx, const LinExpr& e) {
@@ -467,16 +467,16 @@ bool PruneLinearIncremental(PropCtx& ctx, const LinExpr& e, Rel rel) {
   // as the legacy second recompute observed them.
   switch (rel) {
     case Rel::kLe:
-      return PruneLeWithSum(ctx, e, 1, 0, ctx.AuxVal(0));
+      return PruneLeWithSum(ctx, e, 1, ctx.AuxVal(0));
     case Rel::kLt:
-      return PruneLeWithSum(ctx, e, 1, 1, ctx.AuxVal(0) + 1);
+      return PruneLeWithSum(ctx, e, 1, ctx.AuxVal(0) + 1);
     case Rel::kGe:
-      return PruneLeWithSum(ctx, e, -1, 0, -ctx.AuxVal(1));
+      return PruneLeWithSum(ctx, e, -1, -ctx.AuxVal(1));
     case Rel::kGt:
-      return PruneLeWithSum(ctx, e, -1, 1, -ctx.AuxVal(1) + 1);
+      return PruneLeWithSum(ctx, e, -1, -ctx.AuxVal(1) + 1);
     case Rel::kEq:
-      return PruneLeWithSum(ctx, e, 1, 0, ctx.AuxVal(0)) &&
-             PruneLeWithSum(ctx, e, -1, 0, -ctx.AuxVal(1));
+      return PruneLeWithSum(ctx, e, 1, ctx.AuxVal(0)) &&
+             PruneLeWithSum(ctx, e, -1, -ctx.AuxVal(1));
     case Rel::kNe:
       return PruneNe(ctx, e);
   }

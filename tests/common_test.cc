@@ -2,6 +2,11 @@
 // and the JSON writer/reader pair.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -103,6 +108,95 @@ TEST(ValueTest, RowHashAndPrint) {
   Row r2{Value::Str("a"), Value::Int(1)};
   EXPECT_NE(HashRow(r), HashRow(r2)) << "row hash must be order-sensitive";
   EXPECT_EQ(RowToString(r), "(1, \"a\")");
+}
+
+// Interning order must not leak into the sort order: "b" is interned first.
+TEST(ValueTest, StringsOrderByContentNotInterningOrder) {
+  const Value b = Value::Str("value_test_b");
+  const Value a = Value::Str("value_test_a");
+  EXPECT_LT(a, b);
+  EXPECT_FALSE(b < a);
+  EXPECT_FALSE(a < a);
+  EXPECT_LT(Value::Str("value_test"), a) << "a prefix sorts first";
+  // Cross-type order is the tag order: null < int < double < string < node
+  // < sym, whatever the payloads.
+  EXPECT_LT(Value::Null(), Value::Int(-5));
+  EXPECT_LT(Value::Int(1000), Value::Double(-1.0));
+  EXPECT_LT(Value::Double(1e300), a);
+  EXPECT_LT(Value::Int(1000), a);
+  EXPECT_LT(b, Value::Node(0));
+  EXPECT_LT(Value::Node(1000), Value::Sym(0));
+  EXPECT_LT(Value::Node(-1), Value::Node(0));
+  EXPECT_LT(Value::Sym(-1), Value::Sym(0));
+}
+
+TEST(ValueTest, EqualStringsBuiltSeparatelyAreEqual) {
+  std::string s1 = "host";
+  std::string s2 = "ho";
+  s2 += "st";
+  const Value a = Value::Str(s1);
+  const Value b = Value::Str(std::move(s2));
+  EXPECT_EQ(a, b);
+  EXPECT_FALSE(a < b || b < a);
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_NE(a, Value::Str("hosts"));
+}
+
+TEST(ValueTest, SignedZerosAreEqualAndHashAlike) {
+  const Value pos = Value::Double(0.0);
+  const Value neg = Value::Double(-0.0);
+  EXPECT_EQ(pos, neg);
+  EXPECT_EQ(pos.Hash(), neg.Hash());
+  EXPECT_EQ(HashRow({pos}), HashRow({neg}));
+  EXPECT_FALSE(pos < neg || neg < pos);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(Value::Double(nan), Value::Double(nan));
+}
+
+// Golden FNV-1a hashes. Table::ContentHash, whole-solve reuse and the e2e
+// output hash are built on these bytes, so a layout change must not move
+// them.
+TEST(ValueTest, HashesAreGolden) {
+  EXPECT_EQ(Value::Null().Hash(), 4953163356653287321ull);
+  EXPECT_EQ(Value::Int(42).Hash(), 3035501996324726604ull);
+  EXPECT_EQ(Value::Int(-7).Hash(), 17698820714872814680ull);
+  EXPECT_EQ(Value::Double(2.5).Hash(), 13563573830263920759ull);
+  EXPECT_EQ(Value::Double(0.0).Hash(), 13559817898542708883ull);
+  EXPECT_EQ(Value::Str("host").Hash(), 6346960184137524818ull);
+  EXPECT_EQ(Value::Str("").Hash(), 4953160058118402688ull);
+  EXPECT_EQ(Value::Node(3).Hash(), 5123810458730299334ull);
+  EXPECT_EQ(Value::Sym(5).Hash(), 13427266157335054247ull);
+  const Row mixed{Value::Int(1),  Value::Double(0.5), Value::Str("vm"),
+                  Value::Node(2), Value::Sym(0),      Value::Null()};
+  EXPECT_EQ(HashRow(mixed), 808689054177926611ull);
+  EXPECT_EQ(HashRow({}), 1469598103934665603ull);
+}
+
+// Concurrent interning of overlapping strings (the TSan row runs this):
+// equal content yields equal values whichever thread interned it first.
+TEST(ValueTest, ConcurrentInterningAgrees) {
+  constexpr int kThreads = 4;
+  constexpr int kStrings = 200;
+  std::vector<std::vector<Value>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &got] {
+      for (int i = 0; i < kStrings; ++i) {
+        // Each thread walks the shared names from a different start.
+        const int k = (i + t * kStrings / kThreads) % kStrings;
+        got[t].push_back(Value::Str("intern_" + std::to_string(k)));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kStrings; ++i) {
+      const int k = (i + t * kStrings / kThreads) % kStrings;
+      const Value& v = got[t][i];
+      EXPECT_EQ(v, Value::Str("intern_" + std::to_string(k)));
+      EXPECT_EQ(v.as_string(), "intern_" + std::to_string(k));
+    }
+  }
 }
 
 TEST(StatsTest, RunningStatsMoments) {

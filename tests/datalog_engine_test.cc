@@ -303,6 +303,24 @@ TEST(EngineTest, RemoteTuplesGoToSender) {
   EXPECT_EQ(e0.stats().tuples_sent, 1u);
 }
 
+// The estimate is derived from the real cell and row sizes, so a change to
+// Value's layout shows up in datalog.table_mb.
+TEST(EngineTest, MemoryEstimateFollowsValueAndRowSizes) {
+  Engine e;
+  ASSERT_TRUE(e.DeclareTable(Schema("t", 3)).ok());
+  ASSERT_TRUE(e.DeclareTable(Schema("u", 1)).ok());
+  EXPECT_EQ(e.MemoryEstimate(), 0u);
+  ASSERT_TRUE(e.InsertFact("t", R({1, 2, 3})).ok());
+  ASSERT_TRUE(e.InsertFact("t", R({4, 5, 6})).ok());
+  ASSERT_TRUE(e.InsertFact("u", R({7})).ok());
+  ASSERT_TRUE(e.InsertFact("u", R({7})).ok());  // second derivation, one row
+  const size_t node = Engine::kTableNodeBytes;
+  const size_t t_row = sizeof(Row) + 3 * sizeof(Value) + node;
+  const size_t u_row = sizeof(Row) + 1 * sizeof(Value) + node;
+  EXPECT_EQ(e.MemoryEstimate(), 2 * (2 * t_row + 1 * u_row));
+  EXPECT_EQ(e.MemoryEstimate(), 2u * (2 * (24 + 48 + 40) + (24 + 16 + 40)));
+}
+
 TEST(EngineTest, ArityMismatchRejected) {
   Engine e;
   ASSERT_TRUE(e.DeclareTable(Schema("t", 2)).ok());

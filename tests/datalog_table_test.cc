@@ -39,6 +39,18 @@ TEST(TableTest, DuplicateInsertCountsDerivations) {
   EXPECT_FALSE(t.Contains(R({1, 2})));
 }
 
+// 0.0 == -0.0, so a derivation of one and a retraction of the other must
+// meet in the same count: the row disappears and no phantom -1 remains.
+TEST(TableTest, SignedZeroDoublesShareOneCount) {
+  Table t(Schema("t", 1));
+  EXPECT_EQ(t.Apply({Value::Double(0.0)}, +1), +1);
+  EXPECT_EQ(t.Apply({Value::Double(-0.0)}, -1), -1);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.CountOf({Value::Double(0.0)}), 0);
+  EXPECT_EQ(t.CountOf({Value::Double(-0.0)}), 0);
+  EXPECT_EQ(t.ContentHash(), 0u);
+}
+
 TEST(TableTest, DeleteAbsentRowIsNoTransition) {
   Table t(Schema("t", 1));
   EXPECT_EQ(t.Apply(R({5}), -1), 0);
