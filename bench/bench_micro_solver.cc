@@ -13,17 +13,24 @@
 //                                    (the IntDomain copy-counting hook) —
 //                                    the solver-core perf trajectory the CI
 //                                    bench-smoke job schema-validates.
-//   bench_micro_solver determinism   solves every case twice and fails
+//   bench_micro_solver determinism [GOLDEN [--update-golden]]
+//                                    solves every case twice and fails
 //                                    (exit 1) on any node/failure/solution
-//                                    divergence — the CI Release gate that
-//                                    keeps solver perf work from silently
-//                                    changing the search tree.
+//                                    divergence; with GOLDEN (normally
+//                                    tests/golden/solver_trees.txt) it also
+//                                    diffs every single-worker case's tree
+//                                    against the checked-in one, so solver
+//                                    perf work cannot silently change the
+//                                    search tree (ctest solver_tree_golden).
+//                                    --update-golden rewrites GOLDEN instead.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -506,11 +513,66 @@ int RunSolverJson() {
   return 0;
 }
 
+// One golden-file line: `case nodes failures solutions propagations
+// objective` — the fingerprint of a single-worker search tree.
+std::string TreeLine(const MicroCase& c, const Solution& s) {
+  return cologne::StrFormat(
+      "%s %llu %llu %llu %llu %lld", c.name,
+      static_cast<unsigned long long>(s.stats.nodes),
+      static_cast<unsigned long long>(s.stats.failures),
+      static_cast<unsigned long long>(s.stats.solutions),
+      static_cast<unsigned long long>(s.stats.propagations),
+      static_cast<long long>(s.has_solution() ? s.objective : 0));
+}
+
+// Diff `lines` (one per single-worker case, in case order) against the
+// golden file at `path`, or rewrite it when `update` is set. Returns 0 when
+// they agree (or the file was written).
+int CheckTreeGolden(const std::vector<std::string>& lines,
+                    const std::string& path, bool update) {
+  if (update) {
+    std::ofstream out(path);
+    out << "# bench_micro_solver determinism: one line per single-worker "
+           "case\n# case nodes failures solutions propagations objective\n";
+    for (const std::string& l : lines) out << l << "\n";
+    if (!out) {
+      fprintf(stderr, "cannot write %s\n", path.c_str());
+      return 1;
+    }
+    printf("wrote %zu trees to %s\n", lines.size(), path.c_str());
+    return 0;
+  }
+  std::ifstream in(path);
+  if (!in) {
+    fprintf(stderr, "cannot read golden trees %s\n", path.c_str());
+    return 1;
+  }
+  std::vector<std::string> want;
+  for (std::string l; std::getline(in, l);) {
+    if (!l.empty() && l[0] != '#') want.push_back(l);
+  }
+  int rc = want.size() == lines.size() ? 0 : 1;
+  for (size_t i = 0; i < std::max(want.size(), lines.size()); ++i) {
+    const std::string& w = i < want.size() ? want[i] : std::string("-");
+    const std::string& g = i < lines.size() ? lines[i] : std::string("-");
+    if (w != g) {
+      printf("golden MISMATCH\n  want: %s\n  got:  %s\n", w.c_str(),
+             g.c_str());
+      rc = 1;
+    }
+  }
+  printf("golden trees %s (%zu cases, %s)\n", rc == 0 ? "OK" : "MISMATCH",
+         lines.size(), path.c_str());
+  return rc;
+}
+
 // Solve every canonical case twice; any divergence in the explored tree
 // (nodes / failures / solutions / propagations / objective) is a
-// determinism regression.
-int RunDeterminism() {
+// determinism regression. With `golden_path`, the single-worker trees must
+// also equal the checked-in ones.
+int RunDeterminism(const char* golden_path, bool update_golden) {
   int rc = 0;
+  std::vector<std::string> tree_lines;
   for (const MicroCase& c : kMicroCases) {
     if (c.workers > 1) {
       // Multi-worker runs race on wall clock by design; the determinism
@@ -538,6 +600,11 @@ int RunDeterminism() {
            static_cast<unsigned long long>(a.stats.solutions),
            static_cast<unsigned long long>(b.stats.solutions));
     if (!same) rc = 1;
+    tree_lines.push_back(TreeLine(c, a));
+  }
+  if (golden_path != nullptr &&
+      CheckTreeGolden(tree_lines, golden_path, update_golden) != 0) {
+    rc = 1;
   }
   // Cross-mode gate: the event-typed engine and the naive reference must
   // explore the exact same tree (nodes / failures / solutions / objective /
@@ -570,8 +637,8 @@ int RunDeterminism() {
     if (!same) rc = 1;
   }
   if (rc != 0) {
-    fprintf(stderr, "determinism check FAILED: identical seeds explored "
-                    "different search trees\n");
+    fprintf(stderr, "determinism check FAILED: search trees diverged "
+                    "(between runs, across modes, or from the golden file)\n");
   }
   return rc;
 }
@@ -583,7 +650,9 @@ int main(int argc, char** argv) {
     return RunSolverJson();
   }
   if (argc > 1 && std::strcmp(argv[1], "determinism") == 0) {
-    return RunDeterminism();
+    return RunDeterminism(argc > 2 ? argv[2] : nullptr,
+                          argc > 3 &&
+                              std::strcmp(argv[3], "--update-golden") == 0);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -20,6 +20,15 @@ uint8_t PriorityBucket(size_t unique_watches) {
   return 3;
 }
 
+// Width `|c| * (hi - lo)` of one linear term over [lo, hi], exact for every
+// int64 coefficient: one int64 x int64 -> __int128 product, negated in 128
+// bits (never `c` in 64). `hi - lo` cannot overflow: domain values stay
+// within +/-kDomainLimit.
+__int128 TermWidth(int64_t c, int64_t lo, int64_t hi) {
+  const __int128 w = static_cast<__int128>(c) * (hi - lo);
+  return c < 0 ? -w : w;
+}
+
 }  // namespace
 
 PropagationEngine::PropagationEngine(
@@ -139,9 +148,8 @@ void PropagationEngine::OnDomainEvent(int32_t var, uint8_t events,
                                       int64_t old_min, int64_t old_max) {
   // Bound deltas are per-variable, not per-subscriber: hoist them out of the
   // subscription loop (this dispatch runs on every mutation search makes).
-  const IntDomain& d = store_->dom(var);
-  const __int128 dmin = static_cast<__int128>(d.min()) - old_min;
-  const __int128 dmax = static_cast<__int128>(d.max()) - old_max;
+  const __int128 dmin = static_cast<__int128>(store_->lo(var)) - old_min;
+  const __int128 dmax = static_cast<__int128>(store_->hi(var)) - old_max;
   for (const WatchEntry& w : subs_[static_cast<size_t>(var)]) {
     // Advisors run on every bound event, even when the wake is filtered or
     // the propagator entailed: the aggregates must track the domains so the
@@ -280,16 +288,24 @@ ExprBounds ClampExprBounds(__int128 lo, __int128 hi) {
 ExprBounds BoundsOf(const PropCtx& ctx, const LinExpr& e) {
   __int128 lo = e.constant, hi = e.constant;
   for (const auto& [c, v] : e.terms) {
-    const IntDomain& d = ctx.dom(v);
     if (c >= 0) {
-      lo += static_cast<__int128>(c) * d.min();
-      hi += static_cast<__int128>(c) * d.max();
+      lo += static_cast<__int128>(c) * ctx.Min(v);
+      hi += static_cast<__int128>(c) * ctx.Max(v);
     } else {
-      lo += static_cast<__int128>(c) * d.max();
-      hi += static_cast<__int128>(c) * d.min();
+      lo += static_cast<__int128>(c) * ctx.Max(v);
+      hi += static_cast<__int128>(c) * ctx.Min(v);
     }
   }
   return ClampExprBounds(lo, hi);
+}
+
+__int128 MaxTermWidth(const LinExpr& e, const DomainStore& store) {
+  __int128 w = 0;
+  for (const auto& [c, v] : e.terms) {
+    const __int128 width = TermWidth(c, store.lo(v.id), store.hi(v.id));
+    if (width > w) w = width;
+  }
+  return w;
 }
 
 Entail EntailedRel(const ExprBounds& b, Rel rel) {
@@ -342,35 +358,45 @@ int64_t CeilDiv128(__int128 a, __int128 b) {
 }
 
 // Prune pass of `sign*e + add <= 0` given `sum_min`, the precomputed sum of
-// minima of the transformed expression (`add` included). Term-for-term identical to the historical
-// single-function PruneLe; split out so the incremental path can supply
-// `sum_min` from its live aggregates instead of the O(all terms) first loop.
+// minima of the transformed expression (`add` included). Split from PruneLe
+// so the incremental path can supply `sum_min` from its live aggregates
+// instead of the O(all terms) first loop.
+//
+// Term j can narrow its domain iff its width `|c|*(max-min)` exceeds the
+// slack `-sum_min` (the budget left to it once every other term sits at its
+// minimum). A fixed term has width 0 <= slack: it can neither prune nor
+// raise the certificate, so the pass skips it. With `width` non-null the
+// pass also reports the largest post-prune term width — the certificate
+// LinearPassAtFixpoint reads from aux slot 2 — so no second loop is needed.
+// Prunes only move the bound opposite to each term's minimum, so `sum_min`
+// is invariant along the pass and each term's width is final once visited.
 bool PruneLeWithSum(PropCtx& ctx, const LinExpr& e, int64_t sign,
-                    __int128 sum_min) {
+                    __int128 sum_min, __int128* width) {
   if (sum_min > 0) return false;
+  const __int128 slack = -sum_min;
+  __int128 max_width = 0;
   for (const auto& [c, v] : e.terms) {
-    const IntDomain& d = ctx.dom(v);
-    const __int128 ce = static_cast<__int128>(sign) * c;
-    // min of the expression excluding this term's contribution at its min.
-    __int128 term_min = ce * (ce >= 0 ? d.min() : d.max());
-    __int128 rest_min = sum_min - term_min;
-    // Need: ce * x <= -rest_min. The multiply-compare guard skips the
-    // division and the clamp call when the current bound already satisfies
-    // the budget (the overwhelmingly common case): ce*x over the domain
-    // violates the budget exactly when the clamp below would narrow it.
-    __int128 budget = -rest_min;
-    if (ce > 0) {
-      if (ce * static_cast<__int128>(d.max()) > budget &&
-          !ctx.ClampMax(v, FloorDiv128(budget, ce))) {
-        return false;
-      }
-    } else if (ce < 0) {
-      if (ce * static_cast<__int128>(d.min()) > budget &&
-          !ctx.ClampMin(v, CeilDiv128(budget, ce))) {
-        return false;
+    const int64_t lo = ctx.Min(v), hi = ctx.Max(v);
+    if (lo == hi) continue;
+    __int128 w = TermWidth(c, lo, hi);
+    if (w > slack) {
+      // The transformed term is ce*x with ce = sign*c; it needs
+      // ce*x <= budget = ce*x_min_side + slack. Products are int64 x int64,
+      // so the arithmetic is exact for every coefficient.
+      const __int128 ce = static_cast<__int128>(sign) * c;
+      if (ce > 0) {
+        const __int128 budget = ce * lo + slack;
+        if (!ctx.ClampMax(v, FloorDiv128(budget, ce))) return false;
+        w = TermWidth(c, lo, ctx.Max(v));
+      } else {
+        const __int128 budget = ce * hi + slack;
+        if (!ctx.ClampMin(v, CeilDiv128(budget, ce))) return false;
+        w = TermWidth(c, ctx.Min(v), hi);
       }
     }
+    if (w > max_width) max_width = w;
   }
+  if (width != nullptr) *width = max_width;
   return true;
 }
 
@@ -382,22 +408,22 @@ bool PruneLe(PropCtx& ctx, const LinExpr& e, int64_t sign = 1,
              int64_t add = 0) {
   __int128 sum_min = static_cast<__int128>(sign) * e.constant + add;
   for (const auto& [c, v] : e.terms) {
-    const IntDomain& d = ctx.dom(v);
     const __int128 ce = static_cast<__int128>(sign) * c;
-    sum_min += ce * (ce >= 0 ? d.min() : d.max());
+    sum_min += ce * (ce >= 0 ? ctx.Min(v) : ctx.Max(v));
   }
-  return PruneLeWithSum(ctx, e, sign, sum_min);
+  return PruneLeWithSum(ctx, e, sign, sum_min, nullptr);
 }
 
 bool PruneNe(PropCtx& ctx, const LinExpr& e) {
-  // Only prunes when exactly one variable is unfixed.
-  int64_t fixed_sum = e.constant;
+  // Only prunes when exactly one variable is unfixed. The fixed part is
+  // summed in 128 bits: coefficient * value products overflow int64.
+  __int128 fixed_sum = e.constant;
   IntVar free_var;
   int64_t free_coef = 0;
   int n_free = 0;
   for (const auto& [c, v] : e.terms) {
     if (ctx.IsFixed(v)) {
-      fixed_sum += c * ctx.ValueOf(v);
+      fixed_sum += static_cast<__int128>(c) * ctx.ValueOf(v);
     } else {
       ++n_free;
       free_var = v;
@@ -405,10 +431,13 @@ bool PruneNe(PropCtx& ctx, const LinExpr& e) {
     }
   }
   if (n_free == 0) return fixed_sum != 0;
-  if (n_free == 1) {
-    // free_coef * x != -fixed_sum.
-    if ((-fixed_sum) % free_coef == 0) {
-      if (!ctx.Remove(free_var, (-fixed_sum) / free_coef)) return false;
+  if (n_free == 1 && (-fixed_sum) % free_coef == 0) {
+    // free_coef * x != -fixed_sum. A quotient outside +/-kDomainLimit lies
+    // outside every domain: there is nothing to remove.
+    const __int128 q = (-fixed_sum) / free_coef;
+    if (q >= -kDomainLimit && q <= kDomainLimit &&
+        !ctx.Remove(free_var, static_cast<int64_t>(q))) {
+      return false;
     }
   }
   return true;
@@ -465,22 +494,37 @@ bool PruneLinearIncremental(PropCtx& ctx, const LinExpr& e, Rel rel) {
   // the fixpoint) is identical. For kEq the second pass re-reads the slot:
   // prunes made by the first pass advise the aggregates mid-call, exactly
   // as the legacy second recompute observed them.
+  //
+  // Slot 2 (the width certificate) is written once, after the whole call,
+  // from the last pass over the terms: for kEq that is the second pass,
+  // which sees every prune the first one made. Wakes evaluated mid-call
+  // read the previous value, an upper bound since domains only narrow.
+  __int128 width = 0;
+  bool ok = true;
   switch (rel) {
     case Rel::kLe:
-      return PruneLeWithSum(ctx, e, 1, ctx.AuxVal(0));
+      ok = PruneLeWithSum(ctx, e, 1, ctx.AuxVal(0), &width);
+      break;
     case Rel::kLt:
-      return PruneLeWithSum(ctx, e, 1, ctx.AuxVal(0) + 1);
+      ok = PruneLeWithSum(ctx, e, 1, ctx.AuxVal(0) + 1, &width);
+      break;
     case Rel::kGe:
-      return PruneLeWithSum(ctx, e, -1, -ctx.AuxVal(1));
+      ok = PruneLeWithSum(ctx, e, -1, -ctx.AuxVal(1), &width);
+      break;
     case Rel::kGt:
-      return PruneLeWithSum(ctx, e, -1, -ctx.AuxVal(1) + 1);
+      ok = PruneLeWithSum(ctx, e, -1, -ctx.AuxVal(1) + 1, &width);
+      break;
     case Rel::kEq:
-      return PruneLeWithSum(ctx, e, 1, ctx.AuxVal(0)) &&
-             PruneLeWithSum(ctx, e, -1, -ctx.AuxVal(1));
+      ok = PruneLeWithSum(ctx, e, 1, ctx.AuxVal(0), nullptr) &&
+           PruneLeWithSum(ctx, e, -1, -ctx.AuxVal(1), &width);
+      break;
     case Rel::kNe:
-      return PruneNe(ctx, e);
+      ok = PruneNe(ctx, e);
+      if (ok) width = MaxTermWidth(e, ctx.store());
+      break;
   }
-  return true;
+  if (ok) ctx.SetAuxVal(2, width);
+  return ok;
 }
 
 }  // namespace cologne::solver

@@ -58,10 +58,12 @@ class PropCtx {
   PropCtx(DomainStore* store, PropagationEngine* engine)
       : store_(store), engine_(engine) {}
 
+  const DomainStore& store() const { return *store_; }
   const IntDomain& dom(IntVar v) const { return store_->dom(v.id); }
   bool IsFixed(IntVar v) const { return dom(v).IsFixed(); }
-  int64_t Min(IntVar v) const { return dom(v).min(); }
-  int64_t Max(IntVar v) const { return dom(v).max(); }
+  /// Bounds from the store's flat mirror (no range-vector chase).
+  int64_t Min(IntVar v) const { return store_->lo(v.id); }
+  int64_t Max(IntVar v) const { return store_->hi(v.id); }
   int64_t ValueOf(IntVar v) const { return dom(v).value(); }
 
   bool ClampMin(IntVar v, int64_t lo);
@@ -309,6 +311,10 @@ struct ExprBounds {
 };
 ExprBounds BoundsOf(const PropCtx& ctx, const LinExpr& e);
 
+/// Exact maximum term width of `e` over `store`'s current domains — the
+/// certificate LinearPassAtFixpoint compares against the pass slack.
+__int128 MaxTermWidth(const LinExpr& e, const DomainStore& store);
+
 /// Clamp exact __int128 bounds into ExprBounds range (±INT64_MAX/2). The
 /// clamp preserves sign and zero, so EntailedRel over clamped bounds equals
 /// entailment over the exact ones.
@@ -323,8 +329,9 @@ bool PruneLinear(PropCtx& ctx, const LinExpr& e, Rel rel);
 
 /// Incremental variant: identical pruning, but the sum-of-mins/maxes first
 /// pass is read from the propagator's live aux aggregates (slots 0/1 =
-/// exact sum-min/sum-max of `e`) instead of recomputed over all terms.
-/// Requires ctx.incremental().
+/// exact sum-min/sum-max of `e`) instead of recomputed over all terms. On
+/// success it also writes slot 2, the post-prune MaxTermWidth, computed
+/// inside the prune pass. Requires ctx.incremental() and three aux slots.
 bool PruneLinearIncremental(PropCtx& ctx, const LinExpr& e, Rel rel);
 
 /// No-op proof for the prune pass(es) of `e rel 0` from the live aggregates:
@@ -332,9 +339,9 @@ bool PruneLinearIncremental(PropCtx& ctx, const LinExpr& e, Rel rel);
 /// width `|c|*(max-min)` exceeds the pass slack `-min(g)` (and fails iff the
 /// slack is negative, which `max_width >= 0` never proves away). `max_width`
 /// may be any upper bound on the true maximum term width — domains only
-/// narrow between resyncs, so a stale bound errs toward running. kNe prunes
-/// from fixed-value counts the aggregates don't carry: never provably a
-/// no-op.
+/// narrow between executed runs, so a stale bound errs toward running. kNe
+/// prunes from fixed-value counts the aggregates don't carry: never provably
+/// a no-op.
 bool LinearPassAtFixpoint(Rel rel, __int128 sum_min, __int128 sum_max,
                           __int128 max_width);
 

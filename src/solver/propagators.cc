@@ -28,46 +28,16 @@ int64_t Clamp128(__int128 x) {
 void InitLinearAux(const LinExpr& e, DomainStore& store, int base) {
   __int128 lo = e.constant, hi = e.constant;
   for (const auto& [c, v] : e.terms) {
-    const IntDomain& d = store.dom(v.id);
     if (c >= 0) {
-      lo += static_cast<__int128>(c) * d.min();
-      hi += static_cast<__int128>(c) * d.max();
+      lo += static_cast<__int128>(c) * store.lo(v.id);
+      hi += static_cast<__int128>(c) * store.hi(v.id);
     } else {
-      lo += static_cast<__int128>(c) * d.max();
-      hi += static_cast<__int128>(c) * d.min();
+      lo += static_cast<__int128>(c) * store.hi(v.id);
+      hi += static_cast<__int128>(c) * store.lo(v.id);
     }
   }
   store.SetAux(base, lo);
   store.SetAux(base + 1, hi);
-}
-
-// Exact maximum term width `|c| * (max - min)` of `e` over the store's
-// current domains — the certificate LinearPassAtFixpoint compares against
-// the pass slack. Stored in aux slot 2 and resynced after every executed
-// prune, so between runs it is a sound upper bound (domains only narrow).
-__int128 MaxTermWidth(const LinExpr& e, const DomainStore& store) {
-  __int128 w = 0;
-  for (const auto& [c, v] : e.terms) {
-    const IntDomain& d = store.dom(v.id);
-    const __int128 width = static_cast<__int128>(c < 0 ? -c : c) *
-                           (static_cast<__int128>(d.max()) - d.min());
-    if (width > w) w = width;
-  }
-  return w;
-}
-
-// Recompute the width certificate after a prune pass narrowed term domains.
-// Piggybacks on PropCtx's aux access; always true so callers can chain it.
-bool ResyncMaxTermWidth(PropCtx& ctx, const LinExpr& e) {
-  __int128 w = 0;
-  for (const auto& [c, v] : e.terms) {
-    const IntDomain& d = ctx.dom(v);
-    const __int128 width = static_cast<__int128>(c < 0 ? -c : c) *
-                           (static_cast<__int128>(d.max()) - d.min());
-    if (width > w) w = width;
-  }
-  ctx.SetAuxVal(2, w);
-  return true;
 }
 
 // Wake mask for one term of `e rel 0`: which bound movements can tighten the
@@ -111,8 +81,7 @@ class LinearProp : public Propagator {
       return true;
     }
     if (ent == Entail::kNo) return false;
-    return PruneLinearIncremental(ctx, e_, rel_) &&
-           ResyncMaxTermWidth(ctx, e_);
+    return PruneLinearIncremental(ctx, e_, rel_);
   }
 
   std::string DebugString() const override {
@@ -181,16 +150,14 @@ class ReifiedLinearProp : public Propagator {
           return true;
         }
         if (ent == Entail::kNo) return false;
-        return PruneLinearIncremental(ctx, e_, rel_) &&
-               ResyncMaxTermWidth(ctx, e_);
+        return PruneLinearIncremental(ctx, e_, rel_);
       }
       if (ent == Entail::kNo) {  // negated relation entailed
         ctx.SetEntailed();
         return true;
       }
       if (ent == Entail::kYes) return false;
-      return PruneLinearIncremental(ctx, e_, Negate(rel_)) &&
-             ResyncMaxTermWidth(ctx, e_);
+      return PruneLinearIncremental(ctx, e_, Negate(rel_));
     }
     if (ent == Entail::kYes) {
       if (!ctx.Assign(b_, 1)) return false;

@@ -16,8 +16,12 @@ void DomainStore::Init(std::vector<IntDomain> doms) {
   aux_marks_.clear();
   aux_saved_at_.clear();
   dom_bytes_ = 0;
+  bounds_.clear();
+  bounds_.reserve(doms_.size());
   for (const IntDomain& d : doms_) {
     dom_bytes_ += sizeof(IntDomain) + d.ranges().size() * sizeof(IntDomain::Range);
+    // An initially empty domain has no bounds to mirror; {0, 0} is inert.
+    bounds_.push_back(d.empty() ? Bounds{0, 0} : Bounds{d.min(), d.max()});
   }
 }
 
@@ -32,12 +36,16 @@ void DomainStore::Backtrack() {
   marks_.pop_back();
   // Restore in reverse trail order: a variable saved by this level *and* an
   // outer one gets the outer (older) ranges last, which is the correct
-  // pre-level state. The arena truncates with the records it backs.
+  // pre-level state. The arena truncates with the records it backs. Saves
+  // are only ever taken of non-empty domains (every mutator checks first),
+  // so the restored bounds are the saved first/last range ends.
   for (size_t i = trail_.size(); i > mark; --i) {
     const Saved& s = trail_[i - 1];
     saved_at_[static_cast<size_t>(s.var)] = s.prev_saved_level;
-    doms_[static_cast<size_t>(s.var)].RestoreRanges(
-        range_arena_.data() + s.range_begin, s.range_len);
+    const IntDomain::Range* saved = range_arena_.data() + s.range_begin;
+    doms_[static_cast<size_t>(s.var)].RestoreRanges(saved, s.range_len);
+    bounds_[static_cast<size_t>(s.var)] = {saved[0].lo,
+                                           saved[s.range_len - 1].hi};
   }
   if (mark < trail_.size()) {
     range_arena_.resize(trail_[mark].range_begin);
@@ -74,7 +82,8 @@ void DomainStore::Save(int32_t id) {
 }
 
 size_t DomainStore::PeakMemoryBytes() const {
-  return dom_bytes_ + peak_trail_entries_ * sizeof(Saved) +
+  return dom_bytes_ + bounds_.size() * sizeof(Bounds) +
+         peak_trail_entries_ * sizeof(Saved) +
          peak_arena_ranges_ * sizeof(IntDomain::Range) +
          peak_aux_trail_entries_ * sizeof(AuxSaved) +
          aux_.size() * sizeof(__int128);

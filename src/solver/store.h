@@ -55,6 +55,13 @@ class DomainListener {
 /// Mutations at level 0 (no level pushed) are permanent: there is nothing
 /// below to restore to, so they bypass the trail.
 ///
+/// A flat `{lo, hi}` array mirrors every domain's bounds, so the linear
+/// kernels' per-term bound reads are one contiguous load instead of a chase
+/// into each domain's heap-allocated range vector. The mirror is refreshed
+/// after every mutator and every backtrack restore; an emptied domain keeps
+/// its last non-empty bounds (it fails the level, which is backtracked
+/// before anyone reads them again).
+///
 /// Alongside the domains the store owns a small array of trailed `__int128`
 /// auxiliary slots. Propagators park incremental aggregates (running
 /// sum(min)/sum(max) of a linear expression, entailed flags) there; the
@@ -84,6 +91,10 @@ class DomainStore {
     return doms_[static_cast<size_t>(id)];
   }
   const IntDomain& operator[](size_t i) const { return doms_[i]; }
+  /// Bounds of a non-empty domain, read from the flat mirror: equal to
+  /// dom(id).min() / dom(id).max().
+  int64_t lo(int32_t id) const { return bounds_[static_cast<size_t>(id)].lo; }
+  int64_t hi(int32_t id) const { return bounds_[static_cast<size_t>(id)].hi; }
 
   /// Mark a choice point: subsequent mutations are undone by Backtrack().
   void PushLevel();
@@ -101,42 +112,54 @@ class DomainStore {
   // call.
   bool ClampMin(int32_t id, int64_t lo) {
     IntDomain& d = doms_[static_cast<size_t>(id)];
-    if (d.empty() || lo <= d.min()) return false;
+    Bounds& b = bounds_[static_cast<size_t>(id)];
+    if (lo <= b.lo || d.empty()) return false;
     Save(id);
-    if (listener_ == nullptr) return d.ClampMin(lo);
-    const int64_t old_min = d.min(), old_max = d.max();
+    const Bounds old = b;
     d.ClampMin(lo);
-    NotifyListener(id, old_min, old_max);
+    if (!d.empty()) {
+      b.lo = d.min();
+      if (listener_ != nullptr) NotifyListener(id, old);
+    }
     return true;
   }
   bool ClampMax(int32_t id, int64_t hi) {
     IntDomain& d = doms_[static_cast<size_t>(id)];
-    if (d.empty() || hi >= d.max()) return false;
+    Bounds& b = bounds_[static_cast<size_t>(id)];
+    if (hi >= b.hi || d.empty()) return false;
     Save(id);
-    if (listener_ == nullptr) return d.ClampMax(hi);
-    const int64_t old_min = d.min(), old_max = d.max();
+    const Bounds old = b;
     d.ClampMax(hi);
-    NotifyListener(id, old_min, old_max);
+    if (!d.empty()) {
+      b.hi = d.max();
+      if (listener_ != nullptr) NotifyListener(id, old);
+    }
     return true;
   }
   bool Remove(int32_t id, int64_t v) {
     IntDomain& d = doms_[static_cast<size_t>(id)];
     if (!d.Contains(v)) return false;
     Save(id);
-    if (listener_ == nullptr) return d.Remove(v);
-    const int64_t old_min = d.min(), old_max = d.max();
+    Bounds& b = bounds_[static_cast<size_t>(id)];
+    const Bounds old = b;
     d.Remove(v);
-    NotifyListener(id, old_min, old_max);
+    if (!d.empty()) {
+      b = {d.min(), d.max()};
+      if (listener_ != nullptr) NotifyListener(id, old);
+    }
     return true;
   }
   bool Assign(int32_t id, int64_t v) {
     IntDomain& d = doms_[static_cast<size_t>(id)];
-    if (d.empty() || (d.IsFixed() && d.value() == v)) return false;
+    Bounds& b = bounds_[static_cast<size_t>(id)];
+    if (d.empty() || (b.lo == v && b.hi == v)) return false;
     Save(id);
-    if (listener_ == nullptr) return d.Assign(v);
-    const int64_t old_min = d.min(), old_max = d.max();
+    const Bounds old = b;
     d.Assign(v);
-    NotifyListener(id, old_min, old_max);
+    if (!d.empty()) {
+      b = {v, v};
+      if (listener_ != nullptr) NotifyListener(id, old);
+    }
     return true;
   }
 
@@ -194,6 +217,12 @@ class DomainStore {
     __int128 old_value = 0;
   };
 
+  /// One entry of the flat bounds mirror.
+  struct Bounds {
+    int64_t lo;
+    int64_t hi;
+  };
+
   /// Record `id`'s current domain on the trail unless this level already did.
   void Save(int32_t id);
   /// Record `slot`'s current value on the aux trail unless this level did.
@@ -208,20 +237,21 @@ class DomainStore {
         aux_trail_.size() > peak_aux_trail_entries_ ? aux_trail_.size()
                                                     : peak_aux_trail_entries_;
   }
-  /// Classify the change against (`old_min`, `old_max`) and deliver it.
-  /// Emptied domains deliver nothing (the level is about to be backtracked).
-  void NotifyListener(int32_t id, int64_t old_min, int64_t old_max) {
-    const IntDomain& d = doms_[static_cast<size_t>(id)];
-    if (d.empty()) return;
+  /// Classify a change of the (non-empty) domain `id` against its `old`
+  /// bounds and deliver it. Emptied domains deliver nothing: the level is
+  /// about to be backtracked.
+  void NotifyListener(int32_t id, Bounds old) {
+    const Bounds b = bounds_[static_cast<size_t>(id)];
     uint8_t ev = 0;
-    if (d.min() > old_min) ev |= kEventMin;
-    if (d.max() < old_max) ev |= kEventMax;
-    if (d.IsFixed()) ev |= kEventFix;
+    if (b.lo > old.lo) ev |= kEventMin;
+    if (b.hi < old.hi) ev |= kEventMax;
+    if (b.lo == b.hi) ev |= kEventFix;
     if (ev == 0) ev = kEventRemove;
-    listener_->OnDomainEvent(id, ev, old_min, old_max);
+    listener_->OnDomainEvent(id, ev, old.lo, old.hi);
   }
 
   std::vector<IntDomain> doms_;
+  std::vector<Bounds> bounds_;     ///< {min, max} of doms_, kept in step.
   std::vector<Saved> trail_;
   std::vector<IntDomain::Range> range_arena_;  ///< Saved ranges, flat.
   std::vector<size_t> marks_;      ///< trail_.size() at each PushLevel.

@@ -2,14 +2,17 @@
 // wake per (propagator, change)), event-mask wake filtering, the trailed aux
 // store backing advisor aggregates, entailment unsubscription with re-plug on
 // backtrack (including the reified fixed-b regression), priority-bucket
-// ordering, and the seeded naive-vs-event confluence sweep — both modes must
-// reach bit-identical root fixpoints and bit-identical search trees, with the
-// event engine doing strictly less propagation work overall.
+// ordering, the width certificate pinned to a from-scratch recompute, and
+// the seeded naive-vs-event confluence sweeps (small and large coefficients)
+// — both modes must reach bit-identical root fixpoints and bit-identical
+// search trees, with the event engine doing strictly less propagation work
+// overall — plus int64-overflow regressions of the linear kernel.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -173,6 +176,145 @@ TEST(EventPropagationTest, AdvisorNoOpProofFiltersFruitlessWakes) {
   ASSERT_TRUE(engine.PropagateDelta(st, &stats));
   EXPECT_EQ(engine.run_counts()[0], root_runs + 1);
   EXPECT_EQ(st.dom(y.id).max(), 4) << "x >= 2 forces y <= 4";
+}
+
+// ---- Width certificate pinned to a from-scratch recompute -------------------
+
+// Exact max |c|*(max-min) over `e`, read from the domains' range vectors (not
+// the store's bounds mirror) with 128-bit arithmetic throughout.
+__int128 ScratchMaxWidth(const DomainStore& st, const LinExpr& e) {
+  __int128 w = 0;
+  for (const auto& [c, v] : e.terms) {
+    const IntDomain& d = st.dom(v.id);
+    __int128 width =
+        static_cast<__int128>(c) * (static_cast<__int128>(d.max()) - d.min());
+    if (width < 0) width = -width;
+    if (width > w) w = width;
+  }
+  return w;
+}
+
+// Forwards everything to a linear or reified propagator and, after each
+// successful execution, checks its width certificate (aux slot 2): it must
+// equal the from-scratch recompute whenever the run reached the prune pass,
+// and bound it from above otherwise (entailment early-outs leave it stale).
+class WidthPinProp : public Propagator {
+ public:
+  WidthPinProp(IntVar b, LinExpr e, Rel rel, uint64_t* pinned)
+      : b_(b), e_(std::move(e)), rel_(rel), pinned_(pinned) {
+    e_.Canonicalize();
+    inner_ =
+        b_.valid() ? MakeReifiedLinear(b_, e_, rel_) : MakeLinear(e_, rel_);
+    for (size_t k = 0; k < inner_->watched().size(); ++k) {
+      Watch(IntVar{inner_->watched()[k]}, inner_->watch_masks()[k]);
+    }
+  }
+  bool Propagate(PropCtx& ctx) override {
+    // Classify the run from scratch: it reaches a prune pass iff the
+    // enforced relation is still undecided by the expression's bounds.
+    bool prunes = !b_.valid() || ctx.IsFixed(b_);
+    if (prunes) {
+      const Rel eff =
+          !b_.valid() || ctx.ValueOf(b_) != 0 ? rel_ : Negate(rel_);
+      prunes = EntailedRel(BoundsOf(ctx, e_), eff) == Entail::kMaybe;
+    }
+    if (!inner_->Propagate(ctx)) return false;
+    if (!ctx.incremental()) return true;
+    const __int128 want = ScratchMaxWidth(ctx.store(), e_);
+    if (prunes) {
+      EXPECT_TRUE(ctx.AuxVal(2) == want) << DebugString();
+      ++*pinned_;
+    } else {
+      EXPECT_TRUE(ctx.AuxVal(2) >= want) << DebugString();
+    }
+    return true;
+  }
+  std::string DebugString() const override { return inner_->DebugString(); }
+  bool IdempotentAfterRun() const override {
+    return inner_->IdempotentAfterRun();
+  }
+  FixpointProof fixpoint_proof() const override {
+    return inner_->fixpoint_proof();
+  }
+  int NumAuxSlots() const override { return inner_->NumAuxSlots(); }
+  void InitAux(DomainStore& store, int aux_base) const override {
+    inner_->InitAux(store, aux_base);
+  }
+  int64_t AdviseCoefficient(uint32_t watch_pos) const override {
+    return inner_->AdviseCoefficient(watch_pos);
+  }
+
+ private:
+  IntVar b_;
+  LinExpr e_;
+  Rel rel_;
+  uint64_t* pinned_;
+  std::unique_ptr<Propagator> inner_;
+};
+
+TEST(EventPropagationTest, WidthCertificateMatchesScratchAfterEveryRun) {
+  // Single-propagator engines, every relation plain and reified, driven by
+  // a seeded search-like sequence of mutations, propagations and
+  // backtracks. Coefficients include +/-2^31 so the 128-bit width and prune
+  // arithmetic is exercised, not just the small-integer path.
+  const Rel kRels[] = {Rel::kEq, Rel::kNe, Rel::kLe,
+                       Rel::kLt, Rel::kGe, Rel::kGt};
+  const int64_t kBig = int64_t{1} << 31;
+  uint64_t pinned = 0;
+  for (uint32_t seed = 1; seed <= 24; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&rng](int64_t lo, int64_t hi) {
+      return lo + static_cast<int64_t>(rng() %
+                                       static_cast<uint64_t>(hi - lo + 1));
+    };
+    const int kVars = 5;  // var 0 is the reified control variable
+    for (Rel rel : kRels) {
+      for (bool reified : {false, true}) {
+        LinExpr e;
+        for (int i = 1; i < kVars; ++i) {
+          int64_t c = pick(-4, 4);
+          if (pick(0, 3) == 0) c = pick(0, 1) == 0 ? kBig : -kBig;
+          e += LinExpr::Term(c, IntVar{i});
+        }
+        if (e.terms.empty()) e += LinExpr(IntVar{1});
+        e.constant = -e.terms[0].first * pick(0, 8);
+        std::vector<std::unique_ptr<Propagator>> props;
+        props.push_back(std::make_unique<WidthPinProp>(
+            reified ? IntVar{0} : IntVar{}, e, rel, &pinned));
+        PropagationEngine engine(&props, kVars, false);
+        std::vector<IntDomain> doms(kVars, IntDomain(-2, 10));
+        doms[0] = IntDomain(0, 1);
+        doms[2].Remove(4);
+        DomainStore st;
+        st.Init(std::move(doms));
+        engine.AttachStore(st);
+        SolveStats stats;
+        if (!engine.PropagateAll(st, &stats)) continue;
+        for (int step = 0; step < 60; ++step) {
+          if (st.level() > 0 && pick(0, 3) == 0) {
+            st.Backtrack();
+            continue;
+          }
+          st.PushLevel();
+          const int32_t v = static_cast<int32_t>(pick(0, kVars - 1));
+          const int64_t x = pick(-2, 10);
+          switch (pick(0, 3)) {
+            case 0: st.ClampMin(v, x); break;
+            case 1: st.ClampMax(v, x); break;
+            case 2: st.Remove(v, x); break;
+            default: st.Assign(v, v == 0 ? x & 1 : x); break;
+          }
+          if (st.dom(v).empty()) {
+            engine.DrainQueue();
+            st.Backtrack();
+          } else if (!engine.PropagateDelta(st, &stats)) {
+            st.Backtrack();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pinned, 500u) << "too few prune-pass runs to pin the certificate";
 }
 
 // ---- Trailed aux slots (advisor aggregate storage) -------------------------
@@ -465,6 +607,276 @@ TEST(ConfluencePropertyTest, EventAndNaiveModesAgreeOnSeededModels) {
   }
   EXPECT_LT(total_event_props, total_naive_props)
       << "event-typed engine should do strictly less propagation work";
+}
+
+// Large-coefficient family: coefficients up to +/-2^31 on variables whose
+// values sit next to +/-kDomainLimit, so coefficient * bound products
+// overflow int64 and only exact 128-bit kernel arithmetic stays sound.
+// Every relation is posted both plain and reified across the sweep. A
+// large coefficient on a far variable is usually cancelled by its near
+// negation on a second far variable of the same sign, which keeps the
+// anchoring constant within int64 while the individual products are ~2^71.
+struct PostedLinear {
+  LinExpr e;  ///< `e rel 0`.
+  Rel rel;
+  IntVar b;   ///< Reified control variable; invalid for plain posts.
+};
+
+struct LargeCoefCase {
+  std::unique_ptr<Model> model;
+  std::vector<PostedLinear> posted;
+  std::vector<IntVar> xs;                          ///< Decision variables.
+  std::vector<std::pair<int64_t, int64_t>> boxes;  ///< Their [lo, hi].
+  LinExpr obj;                                     ///< Over xs and the b's.
+  bool minimize = true;
+};
+
+LargeCoefCase MakeLargeCoefModel(uint32_t seed) {
+  std::mt19937 rng(seed);
+  auto pick = [&rng](int64_t lo, int64_t hi) {
+    return lo +
+           static_cast<int64_t>(rng() % static_cast<uint64_t>(hi - lo + 1));
+  };
+  LargeCoefCase out;
+  out.model = std::make_unique<Model>();
+  Model* m = out.model.get();
+  const int nv = static_cast<int>(pick(3, 6));
+  std::vector<int> region;  // 0 small, +1 near +kDomainLimit, -1 near -limit
+  std::vector<int64_t> point;
+  for (int i = 0; i < nv; ++i) {
+    const int r = static_cast<int>(pick(-1, 1));
+    const int64_t w = pick(2, 6);
+    int64_t lo = pick(-3, 2);
+    if (r > 0) lo = kDomainLimit - w;
+    if (r < 0) lo = -kDomainLimit;
+    IntVar x = m->NewInt(lo, lo + w);
+    m->MarkDecision(x);
+    out.xs.push_back(x);
+    out.boxes.push_back({lo, lo + w});
+    region.push_back(r);
+    point.push_back(lo + pick(0, w));
+  }
+  const Rel kRels[] = {Rel::kEq, Rel::kNe, Rel::kLe,
+                       Rel::kLt, Rel::kGe, Rel::kGt};
+  const int64_t kBig = int64_t{1} << 31;
+  const int ncons = static_cast<int>(pick(2, 5));
+  for (int k = 0; k < ncons; ++k) {
+    LinExpr e;
+    int64_t pending = 0;  // large coefficient awaiting cancellation
+    int pending_region = 0;
+    __int128 at_point = 0;
+    for (int i = 0; i < nv; ++i) {
+      int64_t c = 0;
+      if (region[i] != 0 && pending != 0 && region[i] == pending_region &&
+          pick(0, 3) != 0) {
+        c = -pending + pick(-3, 3);
+        pending = 0;
+      } else {
+        switch (pick(0, 3)) {
+          case 0: break;
+          case 1: c = pick(-3, 3); break;
+          default:
+            c = pick(0, 2) == 0 ? kBig : pick(int64_t{1} << 20, kBig);
+            if (pick(0, 1) == 0) c = -c;
+            if (region[i] != 0) {
+              pending = c;
+              pending_region = region[i];
+            }
+            break;
+        }
+      }
+      if (c == 0) continue;
+      e += LinExpr::Term(c, out.xs[static_cast<size_t>(i)]);
+      at_point += static_cast<__int128>(c) * point[static_cast<size_t>(i)];
+    }
+    if (e.terms.empty()) {
+      e += LinExpr(out.xs[0]);
+      at_point = point[0];
+    }
+    // Anchor near the sample point when it fits in an int64 constant;
+    // otherwise the relation is decided at the root either way.
+    const __int128 lim = int64_t{1} << 62;
+    e.constant = at_point > -lim && at_point < lim
+                     ? static_cast<int64_t>(-at_point) + pick(-2, 2)
+                     : pick(-4, 4);
+    const Rel rel = kRels[(seed + static_cast<uint32_t>(k)) % 6];
+    if ((seed / 6 + static_cast<uint32_t>(k)) % 2 == 0) {
+      IntVar b = m->ReifyRel(e, rel, LinExpr(int64_t{0}));
+      m->MarkDecision(b);
+      out.obj += LinExpr::Term(pick(-2, 2), b);
+      out.posted.push_back({e, rel, b});
+    } else {
+      m->PostLinear(e, rel);
+      out.posted.push_back({e, rel, IntVar{}});
+    }
+  }
+  // Objective over offsets from the lower bounds: small values, but its
+  // channel equality carries the far variables' raw values.
+  for (int i = 0; i < nv; ++i) {
+    const int64_t k = pick(-2, 2);
+    out.obj += LinExpr::Term(k, out.xs[static_cast<size_t>(i)]);
+    out.obj.constant -= k * out.boxes[static_cast<size_t>(i)].first;
+  }
+  out.minimize = pick(0, 1) == 0;
+  if (out.minimize) {
+    m->Minimize(out.obj);
+  } else {
+    m->Maximize(out.obj);
+  }
+  return out;
+}
+
+// Value of `e` under `values` (by variable id), in 128 bits.
+__int128 EvalExpr(const LinExpr& e, const std::vector<int64_t>& values) {
+  __int128 v = e.constant;
+  for (const auto& [c, x] : e.terms) {
+    v += static_cast<__int128>(c) * values[static_cast<size_t>(x.id)];
+  }
+  return v;
+}
+
+bool RelHolds(__int128 v, Rel rel) {
+  switch (rel) {
+    case Rel::kEq: return v == 0;
+    case Rel::kNe: return v != 0;
+    case Rel::kLe: return v <= 0;
+    case Rel::kLt: return v < 0;
+    case Rel::kGe: return v >= 0;
+    case Rel::kGt: return v > 0;
+  }
+  return false;
+}
+
+// Evaluate one posted relation on a solution, outside the propagators.
+bool HoldsOn(const PostedLinear& p, const std::vector<int64_t>& values) {
+  const bool holds = RelHolds(EvalExpr(p.e, values), p.rel);
+  return p.b.valid() ? holds == (values[static_cast<size_t>(p.b.id)] != 0)
+                     : holds;
+}
+
+// Brute-force optimum over the decision box (each reified b takes its
+// relation's truth value); false when no point satisfies the plain posts.
+bool BruteForceOptimum(const LargeCoefCase& c, size_t num_vars,
+                       int64_t* best) {
+  std::vector<int64_t> values(num_vars, 0);
+  for (size_t i = 0; i < c.xs.size(); ++i) {
+    values[static_cast<size_t>(c.xs[i].id)] = c.boxes[i].first;
+  }
+  bool found = false;
+  for (;;) {
+    bool feasible = true;
+    for (const PostedLinear& p : c.posted) {
+      const bool holds = RelHolds(EvalExpr(p.e, values), p.rel);
+      if (p.b.valid()) {
+        values[static_cast<size_t>(p.b.id)] = holds ? 1 : 0;
+      } else if (!holds) {
+        feasible = false;
+      }
+    }
+    if (feasible) {
+      const int64_t o = static_cast<int64_t>(EvalExpr(c.obj, values));
+      if (!found || (c.minimize ? o < *best : o > *best)) *best = o;
+      found = true;
+    }
+    size_t i = 0;  // odometer step over the box
+    for (; i < c.xs.size(); ++i) {
+      int64_t& v = values[static_cast<size_t>(c.xs[i].id)];
+      if (v < c.boxes[i].second) {
+        ++v;
+        break;
+      }
+      v = c.boxes[i].first;
+    }
+    if (i == c.xs.size()) return found;
+  }
+}
+
+TEST(ConfluencePropertyTest, EventAndNaiveModesAgreeOnLargeCoefficients) {
+  // Same root-fixpoint and tree comparison as the small-coefficient sweep.
+  // Both modes share the prune pass, so agreement alone cannot catch an
+  // arithmetic slip in it: every solution is also re-checked against each
+  // posted constraint, and a proven optimum against brute force.
+  const int kModels = kSanitizerBuild ? 24 : 72;
+  int solved = 0;
+  std::set<std::pair<int, bool>> covered;  // (relation, reified)
+  for (int i = 0; i < kModels; ++i) {
+    const LargeCoefCase c = MakeLargeCoefModel(static_cast<uint32_t>(i));
+    const Model& model = *c.model;
+    for (const PostedLinear& p : c.posted) {
+      covered.insert({static_cast<int>(p.rel), p.b.valid()});
+    }
+
+    Model::Options naive_opts;
+    naive_opts.time_limit_ms = 0;
+    naive_opts.node_limit = 20'000;
+    naive_opts.naive_propagation = true;
+    Model::Options event_opts = naive_opts;
+    event_opts.naive_propagation = false;
+    {
+      internal::SearchContext nctx(model, naive_opts);
+      internal::SearchContext ectx(model, event_opts);
+      const bool nok = nctx.PropagateRoot();
+      const bool eok = ectx.PropagateRoot();
+      ASSERT_EQ(nok, eok) << "root feasibility diverged, model " << i;
+      if (nok) {
+        for (size_t v = 0; v < model.num_vars(); ++v) {
+          ASSERT_EQ(nctx.store().dom(static_cast<int32_t>(v)),
+                    ectx.store().dom(static_cast<int32_t>(v)))
+              << "root fixpoint diverged at var " << v << ", model " << i;
+        }
+      }
+    }
+    Solution a = model.Solve(naive_opts);
+    Solution b = model.Solve(event_opts);
+    ASSERT_EQ(a.status, b.status) << "model " << i;
+    EXPECT_EQ(a.stats.nodes, b.stats.nodes) << "model " << i;
+    EXPECT_EQ(a.stats.failures, b.stats.failures) << "model " << i;
+    EXPECT_EQ(a.stats.solutions, b.stats.solutions) << "model " << i;
+    int64_t best = 0;
+    const bool feasible = BruteForceOptimum(c, model.num_vars(), &best);
+    ASSERT_NE(a.status, SolveStatus::kUnknown) << "model " << i;
+    EXPECT_EQ(a.has_solution(), feasible) << "model " << i;
+    if (!a.has_solution()) continue;
+    ++solved;
+    EXPECT_EQ(a.objective, b.objective) << "model " << i;
+    EXPECT_EQ(a.values, b.values) << "model " << i;
+    if (a.status == SolveStatus::kOptimal) {
+      EXPECT_EQ(a.objective, best) << "false optimum, model " << i;
+    }
+    for (const Solution* s : {&a, &b}) {
+      for (size_t k = 0; k < c.posted.size(); ++k) {
+        EXPECT_TRUE(HoldsOn(c.posted[k], s->values))
+            << "model " << i << " violates constraint " << k << ": "
+            << c.posted[k].e.ToString() << " " << RelName(c.posted[k].rel)
+            << " 0";
+      }
+    }
+  }
+  EXPECT_EQ(covered.size(), 12u) << "every relation, plain and reified";
+  EXPECT_GT(solved, kModels / 4) << "family too often infeasible to check";
+}
+
+// Regression: PruneNe summed the fixed terms in int64. With x = 2^40 fixed,
+// 2^24 * x wraps to 0, so `2^24*x + y - 5 != 0` (always true) removed y = 5
+// and both modes proved a false optimum of |y - 5| = 1.
+TEST(LinearOverflowTest, NeFixedSumDoesNotWrap) {
+  for (bool naive : {false, true}) {
+    Model m;
+    IntVar x = m.NewInt(kDomainLimit, kDomainLimit);
+    IntVar y = m.NewInt(0, 10);
+    m.MarkDecision(y);
+    m.PostLinear(LinExpr::Term(int64_t{1} << 24, x) + LinExpr(y) +
+                     LinExpr(int64_t{-5}),
+                 Rel::kNe);
+    m.Minimize(LinExpr(m.MakeAbs(LinExpr(y) - LinExpr(int64_t{5}))));
+    Model::Options o;
+    o.time_limit_ms = 0;
+    o.naive_propagation = naive;
+    Solution s = m.Solve(o);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal) << "naive=" << naive;
+    EXPECT_EQ(s.ValueOf(y), 5) << "naive=" << naive;
+    EXPECT_EQ(s.objective, 0) << "naive=" << naive;
+  }
 }
 
 // The two modes must also agree on a real structured model (the ACloud

@@ -1,10 +1,11 @@
 // Tests for the trailed domain store (solver/store.h) and the search
 // machinery built on it: exact backtrack restoration, save-once-per-level
-// bookkeeping, deep-stack dives (the historical Dive dangling-reference
-// hazard, exercised under ASan in CI), the iterative Luby sequence, and
-// solve-twice determinism of the trailed search.
+// bookkeeping, the flat bounds mirror, deep-stack dives (the historical Dive
+// dangling-reference hazard, exercised under ASan in CI), the iterative Luby
+// sequence, and solve-twice determinism of the trailed search.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "solver/model.h"
@@ -128,6 +129,80 @@ TEST(DomainStoreTest, AssignToMissingValueEmptiesAndRestores) {
   st.Backtrack();
   EXPECT_FALSE(st.dom(2).empty());
   EXPECT_EQ(st.dom(2).size(), 6u);
+  EXPECT_EQ(st.lo(2), 1);  // the bounds mirror is restored with the domain
+  EXPECT_EQ(st.hi(2), 8);
+}
+
+// The flat bounds mirror must equal every non-empty domain's min/max after
+// any mutation or backtrack.
+void ExpectMirrorInStep(const DomainStore& st) {
+  for (size_t i = 0; i < st.size(); ++i) {
+    const int32_t id = static_cast<int32_t>(i);
+    if (st.dom(id).empty()) continue;
+    ASSERT_EQ(st.lo(id), st.dom(id).min()) << "var " << i;
+    ASSERT_EQ(st.hi(id), st.dom(id).max()) << "var " << i;
+  }
+}
+
+// Checks the mirror from inside every delivered event, where the engine
+// reads it for its advisor deltas.
+class MirrorCheckingListener : public DomainListener {
+ public:
+  explicit MirrorCheckingListener(const DomainStore* st) : st_(st) {}
+  void OnDomainEvent(int32_t var, uint8_t events, int64_t old_min,
+                     int64_t old_max) override {
+    (void)events;
+    ++events_;
+    EXPECT_EQ(st_->lo(var), st_->dom(var).min());
+    EXPECT_EQ(st_->hi(var), st_->dom(var).max());
+    EXPECT_LE(old_min, st_->lo(var));
+    EXPECT_GE(old_max, st_->hi(var));
+  }
+  int events_ = 0;
+
+ private:
+  const DomainStore* st_;
+};
+
+TEST(DomainStoreTest, BoundsMirrorTracksRandomMutations) {
+  for (bool with_listener : {false, true}) {
+    for (uint32_t seed = 1; seed <= 20; ++seed) {
+      DomainStore st;
+      st.Init(MakeDoms());
+      MirrorCheckingListener listener(&st);
+      if (with_listener) st.SetListener(&listener);
+      ExpectMirrorInStep(st);
+      std::mt19937 rng(seed);
+      auto next = [&rng](int64_t lo, int64_t hi) {
+        return lo + static_cast<int64_t>(rng() %
+                                         static_cast<uint32_t>(hi - lo + 1));
+      };
+      for (int step = 0; step < 300; ++step) {
+        if (st.level() > 0 && next(0, 3) == 0) {
+          st.Backtrack();
+        } else {
+          st.PushLevel();
+          const int32_t id = static_cast<int32_t>(next(0, 2));
+          const int64_t v = next(-6, 10);
+          switch (next(0, 3)) {
+            case 0: st.ClampMin(id, v); break;
+            case 1: st.ClampMax(id, v); break;
+            case 2: st.Remove(id, v); break;
+            default: st.Assign(id, v); break;
+          }
+          // An emptied domain fails the level, as in search.
+          if (st.dom(id).empty()) st.Backtrack();
+        }
+        ExpectMirrorInStep(st);
+        if (HasFatalFailure()) return;
+      }
+      st.BacktrackTo(0);
+      ExpectMirrorInStep(st);
+      if (with_listener) {
+        EXPECT_GT(listener.events_, 0);
+      }
+    }
+  }
 }
 
 TEST(DomainStoreTest, PeakMemoryAccountsTrail) {
