@@ -429,6 +429,7 @@ Result<CompiledProgram> Plan(const AnalyzedProgram& analyzed) {
   for (const auto& [name, schema] : out.tables) {
     if (!derived.count(name)) out.base_tables.insert(name);
   }
+  out.solver_plan = BuildSolverPlan(out);
   return out;
 }
 

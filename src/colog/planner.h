@@ -11,6 +11,7 @@
 
 #include "colog/analysis.h"
 #include "colog/ast.h"
+#include "colog/solver_plan.h"
 #include "common/status.h"
 #include "datalog/rule.h"
 #include "datalog/table.h"
@@ -81,6 +82,8 @@ struct CompiledProgram {
   std::map<std::string, Value> knobs;
   bool distributed = false;
   RuleCounts counts;
+  /// How the solver bridge evaluates solver_rules (colog/solver_plan.h).
+  SolverPlan solver_plan;
 
   bool IsSolverCol(const std::string& table, int col) const;
 };

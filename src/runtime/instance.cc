@@ -117,14 +117,13 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
   // and writeback entirely. This is the steady state of the periodic
   // re-solve loop: a fact delta perturbs one node's inputs, and every other
   // node's re-solve is a content-hash check.
+  const colog::SolverPlan& plan = program_->solver_plan;
   if (incr != nullptr && incr->reusable && incr->reuse_options == opts) {
     bool unchanged = true;
-    for (const auto& [name, hash] : incr->input_hashes) {
-      const datalog::Table* t = engine_.GetTable(name);
-      if ((t == nullptr ? 0 : t->ContentHash()) != hash) {
-        unchanged = false;
-        break;
-      }
+    for (size_t i = 0; i < plan.input_tables.size() && unchanged; ++i) {
+      const std::string& name =
+          plan.tables[static_cast<size_t>(plan.input_tables[i])];
+      unchanged = TableHash(name) == incr->input_hashes[i];
     }
     if (unchanged) {
       SolveOutput out = incr->last_output;
@@ -218,9 +217,9 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
     // rejects reuse.
     if (incr != nullptr) {
       incr->input_hashes.clear();
-      for (const std::string& name : SolverInputTables(*program_)) {
-        const datalog::Table* t = engine_.GetTable(name);
-        incr->input_hashes[name] = t == nullptr ? 0 : t->ContentHash();
+      for (int t : plan.input_tables) {
+        incr->input_hashes.push_back(
+            TableHash(plan.tables[static_cast<size_t>(t)]));
       }
       incr->reuse_options = opts;
       incr->last_output = out;
@@ -243,45 +242,52 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
   return out;
 }
 
+uint64_t Instance::TableHash(const std::string& name) const {
+  const datalog::Table* t = engine_.GetTable(name);
+  return t == nullptr ? 0 : t->ContentHash();
+}
+
 Status Instance::Writeback(
     const std::map<std::string, std::vector<Row>>& tables,
     bool flush_per_delta) {
-  // Normalize new rows per output table (sorted, deduplicated).
-  std::map<std::string, std::vector<Row>> next;
-  for (const std::string& name : program_->solver_output_tables) {
-    auto it = tables.find(name);
-    std::vector<Row> rows;
-    if (it != tables.end()) rows = it->second;
-    std::sort(rows.begin(), rows.end());
+  // Normalize new rows per output table (sorted, deduplicated); rows the
+  // bridge already emitted in order (var tables usually are) skip the sort.
+  const colog::SolverPlan& plan = program_->solver_plan;
+  const size_t n = plan.output_tables.size();
+  auto name_of = [&](size_t i) -> const std::string& {
+    return plan.tables[static_cast<size_t>(plan.output_tables[i])];
+  };
+  std::vector<std::vector<Row>> next(n);
+  for (size_t i = 0; i < n; ++i) {
+    auto it = tables.find(name_of(i));
+    if (it == tables.end()) continue;
+    std::vector<Row>& rows = next[i];
+    rows = it->second;
+    if (!std::is_sorted(rows.begin(), rows.end())) {
+      std::sort(rows.begin(), rows.end());
+    }
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    next[name] = std::move(rows);
   }
+  owned_rows_.resize(n);
 
   // Deletes first (rows we owned that are gone), then inserts. Insert-side
   // keyed displacement then handles value updates cleanly. Var tables are
   // decision records and only ever *upsert*: each solve covers the current
   // forall bindings, and decisions for bindings outside this solve (e.g.
   // links negotiated in earlier Follow-the-Sun rounds) must survive.
-  static const std::vector<Row> kNoRows;
-  for (const auto& [name, rows] : owned_rows_) {
-    if (program_->var_tables.count(name)) continue;
-    auto next_it = next.find(name);
-    const std::vector<Row>& fresh =
-        next_it == next.end() ? kNoRows : next_it->second;
-    for (const Row& old : rows) {
-      if (!std::binary_search(fresh.begin(), fresh.end(), old)) {
-        COLOGNE_RETURN_IF_ERROR(engine_.Apply(name, old, -1));
+  for (size_t i = 0; i < n; ++i) {
+    if (plan.IsVarTable(plan.output_tables[i])) continue;
+    for (const Row& old : owned_rows_[i]) {
+      if (!std::binary_search(next[i].begin(), next[i].end(), old)) {
+        COLOGNE_RETURN_IF_ERROR(engine_.Apply(name_of(i), old, -1));
       }
     }
   }
-  for (const auto& [name, rows] : next) {
-    auto owned_it = owned_rows_.find(name);
-    const std::vector<Row>* old =
-        owned_it == owned_rows_.end() ? nullptr : &owned_it->second;
-    for (const Row& row : rows) {
-      if (old == nullptr ||
-          !std::binary_search(old->begin(), old->end(), row)) {
-        COLOGNE_RETURN_IF_ERROR(engine_.Apply(name, row, +1));
+  for (size_t i = 0; i < n; ++i) {
+    const std::vector<Row>& old = owned_rows_[i];
+    for (const Row& row : next[i]) {
+      if (!std::binary_search(old.begin(), old.end(), row)) {
+        COLOGNE_RETURN_IF_ERROR(engine_.Apply(name_of(i), row, +1));
         // Batched mode: run the fixpoint now so the next inserted row
         // observes this one's post-solve effects (sequential per-delta
         // semantics, matching what per-link solves produce one at a time).

@@ -160,6 +160,8 @@ class Instance {
   /// produces one solve at a time.
   Status Writeback(const std::map<std::string, std::vector<Row>>& tables,
                    bool flush_per_delta);
+  /// Content hash of an engine table (0 when undeclared).
+  uint64_t TableHash(const std::string& name) const;
 
   struct BaseFact {
     std::string table;
@@ -183,8 +185,9 @@ class Instance {
   /// deduplicated); the advisory SolveRequest::changed_tables default.
   std::vector<std::string> touched_tables_;
   /// Rows this node wrote to each solver output table on the previous solve
-  /// (sorted, deduplicated) — the diff base for replacement.
-  std::map<std::string, std::vector<Row>> owned_rows_;
+  /// (sorted, deduplicated), parallel to SolverPlan::output_tables — the
+  /// diff base for replacement. Empty before the first solve.
+  std::vector<std::vector<Row>> owned_rows_;
   /// Durable journal of application-level base facts, replayed on restart.
   std::vector<BaseFact> base_log_;
   bool crashed_ = false;

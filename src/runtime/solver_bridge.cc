@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 
@@ -17,10 +19,14 @@ namespace {
 
 using colog::CompiledProgram;
 using colog::GoalType;
+using colog::PlanArg;
+using colog::PlanAtom;
+using colog::PlanGuard;
+using colog::PlanRule;
+using colog::SolverPlan;
 using colog::SolverRuleIR;
 using colog::VarDeclIR;
 using datalog::AggKind;
-using datalog::AtomIR;
 using datalog::Expr;
 using datalog::ExprOp;
 using datalog::RuleIR;
@@ -54,12 +60,15 @@ struct PostedConstraint {
   LinExpr rhs;
 };
 
-// A value during solver-rule evaluation: concrete or an affine expression
-// over model variables.
+// A value during solver-rule evaluation: concrete, or an affine expression
+// over model variables. A symbolic value read straight from a slot refers to
+// the registered expression (`ref`) instead of copying it; one computed here
+// owns its expression.
 struct SVal {
   bool symbolic = false;
-  Value concrete;  // valid when !symbolic
-  LinExpr expr;    // valid when symbolic
+  Value concrete;    // !symbolic
+  int32_t ref = -1;  // symbolic: registered expression index, or -1
+  LinExpr expr;      // symbolic with ref < 0
 
   static SVal Concrete(Value v) {
     SVal s;
@@ -72,16 +81,12 @@ struct SVal {
     s.expr = std::move(e);
     return s;
   }
-  // Concrete int -> LinExpr constant; symbolic -> its expression.
-  Result<LinExpr> AsExpr() const {
-    if (symbolic) return expr;
-    if (!concrete.is_int()) {
-      return Status::SolverError(
-          "expected integer in symbolic context, got " + concrete.ToString());
-    }
-    return LinExpr(concrete.as_int());
-  }
 };
+
+Status NotAnInteger(const Value& v) {
+  return Status::SolverError("expected integer in symbolic context, got " +
+                             v.ToString());
+}
 
 // Evaluate a LinExpr under a solution.
 int64_t EvalLin(const LinExpr& e, const solver::Solution& sol) {
@@ -90,12 +95,13 @@ int64_t EvalLin(const LinExpr& e, const solver::Solution& sol) {
   return v;
 }
 
-// Evaluation context for one Solve(): each solver rule is evaluated once,
-// bottom-up, into the constraint network. Solver attributes are affine
-// expressions registered in `sym_exprs_` and referenced from rows via
-// Value::Sym(index); after the search, Substitute() replaces every symbolic
-// cell with its value under the incumbent, which turns the bridge-local
-// tables into the solve's concrete output.
+// Evaluation context for one Solve(): binds rows along the program's
+// SolverPlan (colog/solver_plan.h), each solver rule once, bottom-up, into
+// the constraint network. Solver attributes are affine expressions
+// registered in `exprs_` and referenced from rows via Value::Sym(index);
+// after the search, Substitute() replaces every symbolic cell with its value
+// under the incumbent, which turns the bridge-local tables into the solve's
+// concrete output.
 //
 // Joins read each table in one fixed scan order: the bridge-local rows in
 // derivation order, or the engine table's sorted snapshot (taken once per
@@ -103,13 +109,19 @@ int64_t EvalLin(const LinExpr& e, const solver::Solution& sol) {
 // that order, so a probe yields exactly the rows a nested-loop scan would
 // accept, in the same order; variable ids and propagator order therefore
 // do not depend on the index.
-class BridgeEval {
+class PlanEval {
  public:
-  BridgeEval(const CompiledProgram* program, const datalog::Engine* engine,
-             Model* model)
-      : program_(program), engine_(engine), model_(model) {}
-
-  std::map<std::string, std::vector<Row>>& tables() { return tables_; }
+  PlanEval(const CompiledProgram* program, const datalog::Engine* engine,
+           Model* model)
+      : program_(program),
+        plan_(program->solver_plan),
+        engine_(engine),
+        model_(model),
+        local_(plan_.tables.size()),
+        has_local_(plan_.tables.size(), 0),
+        snapshots_(plan_.tables.size()),
+        has_snapshot_(plan_.tables.size(), 0),
+        indexes_(static_cast<size_t>(plan_.num_indexes)) {}
 
   /// One instantiated var-table row: its regular-column key plus the solver
   /// variables created for its solver cells, in column order. This is the
@@ -123,14 +135,17 @@ class BridgeEval {
 
   // ---- Variable instantiation -----------------------------------------------
   Status InstantiateVars() {
-    for (const VarDeclIR& decl : program_->var_decls) {
+    for (size_t d = 0; d < program_->var_decls.size(); ++d) {
+      const VarDeclIR& decl = program_->var_decls[d];
       const datalog::Table* forall = engine_->GetTable(decl.forall_table);
       if (forall == nullptr) {
         return Status::SolverError("forall table missing: " +
                                    decl.forall_table);
       }
+      const int table = plan_.var_tables[d];
+      has_local_[static_cast<size_t>(table)] = 1;
+      std::vector<Row>& out = local_[static_cast<size_t>(table)];
       std::set<Row> seen;  // dedupe identical regular projections
-      auto& out = tables_[decl.var_table];
       for (const Row& frow : forall->Rows()) {
         Row key;
         for (int src : decl.from_forall_col) {
@@ -160,56 +175,43 @@ class BridgeEval {
   }
 
   // ---- Rule evaluation ------------------------------------------------------
-  Status EvalRule(const SolverRuleIR& srule) {
-    const RuleIR& rule = srule.ir;
-    cur_rule_ = &rule;
-    cur_constraint_ = srule.is_constraint;
-    agg_groups_.clear();
-    PrepareRule(rule);
+  Status EvalRule(size_t r) {
+    const SolverRuleIR& srule = program_->solver_rules[r];
+    rule_ = &srule.ir;
+    plan_rule_ = &plan_.rules[r];
+    constraint_ = srule.is_constraint;
+    slots_.assign(static_cast<size_t>(rule_->num_slots), Value());
+    keys_.resize(plan_rule_->body.size());
 
-    std::vector<Value> slots(static_cast<size_t>(rule.num_slots));
-    std::vector<char> guards_done(rule.sels.size() + rule.assigns.size(), 0);
-
-    if (srule.is_constraint) {
+    if (constraint_) {
       // Head is a pattern over an existing table: every row must satisfy the
       // body.
-      for (const Row& hrow : RowsOf(rule.head.table)) {
-        std::vector<Value> s = slots;
-        std::vector<char> g = guards_done;
-        COLOGNE_ASSIGN_OR_RETURN(ok, MatchAtom(rule.head, hrow, s));
-        if (!ok) continue;
-        COLOGNE_RETURN_IF_ERROR(JoinBody(rule, 0, s, g, nullptr));
+      const PlanAtom& head = plan_rule_->head;
+      for (const Row& hrow : RowsOf(head.table)) {
+        Result<bool> ok = Match(head, hrow);
+        Status st = ok.status();
+        if (ok.ok() && ok.value()) st = JoinBody(0);
+        Unbind(head);
+        COLOGNE_RETURN_IF_ERROR(st);
       }
       return Status::OK();
     }
 
     // Derivation rule: full join over the body, emitting head rows.
-    std::vector<Row> emitted;
-    COLOGNE_RETURN_IF_ERROR(JoinBody(rule, 0, slots, guards_done, &emitted));
-    auto& out = tables_[rule.head.table];
+    emitted_.clear();
+    agg_keys_.clear();
+    agg_vals_.clear();
+    COLOGNE_RETURN_IF_ERROR(JoinBody(0));
+    const auto head = static_cast<size_t>(plan_rule_->head_table);
+    has_local_[head] = 1;
+    std::vector<Row>& out = local_[head];
     // The head's scan order changes (or it now shadows an engine table):
     // indexes over the old rows are stale.
-    indexes_.erase(rule.head.table);
-
-    if (rule.agg) {
-      // `emitted` holds group rows; aggregate per group.
-      int agg_pos = rule.agg->arg_index;
-      for (auto& [group, vals] : agg_groups_) {
-        COLOGNE_ASSIGN_OR_RETURN(agg_val, Aggregate(rule.agg->kind, vals));
-        Row row;
-        size_t g = 0;
-        for (size_t i = 0; i <= group.size(); ++i) {
-          if (static_cast<int>(i) == agg_pos) {
-            row.push_back(agg_val);
-          } else {
-            row.push_back(group[g++]);
-          }
-        }
-        out.push_back(std::move(row));
-      }
-    } else {
-      for (Row& r : emitted) out.push_back(std::move(r));
+    for (int idx : plan_rule_->stale_indexes) {
+      indexes_[static_cast<size_t>(idx)] = JoinIndex{};
     }
+    if (rule_->agg) return EmitGroups(out);
+    for (Row& row : emitted_) out.push_back(std::move(row));
     return Status::OK();
   }
 
@@ -218,17 +220,27 @@ class BridgeEval {
   // e.g. the first wireless link negotiation before any neighbor has chosen
   // a channel) — the solve then degrades to pure satisfaction.
   Result<SVal> GoalValue() {
-    const auto& goal = program_->goal;
-    const std::vector<Row>& rows = RowsOf(goal.table);
+    const std::vector<Row>& rows = RowsOf(plan_.goal_table);
     if (rows.empty()) {
       return SVal::Concrete(Value::Int(0));
     }
     if (rows.size() > 1) {
       return Status::SolverError(
           StrFormat("goal table %s has %zu rows; expected a single row",
-                    goal.table.c_str(), rows.size()));
+                    program_->goal.table.c_str(), rows.size()));
     }
-    return ToSVal(rows[0][static_cast<size_t>(goal.col)]);
+    return ToSVal(rows[0][static_cast<size_t>(program_->goal.col)]);
+  }
+
+  /// The expression of `s` by value: its own, a copy of the registered one
+  /// it refers to, or an integer constant.
+  Result<LinExpr> TakeExpr(SVal s) const {
+    if (!s.symbolic) {
+      if (!s.concrete.is_int()) return NotAnInteger(s.concrete);
+      return LinExpr(s.concrete.as_int());
+    }
+    if (s.ref >= 0) return ExprAt(s.ref);
+    return std::move(s.expr);
   }
 
   /// Replace every symbolic cell of the bridge-local tables with its value
@@ -237,13 +249,23 @@ class BridgeEval {
   /// comparisons are 0/1, ...) except STDEV, whose model cell is the integer
   /// surrogate: it is recomputed from its substituted inputs.
   void Substitute(const solver::Solution& sol) {
-    for (auto& [name, rows] : tables_) {
-      for (Row& row : rows) {
+    for (size_t t = 0; t < local_.size(); ++t) {
+      if (!has_local_[t]) continue;
+      for (Row& row : local_[t]) {
         for (Value& cell : row) {
           if (cell.is_sym()) cell = SymValue(cell.sym_index(), sol);
         }
       }
     }
+  }
+
+  /// The bridge-local tables by name: every var table and derived head.
+  std::map<std::string, std::vector<Row>> TakeTables() {
+    std::map<std::string, std::vector<Row>> out;
+    for (size_t t = 0; t < local_.size(); ++t) {
+      if (has_local_[t]) out.emplace(plan_.tables[t], std::move(local_[t]));
+    }
+    return out;
   }
 
   /// Mirror every rule-originated PostRel into `out` (provenance recording).
@@ -260,6 +282,7 @@ class BridgeEval {
         return static_cast<size_t>(HashRow(r));
       }
     };
+    bool built = false;
     // False when an indexed cell is symbolic (unification may post an
     // equality or reject the join) or a double: such a column set is always
     // scanned. Hash and == agree on doubles (both zeros hash alike); they
@@ -268,88 +291,40 @@ class BridgeEval {
     std::unordered_map<Row, std::vector<uint32_t>, RowHasher> buckets;
   };
 
-  // Per-depth working state of the rule being evaluated, reused across
-  // rows: the binding copies handed to the next depth and the probe's
-  // column set and key.
-  struct Frame {
-    std::vector<Value> slots;
-    std::vector<char> done;
-    std::vector<int> cols;
-    Row key;
-  };
-
-  // Slot dependencies of a guard, computed once per rule: the whole
-  // expression and, for an equality, each side (the binding forms test
-  // readiness of one side).
-  struct GuardDeps {
-    std::vector<int> all;
-    std::vector<int> lhs;
-    std::vector<int> rhs;
-  };
-
-  // How a guard's slots are bound right now.
-  enum class Binding { kUnbound, kConcrete, kSymbolic };
-
-  static std::vector<int> SlotsOf(const Expr& e) {
-    std::vector<int> deps;
-    e.CollectSlots(&deps);
-    std::sort(deps.begin(), deps.end());
-    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-    return deps;
-  }
-
-  static Binding BindingOf(const std::vector<int>& deps,
-                           const std::vector<Value>& slots) {
-    Binding b = Binding::kConcrete;
-    for (int d : deps) {
-      const Value& v = slots[static_cast<size_t>(d)];
-      if (v.is_null()) return Binding::kUnbound;
-      if (v.is_sym()) b = Binding::kSymbolic;
+  // Rows of a table in scan order: the bridge-local solver table once one
+  // exists, the engine table's sorted snapshot otherwise.
+  const std::vector<Row>& RowsOf(int table) {
+    const auto t = static_cast<size_t>(table);
+    if (has_local_[t]) return local_[t];
+    if (!has_snapshot_[t]) {
+      has_snapshot_[t] = 1;
+      const datalog::Table* engine_table = engine_->GetTable(plan_.tables[t]);
+      if (engine_table != nullptr) snapshots_[t] = engine_table->Rows();
     }
-    return b;
-  }
-
-  void PrepareRule(const RuleIR& rule) {
-    sel_deps_.clear();
-    for (const datalog::SelIR& sel : rule.sels) {
-      GuardDeps d;
-      d.all = SlotsOf(sel.expr);
-      if (sel.expr.op == ExprOp::kEq) {
-        d.lhs = SlotsOf(sel.expr.kids[0]);
-        d.rhs = SlotsOf(sel.expr.kids[1]);
-      }
-      sel_deps_.push_back(std::move(d));
-    }
-    assign_deps_.clear();
-    for (const datalog::AssignIR& as : rule.assigns) {
-      assign_deps_.push_back(SlotsOf(as.expr));
-    }
-    frames_.assign(rule.body.size(), Frame{});
-  }
-
-  // Rows of a table in scan order: the bridge-local solver table first, the
-  // engine table's sorted snapshot otherwise.
-  const std::vector<Row>& RowsOf(const std::string& name) {
-    auto it = tables_.find(name);
-    if (it != tables_.end()) return it->second;
-    auto [snap, fresh] = snapshots_.try_emplace(name);
-    if (fresh) {
-      const datalog::Table* t = engine_->GetTable(name);
-      if (t != nullptr) snap->second = t->Rows();
-    }
-    return snap->second;
+    return snapshots_[t];
   }
 
   int32_t Register(LinExpr e) {
-    sym_exprs_.push_back(std::move(e));
-    return static_cast<int32_t>(sym_exprs_.size() - 1);
+    exprs_.push_back(std::move(e));
+    return static_cast<int32_t>(exprs_.size() - 1);
+  }
+
+  const LinExpr& ExprAt(int32_t idx) const {
+    return exprs_[static_cast<size_t>(idx)];
+  }
+
+  // The expression of a symbolic value, or `scratch` holding an integer
+  // constant.
+  Result<const LinExpr*> ExprOf(const SVal& s, LinExpr* scratch) const {
+    if (s.symbolic) return s.ref >= 0 ? &ExprAt(s.ref) : &s.expr;
+    if (!s.concrete.is_int()) return NotAnInteger(s.concrete);
+    *scratch = LinExpr(s.concrete.as_int());
+    return scratch;
   }
 
   Value SymValue(int32_t idx, const solver::Solution& sol) const {
     auto it = stdev_inputs_.find(idx);
-    if (it == stdev_inputs_.end()) {
-      return Value::Int(EvalLin(sym_exprs_[static_cast<size_t>(idx)], sol));
-    }
+    if (it == stdev_inputs_.end()) return Value::Int(EvalLin(ExprAt(idx), sol));
     std::vector<Value> xs;
     xs.reserve(it->second.size());
     for (const LinExpr& e : it->second) {
@@ -358,53 +333,63 @@ class BridgeEval {
     return datalog::ComputeAggregate(AggKind::kStdev, xs);
   }
 
-  SVal ToSVal(const Value& v) const {
-    if (v.is_sym()) return SVal::Sym(sym_exprs_[static_cast<size_t>(v.sym_index())]);
-    return SVal::Concrete(v);
+  static SVal ToSVal(const Value& v) {
+    if (!v.is_sym()) return SVal::Concrete(v);
+    SVal s;
+    s.symbolic = true;
+    s.ref = v.sym_index();
+    return s;
   }
 
-  Value FromSVal(const SVal& s) {
+  // A symbolic value always gets a fresh index, so a later unification of
+  // two cells compares expression identities exactly as it did when every
+  // binding registered its own copy.
+  Value FromSVal(SVal s) {
     if (!s.symbolic) return s.concrete;
-    return Value::Sym(Register(s.expr));
+    if (s.ref >= 0) return Value::Sym(Register(LinExpr(ExprAt(s.ref))));
+    return Value::Sym(Register(std::move(s.expr)));
   }
 
-  void RecordPost(const LinExpr& lhs, Rel rel, const LinExpr& rhs) {
-    if (record_ == nullptr || cur_rule_ == nullptr) return;
-    record_->push_back({cur_rule_->label, lhs, rel, rhs});
+  void PostRecorded(LinExpr lhs, Rel rel, LinExpr rhs) {
+    if (record_ != nullptr) record_->push_back({rule_->label, lhs, rel, rhs});
+    model_->PostRel(std::move(lhs), rel, std::move(rhs));
+  }
+
+  Value& Slot(int slot) { return slots_[static_cast<size_t>(slot)]; }
+
+  bool AnySym(const std::vector<int>& deps) const {
+    for (int d : deps) {
+      if (slots_[static_cast<size_t>(d)].is_sym()) return true;
+    }
+    return false;
   }
 
   // ---- Atom matching --------------------------------------------------------
   // Returns false (no error) when the row does not match. Symbolic cells
   // unify: in constraint rules a clash posts an equality constraint; in
   // derivation rules it is an error (joins on solver attributes are
-  // disallowed, Section 5.3).
-  Result<bool> MatchAtom(const AtomIR& atom, const Row& row,
-                         std::vector<Value>& slots) {
+  // disallowed, Section 5.3). The caller unbinds the atom's slots afterwards
+  // either way.
+  Result<bool> Match(const PlanAtom& atom, const Row& row) {
     for (size_t i = 0; i < atom.args.size(); ++i) {
-      const TermIR& term = atom.args[i];
+      const PlanArg& arg = atom.args[i];
       const Value& v = row[i];
-      const Value* test = nullptr;
-      if (term.is_const) {
-        test = &term.const_val;
-      } else {
-        Value& s = slots[static_cast<size_t>(term.slot)];
-        if (s.is_null()) {
-          s = v;
-          continue;
-        }
-        test = &s;
+      if (arg.kind == PlanArg::Kind::kBind) {
+        Slot(arg.slot) = v;
+        continue;
       }
-      if (*test == v) continue;
-      if (test->is_sym() || v.is_sym()) {
-        if (!cur_constraint_) {
+      const Value& test =
+          arg.kind == PlanArg::Kind::kTestConst ? arg.value : Slot(arg.slot);
+      if (test == v) continue;
+      if (test.is_sym() || v.is_sym()) {
+        if (!constraint_) {
           return Status::SolverError(
-              "rule " + cur_rule_->label +
+              "rule " + rule_->label +
               ": join on a solver attribute is not supported");
         }
-        COLOGNE_ASSIGN_OR_RETURN(ea, ToSVal(*test).AsExpr());
-        COLOGNE_ASSIGN_OR_RETURN(eb, ToSVal(v).AsExpr());
-        model_->PostRel(ea, Rel::kEq, eb);
-        RecordPost(ea, Rel::kEq, eb);
+        COLOGNE_ASSIGN_OR_RETURN(ea, TakeExpr(ToSVal(test)));
+        COLOGNE_ASSIGN_OR_RETURN(eb, TakeExpr(ToSVal(v)));
+        PostRecorded(std::move(ea), Rel::kEq, std::move(eb));
         continue;
       }
       return false;
@@ -412,25 +397,43 @@ class BridgeEval {
     return true;
   }
 
-  // ---- Body join ------------------------------------------------------------
-  Status JoinBody(const RuleIR& rule, size_t depth, std::vector<Value>& slots,
-                  std::vector<char>& guards_done, std::vector<Row>* emitted) {
-    COLOGNE_ASSIGN_OR_RETURN(alive, RunGuards(rule, slots, guards_done));
-    if (!alive) return Status::OK();
-    if (depth == rule.body.size()) {
-      return Emit(rule, slots, emitted);
+  void Unbind(const PlanAtom& atom) {
+    for (const PlanArg& arg : atom.args) {
+      if (arg.kind == PlanArg::Kind::kBind) Slot(arg.slot) = Value();
     }
-    const AtomIR& atom = rule.body[depth];
+  }
+
+  // ---- Body join ------------------------------------------------------------
+  // Run the guards that become ready at `depth`, then join body[depth] (or
+  // emit the head past the last atom). Every slot bound here is unbound
+  // again on the way out.
+  Status JoinBody(size_t depth) {
+    const std::vector<PlanGuard>& guards = plan_rule_->guards[depth];
+    Result<bool> alive = RunGuards(guards);
+    Status st = alive.status();
+    if (alive.ok() && alive.value()) {
+      st = depth == plan_rule_->body.size() ? Emit() : JoinAtom(depth);
+    }
+    for (const PlanGuard& g : guards) {
+      if (g.kind != PlanGuard::Kind::kFilter &&
+          g.kind != PlanGuard::Kind::kCheckAssign) {
+        Slot(g.slot) = Value();
+      }
+    }
+    return st;
+  }
+
+  Status JoinAtom(size_t depth) {
+    const PlanAtom& atom = plan_rule_->body[depth];
     const std::vector<Row>& rows = RowsOf(atom.table);
-    Frame& f = frames_[depth];
     auto visit = [&](const Row& row) -> Status {
-      f.slots = slots;
-      f.done = guards_done;
-      COLOGNE_ASSIGN_OR_RETURN(ok, MatchAtom(atom, row, f.slots));
-      if (!ok) return Status::OK();
-      return JoinBody(rule, depth + 1, f.slots, f.done, emitted);
+      Result<bool> ok = Match(atom, row);
+      Status st = ok.status();
+      if (ok.ok() && ok.value()) st = JoinBody(depth + 1);
+      Unbind(atom);
+      return st;
     };
-    if (const std::vector<uint32_t>* hits = Probe(atom, slots, rows, f)) {
+    if (const std::vector<uint32_t>* hits = Probe(atom, depth, rows)) {
       for (uint32_t pos : *hits) COLOGNE_RETURN_IF_ERROR(visit(rows[pos]));
     } else {
       for (const Row& row : rows) COLOGNE_RETURN_IF_ERROR(visit(row));
@@ -438,276 +441,219 @@ class BridgeEval {
     return Status::OK();
   }
 
-  // Positions of the rows of `rows` whose bound columns (constants and
-  // already-bound slots of `atom`) equal the current bindings, in scan
-  // order; nullptr means "scan every row" (nothing bound, or a symbolic or
-  // double cell on either side, where MatchAtom's unification rules apply).
-  // MatchAtom still runs on every candidate, so repeated slots inside the
-  // atom are checked there.
-  const std::vector<uint32_t>* Probe(const AtomIR& atom,
-                                     const std::vector<Value>& slots,
-                                     const std::vector<Row>& rows, Frame& f) {
-    f.cols.clear();
-    f.key.clear();
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      const TermIR& term = atom.args[i];
-      const Value& v = term.is_const ? term.const_val
-                                     : slots[static_cast<size_t>(term.slot)];
-      if (v.is_null()) continue;
+  // Positions of the rows of `rows` whose probe columns equal the current
+  // bindings, in scan order; nullptr means "scan every row" (nothing bound,
+  // or a symbolic or double cell on either side, where Match's unification
+  // rules apply). Match still runs on every candidate, so repeated slots
+  // inside the atom are checked there.
+  const std::vector<uint32_t>* Probe(const PlanAtom& atom, size_t depth,
+                                     const std::vector<Row>& rows) {
+    if (atom.index < 0) return nullptr;
+    Row& key = keys_[depth];
+    key.clear();
+    for (int col : atom.probe_cols) {
+      const PlanArg& arg = atom.args[static_cast<size_t>(col)];
+      const Value& v =
+          arg.kind == PlanArg::Kind::kTestConst ? arg.value : Slot(arg.slot);
       if (v.is_sym() || v.is_double()) return nullptr;
-      f.cols.push_back(static_cast<int>(i));
-      f.key.push_back(v);
+      key.push_back(v);
     }
-    if (f.cols.empty()) return nullptr;
-    const JoinIndex& index = IndexFor(atom.table, f.cols, rows);
+    JoinIndex& index = indexes_[static_cast<size_t>(atom.index)];
+    if (!index.built) BuildIndex(atom.probe_cols, rows, &index);
     if (!index.usable) return nullptr;
-    auto it = index.buckets.find(f.key);
+    auto it = index.buckets.find(key);
     return it == index.buckets.end() ? &kNoRows : &it->second;
   }
 
-  const JoinIndex& IndexFor(const std::string& table,
-                            const std::vector<int>& cols,
-                            const std::vector<Row>& rows) {
-    auto [it, fresh] = indexes_[table].try_emplace(cols);
-    JoinIndex& index = it->second;
-    if (!fresh) return index;
+  static void BuildIndex(const std::vector<int>& cols,
+                         const std::vector<Row>& rows, JoinIndex* index) {
+    index->built = true;
     Row proj;
     for (size_t pos = 0; pos < rows.size(); ++pos) {
       proj.clear();
       for (int c : cols) {
         const Value& v = rows[pos][static_cast<size_t>(c)];
         if (v.is_sym() || v.is_double()) {
-          index.usable = false;
-          index.buckets.clear();
-          return index;
+          index->usable = false;
+          index->buckets.clear();
+          return;
         }
         proj.push_back(v);
       }
-      index.buckets[proj].push_back(static_cast<uint32_t>(pos));
+      index->buckets[proj].push_back(static_cast<uint32_t>(pos));
     }
-    return index;
   }
 
-  // Run ready guards; Result<false> = a selection filtered this branch out.
-  Result<bool> RunGuards(const RuleIR& rule, std::vector<Value>& slots,
-                         std::vector<char>& done) {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (size_t i = 0; i < rule.sels.size(); ++i) {
-        if (done[i]) continue;
-        COLOGNE_ASSIGN_OR_RETURN(
-            state, TrySelection(rule.sels[i].expr, sel_deps_[i], slots));
-        if (state == GuardState::kNotReady) continue;
-        if (state == GuardState::kFailed) return false;
-        done[i] = 1;
-        progress = true;
-      }
-      for (size_t i = 0; i < rule.assigns.size(); ++i) {
-        size_t gi = rule.sels.size() + i;
-        if (done[gi]) continue;
-        const auto& as = rule.assigns[i];
-        Binding b = BindingOf(assign_deps_[i], slots);
-        if (b == Binding::kUnbound) continue;
-        COLOGNE_ASSIGN_OR_RETURN(v, EvalBound(as.expr, b, slots));
-        Value& target = slots[static_cast<size_t>(as.slot)];
-        Value newv = FromSVal(v);
-        if (target.is_null()) {
-          target = newv;
-        } else if (!(target == newv)) {
-          return false;
+  // Run one depth's guards in plan order; Result<false> = a selection or an
+  // assignment check filtered this branch out.
+  Result<bool> RunGuards(const std::vector<PlanGuard>& guards) {
+    for (const PlanGuard& g : guards) {
+      switch (g.kind) {
+        case PlanGuard::Kind::kBind: {
+          const Expr& e = rule_->sels[static_cast<size_t>(g.index)].expr;
+          COLOGNE_ASSIGN_OR_RETURN(
+              v, EvalBound(e.kids[static_cast<size_t>(1 - g.side)], g.deps));
+          Slot(g.slot) = FromSVal(std::move(v));
+          break;
         }
-        done[gi] = 1;
-        progress = true;
+        case PlanGuard::Kind::kBindReified: {
+          const Expr& e = rule_->sels[static_cast<size_t>(g.index)].expr;
+          COLOGNE_ASSIGN_OR_RETURN(
+              cond,
+              EvalBound(e.kids[static_cast<size_t>(1 - g.side)], g.deps));
+          if (cond.symbolic) {
+            COLOGNE_ASSIGN_OR_RETURN(scaled, TakeExpr(std::move(cond)));
+            scaled.MulBy(g.k);
+            Slot(g.slot) = Value::Sym(Register(std::move(scaled)));
+          } else {
+            Slot(g.slot) =
+                Value::Int(datalog::ValueIsTrue(cond.concrete) ? g.k : 0);
+          }
+          break;
+        }
+        case PlanGuard::Kind::kFilter: {
+          const Expr& e = rule_->sels[static_cast<size_t>(g.index)].expr;
+          if (!AnySym(g.deps)) {
+            COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalExpr(e, slots_));
+            if (!datalog::ValueIsTrue(v)) return false;
+          } else {
+            COLOGNE_ASSIGN_OR_RETURN(passed, EvalCondition(e));
+            if (!passed) return false;
+          }
+          break;
+        }
+        case PlanGuard::Kind::kAssign:
+        case PlanGuard::Kind::kCheckAssign: {
+          const Expr& e = rule_->assigns[static_cast<size_t>(g.index)].expr;
+          COLOGNE_ASSIGN_OR_RETURN(v, EvalBound(e, g.deps));
+          Value newv = FromSVal(std::move(v));
+          if (g.kind == PlanGuard::Kind::kAssign) {
+            Slot(g.slot) = newv;
+          } else if (!(Slot(g.slot) == newv)) {
+            return false;
+          }
+          break;
+        }
       }
     }
     return true;
   }
 
-  enum class GuardState { kNotReady, kPassed, kFailed };
-
   // Evaluate an expression whose slots are all bound: straight through the
   // concrete evaluator when none is symbolic.
-  Result<SVal> EvalBound(const Expr& e, Binding b,
-                         const std::vector<Value>& slots) {
-    if (b == Binding::kConcrete) {
-      COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalExpr(e, slots));
-      return SVal::Concrete(std::move(v));
+  Result<SVal> EvalBound(const Expr& e, const std::vector<int>& deps) {
+    if (!AnySym(deps)) {
+      COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalExpr(e, slots_));
+      return SVal::Concrete(v);
     }
-    return Eval(e, slots);
+    return Eval(e);
   }
 
-  // Selection handling with the binding forms of Section 5.3:
-  //   X == expr                (X unbound)    bind X to the expression
-  //   (X == k) == boolexpr     (X unbound)    bind X := k * [boolexpr]
-  //   boolexpr == (X == k)     symmetric
-  // plus plain filtering / hard-constraint posting.
-  Result<GuardState> TrySelection(const Expr& e, const GuardDeps& deps,
-                                  std::vector<Value>& slots) {
-    if (e.op == ExprOp::kEq) {
-      const Expr& l = e.kids[0];
-      const Expr& r = e.kids[1];
-      // Form 1: bare unbound slot on one side.
-      for (int side = 0; side < 2; ++side) {
-        const Expr& a = side == 0 ? l : r;
-        const Expr& b = side == 0 ? r : l;
-        if (a.op == ExprOp::kSlot &&
-            slots[static_cast<size_t>(a.slot)].is_null()) {
-          Binding bb = BindingOf(side == 0 ? deps.rhs : deps.lhs, slots);
-          if (bb == Binding::kUnbound) return GuardState::kNotReady;
-          COLOGNE_ASSIGN_OR_RETURN(v, EvalBound(b, bb, slots));
-          slots[static_cast<size_t>(a.slot)] = FromSVal(v);
-          return GuardState::kPassed;
-        }
-      }
-      // Form 2: (X == k) == boolexpr with X unbound.
-      for (int side = 0; side < 2; ++side) {
-        const Expr& pat = side == 0 ? l : r;
-        if (pat.op != ExprOp::kEq) continue;
-        const Expr* slot_kid = nullptr;
-        const Expr* const_kid = nullptr;
-        for (int k = 0; k < 2; ++k) {
-          const Expr& kid = pat.kids[static_cast<size_t>(k)];
-          const Expr& sib = pat.kids[static_cast<size_t>(1 - k)];
-          if (kid.op == ExprOp::kSlot &&
-              slots[static_cast<size_t>(kid.slot)].is_null()) {
-            slot_kid = &kid;
-            const_kid = &sib;
-          }
-        }
-        if (slot_kid == nullptr) continue;
-        if (const_kid->op != ExprOp::kConst || !const_kid->const_val.is_int()) {
-          continue;
-        }
-        const Expr& other = side == 0 ? r : l;
-        Binding ob = BindingOf(side == 0 ? deps.rhs : deps.lhs, slots);
-        if (ob == Binding::kUnbound) return GuardState::kNotReady;
-        int64_t k = const_kid->const_val.as_int();
-        COLOGNE_ASSIGN_OR_RETURN(cond, EvalBound(other, ob, slots));
-        Value bound;
-        if (cond.symbolic) {
-          LinExpr scaled = cond.expr;
-          scaled.MulBy(k);
-          bound = Value::Sym(Register(std::move(scaled)));
-        } else {
-          bound = Value::Int(datalog::ValueIsTrue(cond.concrete) ? k : 0);
-        }
-        slots[static_cast<size_t>(slot_kid->slot)] = bound;
-        return GuardState::kPassed;
-      }
-    }
-    // Plain evaluation: not ready / filter / hard constraint.
-    Binding b = BindingOf(deps.all, slots);
-    if (b == Binding::kUnbound) return GuardState::kNotReady;
-    if (b == Binding::kConcrete) {
-      COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalExpr(e, slots));
-      return datalog::ValueIsTrue(v) ? GuardState::kPassed
-                                     : GuardState::kFailed;
-    }
-    return EvalCondition(e, slots);
-  }
-
-  // Evaluate a fully-bound boolean condition. Concrete: filter. Symbolic:
-  // post a hard constraint (selections in solver rules restrict the search
-  // space, Sections 5.3-5.4) and keep the branch alive.
-  Result<GuardState> EvalCondition(const Expr& e, std::vector<Value>& slots) {
+  // Evaluate a fully-bound boolean condition. Concrete: filter (false =
+  // filtered out). Symbolic: post a hard constraint (selections in solver
+  // rules restrict the search space, Sections 5.3-5.4) and keep the branch
+  // alive.
+  Result<bool> EvalCondition(const Expr& e) {
     if (datalog::IsComparison(e.op)) {
-      COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-      COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1], slots));
+      COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+      COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1]));
       if (!a.symbolic && !b.symbolic) {
         COLOGNE_ASSIGN_OR_RETURN(
             v, datalog::EvalBinaryOp(e.op, a.concrete, b.concrete));
-        return datalog::ValueIsTrue(v) ? GuardState::kPassed
-                                       : GuardState::kFailed;
+        return datalog::ValueIsTrue(v);
       }
-      COLOGNE_ASSIGN_OR_RETURN(ea, a.AsExpr());
-      COLOGNE_ASSIGN_OR_RETURN(eb, b.AsExpr());
-      model_->PostRel(ea, RelOfOp(e.op), eb);
-      RecordPost(ea, RelOfOp(e.op), eb);
-      return GuardState::kPassed;
+      COLOGNE_ASSIGN_OR_RETURN(ea, TakeExpr(std::move(a)));
+      COLOGNE_ASSIGN_OR_RETURN(eb, TakeExpr(std::move(b)));
+      PostRecorded(std::move(ea), RelOfOp(e.op), std::move(eb));
+      return true;
     }
     if (e.op == ExprOp::kAnd) {
-      COLOGNE_ASSIGN_OR_RETURN(a, EvalCondition(e.kids[0], slots));
-      if (a == GuardState::kFailed) return a;
-      return EvalCondition(e.kids[1], slots);
+      COLOGNE_ASSIGN_OR_RETURN(a, EvalCondition(e.kids[0]));
+      if (!a) return false;
+      return EvalCondition(e.kids[1]);
     }
-    COLOGNE_ASSIGN_OR_RETURN(v, Eval(e, slots));
-    if (!v.symbolic) {
-      return datalog::ValueIsTrue(v.concrete) ? GuardState::kPassed
-                                              : GuardState::kFailed;
-    }
-    model_->PostRel(v.expr, Rel::kEq, LinExpr(1));
-    RecordPost(v.expr, Rel::kEq, LinExpr(1));
-    return GuardState::kPassed;
+    COLOGNE_ASSIGN_OR_RETURN(v, Eval(e));
+    if (!v.symbolic) return datalog::ValueIsTrue(v.concrete);
+    COLOGNE_ASSIGN_OR_RETURN(ev, TakeExpr(std::move(v)));
+    PostRecorded(std::move(ev), Rel::kEq, LinExpr(1));
+    return true;
   }
 
   // ---- Expression evaluation (symbolic-aware) -------------------------------
-  Result<SVal> Eval(const Expr& e, const std::vector<Value>& slots) {
+  Result<SVal> Eval(const Expr& e) {
     switch (e.op) {
       case ExprOp::kConst:
         return SVal::Concrete(e.const_val);
       case ExprOp::kSlot:
-        return ToSVal(slots[static_cast<size_t>(e.slot)]);
+        return ToSVal(Slot(e.slot));
       case ExprOp::kNeg: {
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
         if (!a.symbolic) return ConcreteUnary(e.op, a.concrete);
-        LinExpr neg = a.expr;
+        COLOGNE_ASSIGN_OR_RETURN(neg, TakeExpr(std::move(a)));
         neg.MulBy(-1);
         return SVal::Sym(std::move(neg));
       }
       case ExprOp::kAbs: {
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
         if (!a.symbolic) return ConcreteUnary(e.op, a.concrete);
-        return SVal::Sym(LinExpr(model_->MakeAbs(a.expr)));
+        LinExpr scratch;
+        COLOGNE_ASSIGN_OR_RETURN(ea, ExprOf(a, &scratch));
+        return SVal::Sym(LinExpr(model_->MakeAbs(*ea)));
       }
       case ExprOp::kNot: {
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
         if (!a.symbolic) return ConcreteUnary(e.op, a.concrete);
+        LinExpr scratch;
+        COLOGNE_ASSIGN_OR_RETURN(ea, ExprOf(a, &scratch));
         LinExpr inv(1);
-        inv -= a.expr;
+        inv -= *ea;
         return SVal::Sym(std::move(inv));
       }
       case ExprOp::kAdd:
       case ExprOp::kSub: {
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1], slots));
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1]));
         if (!a.symbolic && !b.symbolic) {
           return ConcreteBinary(e.op, a.concrete, b.concrete);
         }
-        COLOGNE_ASSIGN_OR_RETURN(ea, a.AsExpr());
-        COLOGNE_ASSIGN_OR_RETURN(eb, b.AsExpr());
+        COLOGNE_ASSIGN_OR_RETURN(ea, TakeExpr(std::move(a)));
+        LinExpr scratch;
+        COLOGNE_ASSIGN_OR_RETURN(eb, ExprOf(b, &scratch));
         if (e.op == ExprOp::kSub) {
-          ea -= eb;
+          ea -= *eb;
         } else {
-          ea += eb;
+          ea += *eb;
         }
         return SVal::Sym(std::move(ea));
       }
       case ExprOp::kMul: {
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1], slots));
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1]));
         if (!a.symbolic && !b.symbolic) {
           return ConcreteBinary(e.op, a.concrete, b.concrete);
         }
         if (!a.symbolic || !b.symbolic) {
-          const SVal& sym = a.symbolic ? a : b;
+          SVal& sym = a.symbolic ? a : b;
           const SVal& con = a.symbolic ? b : a;
           if (!con.concrete.is_int()) {
             return Status::SolverError(
                 "multiplying a solver attribute by a non-integer");
           }
-          LinExpr scaled = sym.expr;
+          COLOGNE_ASSIGN_OR_RETURN(scaled, TakeExpr(std::move(sym)));
           scaled.MulBy(con.concrete.as_int());
           return SVal::Sym(std::move(scaled));
         }
-        IntVar va = model_->VarOf(a.expr);
-        IntVar vb = model_->VarOf(b.expr);
+        LinExpr sa, sb;
+        COLOGNE_ASSIGN_OR_RETURN(ea, ExprOf(a, &sa));
+        COLOGNE_ASSIGN_OR_RETURN(eb, ExprOf(b, &sb));
+        IntVar va = model_->VarOf(*ea);
+        IntVar vb = model_->VarOf(*eb);
         return SVal::Sym(LinExpr(model_->MakeTimes(va, vb)));
       }
       case ExprOp::kDiv:
       case ExprOp::kMod: {
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1], slots));
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1]));
         if (a.symbolic || b.symbolic) {
           return Status::SolverError(
               "division/modulo over solver attributes is not supported");
@@ -715,25 +661,26 @@ class BridgeEval {
         return ConcreteBinary(e.op, a.concrete, b.concrete);
       }
       default: {  // comparisons and logical connectives
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1], slots));
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1]));
         if (!a.symbolic && !b.symbolic) {
           return ConcreteBinary(e.op, a.concrete, b.concrete);
         }
-        COLOGNE_ASSIGN_OR_RETURN(ea, a.AsExpr());
-        COLOGNE_ASSIGN_OR_RETURN(eb, b.AsExpr());
+        COLOGNE_ASSIGN_OR_RETURN(ea, TakeExpr(std::move(a)));
+        LinExpr scratch;
+        COLOGNE_ASSIGN_OR_RETURN(eb, ExprOf(b, &scratch));
         if (datalog::IsComparison(e.op)) {
-          IntVar bvar = model_->ReifyRel(ea, RelOfOp(e.op), eb);
+          IntVar bvar = model_->ReifyRel(std::move(ea), RelOfOp(e.op), *eb);
           return SVal::Sym(LinExpr(bvar));
         }
         if (e.op == ExprOp::kAnd) {
-          ea += eb;  // both 0/1
-          IntVar bvar = model_->ReifyRel(ea, Rel::kEq, LinExpr(2));
+          ea += *eb;  // both 0/1
+          IntVar bvar = model_->ReifyRel(std::move(ea), Rel::kEq, LinExpr(2));
           return SVal::Sym(LinExpr(bvar));
         }
         if (e.op == ExprOp::kOr) {
-          ea += eb;
-          IntVar bvar = model_->ReifyRel(ea, Rel::kGe, LinExpr(1));
+          ea += *eb;
+          IntVar bvar = model_->ReifyRel(std::move(ea), Rel::kGe, LinExpr(1));
           return SVal::Sym(LinExpr(bvar));
         }
         return Status::SolverError("unsupported symbolic operator");
@@ -743,25 +690,25 @@ class BridgeEval {
 
   static Result<SVal> ConcreteUnary(ExprOp op, const Value& a) {
     COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalUnaryOp(op, a));
-    return SVal::Concrete(std::move(v));
+    return SVal::Concrete(v);
   }
   static Result<SVal> ConcreteBinary(ExprOp op, const Value& a,
                                      const Value& b) {
     COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalBinaryOp(op, a, b));
-    return SVal::Concrete(std::move(v));
+    return SVal::Concrete(v);
   }
 
   // ---- Head emission --------------------------------------------------------
-  Status Emit(const RuleIR& rule, const std::vector<Value>& slots,
-              std::vector<Row>* emitted) {
-    if (cur_constraint_) return Status::OK();  // constraints derive nothing
+  // An aggregate rule records its group-by values and its input per
+  // emission; EmitGroups() aggregates them once the join is done.
+  Status Emit() {
+    if (constraint_) return Status::OK();  // constraints derive nothing
+    const RuleIR& rule = *rule_;
     if (rule.agg) {
-      Row group;
       for (size_t i = 0; i < rule.head.args.size(); ++i) {
         if (static_cast<int>(i) == rule.agg->arg_index) continue;
         const TermIR& term = rule.head.args[i];
-        Value v = term.is_const ? term.const_val
-                                : slots[static_cast<size_t>(term.slot)];
+        const Value& v = term.is_const ? term.const_val : Slot(term.slot);
         if (v.is_null()) {
           return Status::SolverError("rule " + rule.label +
                                      ": unbound group-by attribute");
@@ -770,56 +717,86 @@ class BridgeEval {
           return Status::SolverError("rule " + rule.label +
                                      ": symbolic group-by attribute");
         }
-        group.push_back(std::move(v));
+        agg_keys_.push_back(v);
       }
-      const Value& v = slots[static_cast<size_t>(rule.agg->value_slot)];
+      const Value& v = Slot(rule.agg->value_slot);
       if (v.is_null()) {
         return Status::SolverError("rule " + rule.label +
                                    ": unbound aggregate input");
       }
-      agg_groups_[group].push_back(ToSVal(v));
+      agg_vals_.push_back(v);
       return Status::OK();
     }
     Row row;
+    row.reserve(rule.head.args.size());
     for (const TermIR& term : rule.head.args) {
-      Value v = term.is_const ? term.const_val
-                              : slots[static_cast<size_t>(term.slot)];
+      const Value& v = term.is_const ? term.const_val : Slot(term.slot);
       if (v.is_null()) {
         return Status::SolverError("rule " + rule.label +
                                    ": unbound head attribute");
       }
-      row.push_back(std::move(v));
+      row.push_back(v);
     }
-    emitted->push_back(std::move(row));
+    emitted_.push_back(std::move(row));
+    return Status::OK();
+  }
+
+  // Aggregate the recorded emissions per group, groups in ascending key
+  // order and each group's inputs in emission order, appending one head row
+  // per group to `out`.
+  Status EmitGroups(std::vector<Row>& out) {
+    const size_t width = rule_->head.args.size() - 1;
+    auto key = [&](uint32_t e) {
+      return std::span<const Value>(agg_keys_.data() + e * width, width);
+    };
+    auto less = [&](uint32_t a, uint32_t b) {
+      std::span<const Value> ka = key(a), kb = key(b);
+      return std::lexicographical_compare(ka.begin(), ka.end(), kb.begin(),
+                                          kb.end());
+    };
+    std::vector<uint32_t> order(agg_vals_.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), less);
+    std::vector<Value> inputs;
+    const auto agg_pos = static_cast<size_t>(rule_->agg->arg_index);
+    for (size_t i = 0; i < order.size();) {
+      size_t j = i;
+      inputs.clear();
+      for (; j < order.size() && !less(order[i], order[j]); ++j) {
+        inputs.push_back(agg_vals_[order[j]]);
+      }
+      COLOGNE_ASSIGN_OR_RETURN(agg_val, Aggregate(rule_->agg->kind, inputs));
+      std::span<const Value> group = key(order[i]);
+      Row row(group.begin(), group.end());
+      row.insert(row.begin() + static_cast<std::ptrdiff_t>(agg_pos), agg_val);
+      out.push_back(std::move(row));
+      i = j;
+    }
     return Status::OK();
   }
 
   // ---- Aggregates -----------------------------------------------------------
-  Result<Value> Aggregate(AggKind kind, const std::vector<SVal>& vals) {
+  Result<Value> Aggregate(AggKind kind, const std::vector<Value>& vals) {
     bool any_sym = false;
-    for (const SVal& v : vals) any_sym |= v.symbolic;
-    if (!any_sym) {
-      std::vector<Value> xs;
-      xs.reserve(vals.size());
-      for (const SVal& v : vals) xs.push_back(v.concrete);
-      return datalog::ComputeAggregate(kind, xs);
-    }
-    // Symbolic aggregate constructions (Section 5.3).
+    for (const Value& v : vals) any_sym |= v.is_sym();
+    if (!any_sym) return datalog::ComputeAggregate(kind, vals);
+    // Symbolic aggregate constructions (Section 5.3). Sums collect every
+    // term into one expression and canonicalize it once.
     switch (kind) {
       case AggKind::kSum: {
         LinExpr sum;
-        for (const SVal& v : vals) {
-          COLOGNE_ASSIGN_OR_RETURN(e, v.AsExpr());
-          sum += e;
-        }
+        for (const Value& v : vals) COLOGNE_RETURN_IF_ERROR(Append(v, &sum));
+        sum.Canonicalize();
         return Value::Sym(Register(std::move(sum)));
       }
       case AggKind::kSumAbs: {
         LinExpr sum;
-        for (const SVal& v : vals) {
-          COLOGNE_ASSIGN_OR_RETURN(e, v.AsExpr());
-          sum += LinExpr(model_->MakeAbs(e));
+        LinExpr scratch;
+        for (const Value& v : vals) {
+          COLOGNE_ASSIGN_OR_RETURN(e, ExprOf(ToSVal(v), &scratch));
+          sum.terms.push_back({1, model_->MakeAbs(*e)});
         }
+        sum.Canonicalize();
         return Value::Sym(Register(std::move(sum)));
       }
       case AggKind::kCount:
@@ -831,18 +808,23 @@ class BridgeEval {
         int64_t n = static_cast<int64_t>(vals.size());
         LinExpr total;
         std::vector<LinExpr> exprs;
-        for (const SVal& v : vals) {
-          COLOGNE_ASSIGN_OR_RETURN(e, v.AsExpr());
-          total += e;
+        exprs.reserve(vals.size());
+        for (const Value& v : vals) {
+          COLOGNE_ASSIGN_OR_RETURN(e, TakeExpr(ToSVal(v)));
           exprs.push_back(std::move(e));
+          total.constant += exprs.back().constant;
+          total.terms.insert(total.terms.end(), exprs.back().terms.begin(),
+                             exprs.back().terms.end());
         }
+        total.Canonicalize();
         LinExpr j;
-        for (LinExpr& e : exprs) {
+        for (const LinExpr& e : exprs) {
           LinExpr dev = e;
           dev.MulBy(n);
           dev -= total;
-          j += LinExpr(model_->MakeSquare(dev));
+          j.terms.push_back({1, model_->MakeSquare(dev)});
         }
+        j.Canonicalize();
         int32_t idx = Register(std::move(j));
         stdev_inputs_[idx] = std::move(exprs);
         return Value::Sym(idx);
@@ -853,8 +835,8 @@ class BridgeEval {
         std::vector<LinExpr> exprs;
         solver::ExprBounds overall{0, 0};
         bool first = true;
-        for (const SVal& v : vals) {
-          COLOGNE_ASSIGN_OR_RETURN(e, v.AsExpr());
+        for (const Value& v : vals) {
+          COLOGNE_ASSIGN_OR_RETURN(e, TakeExpr(ToSVal(v)));
           solver::ExprBounds b = model_->InitialBounds(e);
           if (first) {
             overall = b;
@@ -878,9 +860,10 @@ class BridgeEval {
       }
       case AggKind::kUnique: {
         std::vector<IntVar> vars;
-        for (const SVal& v : vals) {
-          COLOGNE_ASSIGN_OR_RETURN(e, v.AsExpr());
-          vars.push_back(model_->VarOf(e));
+        LinExpr scratch;
+        for (const Value& v : vals) {
+          COLOGNE_ASSIGN_OR_RETURN(e, ExprOf(ToSVal(v), &scratch));
+          vars.push_back(model_->VarOf(*e));
         }
         return Value::Sym(Register(LinExpr(model_->MakeCountDistinct(vars))));
       }
@@ -893,26 +876,49 @@ class BridgeEval {
     return Status::SolverError("unsupported symbolic aggregate");
   }
 
+  // sum += v, uncanonicalized.
+  Status Append(const Value& v, LinExpr* sum) const {
+    if (!v.is_sym()) {
+      if (!v.is_int()) return NotAnInteger(v);
+      sum->constant += v.as_int();
+      return Status::OK();
+    }
+    const LinExpr& e = ExprAt(v.sym_index());
+    sum->constant += e.constant;
+    sum->terms.insert(sum->terms.end(), e.terms.begin(), e.terms.end());
+    return Status::OK();
+  }
+
   static inline const std::vector<uint32_t> kNoRows;
 
   const CompiledProgram* program_;
+  const SolverPlan& plan_;
   const datalog::Engine* engine_;
   Model* model_;
   std::vector<VarRow> var_rows_;
-  std::vector<LinExpr> sym_exprs_;
+  // Registered expressions; Value::Sym(i) refers to exprs_[i].
+  std::vector<LinExpr> exprs_;
   // STDEV surrogate index -> the aggregate's input expressions.
   std::map<int32_t, std::vector<LinExpr>> stdev_inputs_;
-  std::map<std::string, std::vector<Row>> tables_;
-  // Engine tables read this solve, each sorted once (Table::Rows()).
-  std::map<std::string, std::vector<Row>> snapshots_;
-  // table -> bound column set -> index over RowsOf(table).
-  std::map<std::string, std::map<std::vector<int>, JoinIndex>> indexes_;
-  std::map<Row, std::vector<SVal>> agg_groups_;
-  const RuleIR* cur_rule_ = nullptr;
-  bool cur_constraint_ = false;
-  std::vector<GuardDeps> sel_deps_;
-  std::vector<std::vector<int>> assign_deps_;
-  std::vector<Frame> frames_;
+  // By plan table id: the bridge-local rows (once a var declaration or a
+  // derivation created them) and the engine snapshot (once read).
+  std::vector<std::vector<Row>> local_;
+  std::vector<char> has_local_;
+  std::vector<std::vector<Row>> snapshots_;
+  std::vector<char> has_snapshot_;
+  // By plan join-index id.
+  std::vector<JoinIndex> indexes_;
+
+  // The rule being evaluated.
+  const RuleIR* rule_ = nullptr;
+  const PlanRule* plan_rule_ = nullptr;
+  bool constraint_ = false;
+  std::vector<Value> slots_;
+  std::vector<Row> keys_;  // probe key per depth
+  std::vector<Row> emitted_;
+  // Aggregate emissions: `width` group-by values each, and the inputs.
+  std::vector<Value> agg_keys_;
+  std::vector<Value> agg_vals_;
   std::vector<PostedConstraint>* record_ = nullptr;
 };
 
@@ -967,7 +973,7 @@ const char* SrcOfValue(const Model& model, IntVar v,
 // for an ungrouped solve): the binding constraints touching any group
 // variable, sorted and deduplicated, plus the value-source classification.
 std::vector<SolveProvGroup> BuildProvenance(
-    const Model& model, const std::vector<BridgeEval::VarRow>& var_rows,
+    const Model& model, const std::vector<PlanEval::VarRow>& var_rows,
     const std::vector<std::string>& group_keys,
     const std::vector<PostedConstraint>& posted,
     const std::vector<int64_t>& cache_hints, const solver::Solution& sol) {
@@ -987,7 +993,7 @@ std::vector<SolveProvGroup> BuildProvenance(
     }
   } else {
     std::vector<IntVar> all;
-    for (const BridgeEval::VarRow& vr : var_rows) {
+    for (const PlanEval::VarRow& vr : var_rows) {
       all.insert(all.end(), vr.vars.begin(), vr.vars.end());
     }
     groups.push_back({std::string(), std::move(all)});
@@ -1055,7 +1061,7 @@ void FnvMixStr(uint64_t* h, std::string_view s) {
 // structural change (row added/removed) shifts later ids and conservatively
 // dirties the affected groups.
 std::vector<uint64_t> ComputeFingerprints(
-    const Model& model, const std::vector<BridgeEval::VarRow>& var_rows) {
+    const Model& model, const std::vector<PlanEval::VarRow>& var_rows) {
   const auto& groups = model.decision_groups();
   const size_t ngroups = std::max<size_t>(groups.size(), 1);
   std::vector<int32_t> group_of(model.num_vars(), -1);
@@ -1071,7 +1077,7 @@ std::vector<uint64_t> ComputeFingerprints(
     return group_of[static_cast<size_t>(var_id)];
   };
 
-  for (const BridgeEval::VarRow& vr : var_rows) {
+  for (const PlanEval::VarRow& vr : var_rows) {
     int32_t gi = vr.vars.empty() ? -1 : target_of(vr.vars[0].id);
     uint64_t* h = gi >= 0 ? &fp[static_cast<size_t>(gi)] : &global;
     FnvMixStr(h, *vr.table);
@@ -1115,23 +1121,6 @@ std::vector<uint64_t> ComputeFingerprints(
 
 }  // namespace
 
-std::vector<std::string> SolverInputTables(
-    const colog::CompiledProgram& program) {
-  std::set<std::string> names;
-  for (const colog::SolverRuleIR& rule : program.solver_rules) {
-    names.insert(rule.ir.head.table);
-    for (const datalog::AtomIR& atom : rule.ir.body) names.insert(atom.table);
-  }
-  for (const colog::VarDeclIR& decl : program.var_decls) {
-    names.insert(decl.var_table);
-    names.insert(decl.forall_table);
-  }
-  if (program.goal.present && !program.goal.table.empty()) {
-    names.insert(program.goal.table);
-  }
-  return {names.begin(), names.end()};
-}
-
 Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
                                         WarmStartCache* warm_cache,
                                         IncrementalState* incr,
@@ -1143,19 +1132,19 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   const bool incremental = options.incremental && incr != nullptr;
 
   // ---- Build the constraint network: one pass over the solver rules -------
-  BridgeEval eval(program_, engine_, &model);
+  PlanEval eval(program_, engine_, &model);
   std::vector<PostedConstraint> posted;
   if (options.record_provenance) eval.RecordConstraintsTo(&posted);
   COLOGNE_RETURN_IF_ERROR(eval.InstantiateVars());
 
-  for (const SolverRuleIR& rule : program_->solver_rules) {
-    COLOGNE_RETURN_IF_ERROR(eval.EvalRule(rule));
+  for (size_t r = 0; r < program_->solver_rules.size(); ++r) {
+    COLOGNE_RETURN_IF_ERROR(eval.EvalRule(r));
   }
 
   bool optimizing = program_->goal.present && !program_->goal.table.empty();
   if (optimizing) {
     COLOGNE_ASSIGN_OR_RETURN(goal_val, eval.GoalValue());
-    COLOGNE_ASSIGN_OR_RETURN(goal_expr, goal_val.AsExpr());
+    COLOGNE_ASSIGN_OR_RETURN(goal_expr, eval.TakeExpr(std::move(goal_val)));
     if (program_->goal.type == GoalType::kMinimize) {
       model.Minimize(goal_expr);
     } else if (program_->goal.type == GoalType::kMaximize) {
@@ -1171,7 +1160,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   if (options.group_key_prefix > 0) {
     std::vector<std::pair<Row, std::vector<IntVar>>> groups;  // ordered
     std::map<std::pair<std::string, Row>, size_t> index;
-    for (const BridgeEval::VarRow& vr : eval.var_rows()) {
+    for (const PlanEval::VarRow& vr : eval.var_rows()) {
       Row prefix(vr.key.begin(),
                  vr.key.begin() +
                      std::min<size_t>(vr.key.size(),
@@ -1219,7 +1208,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
     hints.assign(model.num_vars(), Model::Options::kNoHint);
   }
   if (use_cache && !warm_cache->empty()) {
-    for (const BridgeEval::VarRow& vr : eval.var_rows()) {
+    for (const PlanEval::VarRow& vr : eval.var_rows()) {
       auto tit = warm_cache->rows.find(*vr.table);
       if (tit == warm_cache->rows.end()) continue;
       auto rit = tit->second.find(vr.key);
@@ -1247,7 +1236,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
     // discover a feasible point from scratch over [-cap, cap]^n, which is
     // exponential exactly when batching makes n large. Infeasible hints are
     // repaired by the search, never trusted.
-    for (const BridgeEval::VarRow& vr : eval.var_rows()) {
+    for (const PlanEval::VarRow& vr : eval.var_rows()) {
       for (solver::IntVar v : vr.vars) {
         int64_t& h = hints[static_cast<size_t>(v.id)];
         if (h == Model::Options::kNoHint &&
@@ -1341,7 +1330,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
       incr->valid = true;
     }
     ++warm_cache->generation;
-    for (const BridgeEval::VarRow& vr : eval.var_rows()) {
+    for (const PlanEval::VarRow& vr : eval.var_rows()) {
       std::vector<int64_t> vals;
       vals.reserve(vr.vars.size());
       for (IntVar v : vr.vars) vals.push_back(sol.ValueOf(v));
@@ -1371,7 +1360,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
       out.has_objective = true;
     }
   }
-  out.tables = std::move(eval.tables());
+  out.tables = eval.TakeTables();
   return out;
 }
 

@@ -16,12 +16,16 @@
 //      back into engine tables (triggering downstream incremental
 //      evaluation, Section 5.1).
 //
-// Each solver rule is evaluated once per solve. Joins read every table in a
-// fixed scan order (bridge-local rows in derivation order, engine tables as
-// one sorted snapshot per solve) and probe bound columns through hash
-// indexes built lazily from that order, so a probe yields the rows a
-// nested-loop scan would accept, in the same order: variable ids,
-// propagator order and model fingerprints do not depend on the index.
+// Each solver rule is evaluated once per solve, along the program's
+// SolverPlan (colog/solver_plan.h): the plan fixes, once per program, the
+// join order, each atom's probe columns and the depth and order at which
+// every selection and assignment runs, so a solve only binds rows. Joins
+// read every table in a fixed scan order (bridge-local rows in derivation
+// order, engine tables as one sorted snapshot per solve) and probe bound
+// columns through hash indexes built lazily from that order, so a probe
+// yields the rows a nested-loop scan would accept, in the same order:
+// variable ids, propagator order and model fingerprints do not depend on
+// the index.
 #ifndef COLOGNE_RUNTIME_SOLVER_BRIDGE_H_
 #define COLOGNE_RUNTIME_SOLVER_BRIDGE_H_
 
@@ -87,14 +91,6 @@ struct SolveRequest {
   /// arriving over the network bypass the local journal entirely.
   std::vector<std::string> changed_tables;
 };
-
-/// Engine tables whose contents determine the compiled model: every table a
-/// solver rule references (bodies and heads — heads included because in a
-/// distributed program a remote node's writeback can land deltas in a table
-/// this node also derives), the var/forall tables, and the goal table.
-/// Sorted and deduplicated. Hashing exactly these across solves
-/// (IncrementalState::input_hashes) proves the model build would repeat.
-std::vector<std::string> SolverInputTables(const colog::CompiledProgram& program);
 
 /// \brief Last-solution cache keyed by var-table row identity.
 ///
@@ -181,7 +177,8 @@ struct IncrementalState {
   bool valid = false;
 
   /// Whole-solve reuse (the dominant steady-state case): content hashes of
-  /// every engine table the model build reads, snapshotted after the last
+  /// every engine table the model build reads (the program's
+  /// SolverPlan::input_tables, in that order), snapshotted after the last
   /// solve's writeback, plus that solve's full output. When the next
   /// incremental solve sees identical input hashes (and identical solve
   /// options, captured in `reuse_options`), the model build, search, and
@@ -189,7 +186,7 @@ struct IncrementalState {
   /// deterministic pipeline would reproduce it bit for bit. Content hashes
   /// are order-independent (datalog::Table::ContentHash), so journal replay
   /// after a crash converges to the same snapshot.
-  std::map<std::string, uint64_t> input_hashes;
+  std::vector<uint64_t> input_hashes;
   SolveOptions reuse_options;
   SolveOutput last_output;
   bool reusable = false;

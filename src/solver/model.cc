@@ -5,15 +5,13 @@
 
 namespace cologne::solver {
 
-IntVar Model::NewInt(int64_t lo, int64_t hi, std::string name) {
-  return NewIntFromDomain(IntDomain(lo, hi), std::move(name));
+IntVar Model::NewInt(int64_t lo, int64_t hi) {
+  return NewIntFromDomain(IntDomain(lo, hi));
 }
 
-IntVar Model::NewIntFromDomain(IntDomain dom, std::string name) {
+IntVar Model::NewIntFromDomain(IntDomain dom) {
   IntVar v{static_cast<int32_t>(domains_.size())};
-  if (name.empty()) name = "x" + std::to_string(v.id);
   domains_.push_back(std::move(dom));
-  names_.push_back(std::move(name));
   return v;
 }
 

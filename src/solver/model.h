@@ -37,11 +37,11 @@ class Model {
   // --- Variables -----------------------------------------------------------
 
   /// New integer variable with domain [lo, hi].
-  IntVar NewInt(int64_t lo, int64_t hi, std::string name = "");
+  IntVar NewInt(int64_t lo, int64_t hi);
   /// New variable with an explicit (possibly holey) domain.
-  IntVar NewIntFromDomain(IntDomain dom, std::string name = "");
+  IntVar NewIntFromDomain(IntDomain dom);
   /// New 0/1 variable.
-  IntVar NewBool(std::string name = "") { return NewInt(0, 1, std::move(name)); }
+  IntVar NewBool() { return NewInt(0, 1); }
 
   size_t num_vars() const { return domains_.size(); }
   size_t num_propagators() const { return props_.size(); }
@@ -80,9 +80,6 @@ class Model {
   /// All initial domains (index = var id): the root store search backends
   /// start from.
   const std::vector<IntDomain>& initial_domains() const { return domains_; }
-  const std::string& NameOf(IntVar v) const {
-    return names_[static_cast<size_t>(v.id)];
-  }
 
   // --- Constraints ---------------------------------------------------------
 
@@ -246,7 +243,6 @@ class Model {
 
  private:
   std::vector<IntDomain> domains_;
-  std::vector<std::string> names_;
   std::vector<std::unique_ptr<Propagator>> props_;
   std::vector<char> is_decision_;
   std::vector<std::vector<IntVar>> groups_;

@@ -1,7 +1,6 @@
 #include "solver/types.h"
 
 #include <algorithm>
-#include <map>
 
 namespace cologne::solver {
 
@@ -78,13 +77,30 @@ LinExpr& LinExpr::MulBy(int64_t k) {
 }
 
 void LinExpr::Canonicalize() {
-  if (terms.empty()) return;
-  std::map<int32_t, int64_t> merged;
-  for (const auto& [c, v] : terms) merged[v.id] += c;
-  terms.clear();
-  for (const auto& [id, c] : merged) {
-    if (c != 0) terms.push_back({c, IntVar{id}});
+  auto by_id = [](const std::pair<int64_t, IntVar>& a,
+                  const std::pair<int64_t, IntVar>& b) {
+    return a.second.id < b.second.id;
+  };
+  // Already canonical (the common case: a sum built term by term or a
+  // re-canonicalized posting): strictly ascending ids, no zero coefficient.
+  bool canonical = true;
+  for (size_t i = 0; i < terms.size() && canonical; ++i) {
+    canonical = terms[i].first != 0 &&
+                (i == 0 || terms[i - 1].second.id < terms[i].second.id);
   }
+  if (canonical) return;
+  std::sort(terms.begin(), terms.end(), by_id);
+  size_t out = 0;
+  for (size_t i = 0; i < terms.size();) {
+    int64_t c = 0;
+    size_t j = i;
+    for (; j < terms.size() && terms[j].second.id == terms[i].second.id; ++j) {
+      c += terms[j].first;
+    }
+    if (c != 0) terms[out++] = {c, terms[i].second};
+    i = j;
+  }
+  terms.resize(out);
 }
 
 std::string LinExpr::ToString() const {

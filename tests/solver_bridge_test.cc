@@ -1,8 +1,10 @@
 // Property tests for the solver bridge: full Colog pipeline vs brute-force
 // enumeration on randomized instances, coverage of every symbolic aggregate
 // construction (objective and substituted output rows), the join paths
-// (index probes, scans, symbolic unification), and pinned model
-// fingerprints for the case-study programs.
+// (index probes, scans, symbolic unification), pinned model fingerprints
+// for the case-study programs and the evaluation paths they leave out, and
+// an independent re-derivation of every solve's output (bridge_oracle.h)
+// over these programs and randomized case-study instances.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +13,7 @@
 #include <set>
 
 #include "apps/programs.h"
+#include "bridge_oracle.h"
 #include "colog/planner.h"
 #include "common/rng.h"
 #include "runtime/instance.h"
@@ -32,6 +35,31 @@ Row R(std::initializer_list<int64_t> xs) {
 
 using Tables = std::map<std::string, std::vector<Row>>;
 
+// Check one solve's output against the independent oracle. The engine must
+// be the one the solve read (no writeback since).
+void ExpectOracleHolds(const colog::CompiledProgram& prog,
+                       const datalog::Engine& engine, const SolveOutput& out) {
+  ASSERT_TRUE(out.has_solution());
+  std::vector<std::string> problems =
+      oracle::BridgeOracle(prog, engine, out).Check();
+  std::string all;
+  for (const std::string& p : problems) all += "\n  " + p;
+  EXPECT_TRUE(problems.empty()) << all;
+}
+
+// One deterministic solve straight through SolverBridge (no writeback),
+// checked by the oracle.
+void ExpectOracleHolds(const colog::CompiledProgram& prog,
+                       datalog::Engine* engine, int prefix = 0) {
+  SolveOptions opts;
+  opts.time_limit_ms = 0;
+  opts.node_limit = 2000;
+  opts.group_key_prefix = prefix;
+  auto out = SolverBridge(&prog, engine).Solve(opts);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ExpectOracleHolds(prog, *engine, out.value());
+}
+
 // Compile `src`, load `facts`, and run one solve; the output tables of the
 // solve (in derivation order) are returned through `out`.
 void SolveProgram(const char* src,
@@ -45,6 +73,7 @@ void SolveProgram(const char* src,
   for (const auto& [table, row] : facts) {
     ASSERT_TRUE(inst.InsertFact(table, row).ok()) << table;
   }
+  ExpectOracleHolds(prog, &inst.engine());
   auto solved = inst.Solve();
   ASSERT_TRUE(solved.ok()) << solved.status().ToString();
   ASSERT_TRUE(solved.value().has_solution());
@@ -106,6 +135,7 @@ TEST_P(BridgeVsBruteForceTest, PipelineOptimumMatchesEnumeration) {
   for (int h = 0; h < hosts; ++h) {
     ASSERT_TRUE(inst.InsertFact("host", R({h})).ok());
   }
+  ExpectOracleHolds(prog, &inst.engine());
   auto out = inst.Solve();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE(out.value().has_solution());
@@ -131,6 +161,7 @@ c1 net(F) -> F==3.
   Instance inst(0, &prog);
   ASSERT_TRUE(inst.Init().ok());
   for (int e = 0; e < 3; ++e) ASSERT_TRUE(inst.InsertFact("edge", R({e})).ok());
+  ExpectOracleHolds(prog, &inst.engine());
   auto out = inst.Solve();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE(out.value().has_solution());
@@ -169,6 +200,7 @@ d3 peak(MAX<V>) <- load(B,V).
       ASSERT_TRUE(inst.InsertFact("slot", R({i, b})).ok());
     }
   }
+  ExpectOracleHolds(prog, &inst.engine());
   auto out = inst.Solve();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE(out.value().has_solution());
@@ -203,6 +235,7 @@ d2 spread(SUM<V>) <- pick(I,V).
   Instance inst(0, &prog);
   ASSERT_TRUE(inst.Init().ok());
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(inst.InsertFact("item", R({i})).ok());
+  ExpectOracleHolds(prog, &inst.engine());
   auto out = inst.Solve();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE(out.value().has_solution());
@@ -271,6 +304,7 @@ d2 value(SUM<P>) <- take(I,V), itemP(I,X), P==V*X.
     ASSERT_TRUE(inst.InsertFact("itemW", R({i, w[i]})).ok());
     ASSERT_TRUE(inst.InsertFact("itemP", R({i, p[i]})).ok());
   }
+  ExpectOracleHolds(prog, &inst.engine());
   auto out = inst.Solve();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE(out.value().has_solution());
@@ -293,6 +327,7 @@ c1 color(N,C) -> banned(N,B), C!=B.
     ASSERT_TRUE(inst.InsertFact("banned", R({n, 1})).ok());
     ASSERT_TRUE(inst.InsertFact("banned", R({n, 2})).ok());
   }
+  ExpectOracleHolds(prog, &inst.engine());
   auto out = inst.Solve();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE(out.value().has_solution());
@@ -321,6 +356,7 @@ c2 ch(A,B,C) -> lo(A,L), C>=L.
   ASSERT_TRUE(inst.InsertFact("pair", R({2, 1})).ok());
   ASSERT_TRUE(inst.InsertFact("lo", R({1, 1})).ok());
   ASSERT_TRUE(inst.InsertFact("lo", R({2, 4})).ok());
+  ExpectOracleHolds(prog, &inst.engine());
   auto out = inst.Solve();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE(out.value().has_solution());
@@ -485,6 +521,7 @@ std::map<std::string, uint64_t> ModelFingerprints(
   if (!out.ok()) return {};
   EXPECT_TRUE(out.value().has_solution());
   EXPECT_TRUE(incr.valid);
+  ExpectOracleHolds(prog, *engine, out.value());
   return incr.fingerprints;
 }
 
@@ -583,6 +620,233 @@ TEST(BridgeModelPinTest, WirelessFingerprints) {
   };
   EXPECT_EQ(ModelFingerprints(prog, &sys.node(0).engine(), 2), want);
 }
+
+// Pins for the evaluation paths the case-study programs leave out. Each
+// program is loaded into one centralized instance and fingerprinted per
+// var-row key prefix 1.
+std::map<std::string, uint64_t> PinFingerprints(
+    const char* src, const std::vector<std::pair<std::string, Row>>& facts) {
+  auto compiled = colog::CompileColog(src);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  if (!compiled.ok()) return {};
+  colog::CompiledProgram prog = std::move(compiled).value();
+  Instance inst(0, &prog);
+  EXPECT_TRUE(inst.Init().ok());
+  for (const auto& [table, row] : facts) {
+    EXPECT_TRUE(inst.InsertFact(table, row).ok()) << table;
+  }
+  return ModelFingerprints(prog, &inst.engine(), 1);
+}
+
+TEST(BridgeModelPinTest, BindingFormsFiltersAndLateGuards) {
+  // d1/d2: form 1 with the unbound slot on the left, then on the right.
+  // d3/d4: form 2 with the (X==k) pattern on the left, then on the right.
+  // d5: a concrete filter. d6: C==V*W waits for the later w(I,W) atom.
+  // c1: a symbolic hard constraint through &&. c2: a head pattern with a
+  // constant; c3: a constraint body that unifies two solver cells.
+  const char* src = R"(
+goal minimize S in total(S).
+var pick(I,V) forall item(I) domain [0,3].
+d1 cost(I,C) <- pick(I,V), w(I,W), C==V*W.
+d2 gain(I,G) <- pick(I,V), w(I,W), V*W+1==G.
+d3 on(I,B) <- pick(I,V), (B==2)==(V>=1).
+d4 off(I,B) <- pick(I,V), (V==0)==(B==1).
+d5 heavy(I,C) <- cost(I,C), w(I,W), W>2.
+d6 late(I,C) <- pick(I,V), C==V*W, w(I,W).
+d7 total(SUM<S>) <- cost(I,C), gain(I,G), on(I,B), off(I,D), S==C+G+B+D.
+d8 hsum(SUM<C>) <- heavy(I,C).
+c1 pick(I,V) -> V>=1 && V<=2.
+c2 pick(2,V) -> late(2,C), C<=8.
+c3 pick(I,V) -> twin(I,J), pick(J,V).
+c4 hsum(H) -> H>=3.
+)";
+  const std::map<std::string, uint64_t> want = {
+      {"0", 7192826285713359883ull},
+      {"1", 3482153438766425154ull},
+      {"2", 17559904206564757233ull},
+  };
+  EXPECT_EQ(PinFingerprints(src, {{"item", R({0})},
+                                  {"item", R({1})},
+                                  {"item", R({2})},
+                                  {"w", R({0, 3})},
+                                  {"w", R({1, 2})},
+                                  {"w", R({2, 4})},
+                                  {"twin", R({0, 1})}}),
+            want);
+}
+
+TEST(BridgeModelPinTest, EverySymbolicAggregate) {
+  const char* src = R"(
+goal minimize S in score(S).
+var x(I,V) forall item(I) domain [-2,3].
+d1 s1(G,SUM<V>) <- x(I,V), grp(I,G).
+d2 s2(G,SUMABS<V>) <- x(I,V), grp(I,G).
+d3 s3(G,MIN<V>) <- x(I,V), grp(I,G).
+d4 s4(G,MAX<V>) <- x(I,V), grp(I,G).
+d5 s5(UNIQUE<V>) <- x(I,V).
+d6 s6(G,COUNT<V>) <- x(I,V), grp(I,G).
+d7 s7(STDEV<V>) <- x(I,V).
+d8 score(SUM<T>) <- s1(G,A), s2(G,B), s3(G,C), s4(G,D), s6(G,N),
+     T==A+B+D-C+N.
+c1 s5(U) -> U>=2.
+)";
+  const std::map<std::string, uint64_t> want = {
+      {"0", 16825931624829828395ull},
+      {"1", 18326298541382383082ull},
+      {"2", 8203205065761075791ull},
+      {"3", 1024120853294681357ull},
+  };
+  EXPECT_EQ(PinFingerprints(src, {{"item", R({0})},
+                                  {"item", R({1})},
+                                  {"item", R({2})},
+                                  {"item", R({3})},
+                                  {"grp", R({0, 0})},
+                                  {"grp", R({1, 0})},
+                                  {"grp", R({2, 1})},
+                                  {"grp", R({3, 1})}}),
+            want);
+}
+
+TEST(BridgeModelPinTest, DoubleJoinColumnsScan) {
+  // tier(P,K) is probed with a double P (the probe falls back to a scan),
+  // and mix(I,K) holds a double in its join column (its index is unusable,
+  // so bound probes on it scan too).
+  const char* src = R"(
+goal maximize S in total(S).
+var pick(I,V) forall item(I) domain [0,2].
+d1 priced(I,C) <- pick(I,V), price(I,P), tier(P,K), C==V*K.
+d2 mixed(I,C) <- pick(I,V), mix(I,K), C==V*K.
+d3 total(SUM<C>) <- priced(I,C).
+d4 mtotal(SUM<C>) <- mixed(I,C).
+c1 mtotal(M) -> M<=5.
+)";
+  auto D = [](double x) { return Value::Double(x); };
+  const std::map<std::string, uint64_t> want = {
+      {"0", 10381292985640104223ull},
+      {"1", 5452369077607501093ull},
+      {"2", 17125109241024648483ull},
+  };
+  EXPECT_EQ(PinFingerprints(src, {{"item", R({0})},
+                                  {"item", R({1})},
+                                  {"item", R({2})},
+                                  {"price", {Value::Int(0), D(1.5)}},
+                                  {"price", {Value::Int(1), D(2.5)}},
+                                  {"price", {Value::Int(2), D(1.5)}},
+                                  {"tier", {D(1.5), Value::Int(3)}},
+                                  {"tier", {D(2.5), Value::Int(5)}},
+                                  {"mix", R({0, 2})},
+                                  {"mix", {D(1.0), Value::Int(7)}},
+                                  {"mix", R({2, 4})}}),
+            want);
+}
+
+// ---- Oracle over randomized case-study instances ----------------------------
+//
+// Small ACloud, Follow-the-Sun and wireless instances with seeded random
+// facts, each solved once straight through SolverBridge and re-derived by
+// the oracle.
+
+class BridgeOracleAppsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BridgeOracleAppsTest, ACloud) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 3);
+  auto compiled = colog::CompileColog(apps::ACloudProgram(true, 2));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  colog::CompiledProgram prog = std::move(compiled).value();
+  Instance inst(0, &prog);
+  ASSERT_TRUE(inst.Init().ok());
+  const int64_t vms = rng.UniformInt(3, 5);
+  const int64_t hosts = rng.UniformInt(2, 3);
+  for (int64_t v = 0; v < vms; ++v) {
+    ASSERT_TRUE(inst.InsertFact("vm", R({v, rng.UniformInt(5, 50),
+                                         rng.UniformInt(1, 8)}))
+                    .ok());
+    ASSERT_TRUE(
+        inst.InsertFact("origin", R({v, rng.UniformInt(0, hosts - 1)})).ok());
+  }
+  for (int64_t h = 0; h < hosts; ++h) {
+    ASSERT_TRUE(inst.InsertFact("host", R({h, rng.UniformInt(0, 20), 0})).ok());
+    // Moving the two largest VMs off any one host always fits.
+    ASSERT_TRUE(
+        inst.InsertFact("hostMemThres", R({h, rng.UniformInt(25, 45)})).ok());
+  }
+  ExpectOracleHolds(prog, &inst.engine(), 1);
+}
+
+TEST_P(BridgeOracleAppsTest, FollowTheSun) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 11);
+  auto compiled = colog::CompileColog(
+      apps::FollowTheSunDistributedProgram(true, 60, 20, /*batched=*/true));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  colog::CompiledProgram prog = std::move(compiled).value();
+  System sys(&prog, 3);
+  ASSERT_TRUE(sys.Init().ok());
+  auto N = [](NodeId x) { return Value::Node(x); };
+  auto I = [](int64_t x) { return Value::Int(x); };
+  for (NodeId x = 0; x < 3; ++x) {
+    for (int64_t d = 0; d < 3; ++d) {
+      ASSERT_TRUE(
+          sys.InsertFact(x, "curVm", {N(x), I(d), I(rng.UniformInt(0, 12))})
+              .ok());
+      int64_t cost = x == d ? 1 : rng.UniformInt(5, 25);
+      ASSERT_TRUE(sys.InsertFact(x, "commCost", {N(x), I(d), I(cost)}).ok());
+      ASSERT_TRUE(sys.InsertFact(x, "dc", {N(x), I(d)}).ok());
+    }
+    ASSERT_TRUE(
+        sys.InsertFact(x, "opCost", {N(x), I(rng.UniformInt(1, 4))}).ok());
+    ASSERT_TRUE(sys.InsertFact(x, "resource", {N(x), I(40)}).ok());
+  }
+  for (auto [a, b] : {std::pair<NodeId, NodeId>{0, 1}, {0, 2}}) {
+    int64_t mig = rng.UniformInt(1, 6);
+    ASSERT_TRUE(sys.AddLink(a, b).ok());
+    ASSERT_TRUE(sys.InsertFact(a, "link", {N(a), N(b)}).ok());
+    ASSERT_TRUE(sys.InsertFact(b, "link", {N(b), N(a)}).ok());
+    ASSERT_TRUE(sys.InsertFact(a, "migCost", {N(a), N(b), I(mig)}).ok());
+    ASSERT_TRUE(sys.InsertFact(b, "migCost", {N(b), N(a), I(mig)}).ok());
+  }
+  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(1)}).ok());
+  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(2)}).ok());
+  sys.RunToQuiescence();
+  ExpectOracleHolds(prog, &sys.node(0).engine(), 2);
+}
+
+TEST_P(BridgeOracleAppsTest, Wireless) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 15485863 + 7);
+  auto compiled = colog::CompileColog(
+      apps::WirelessDistributedProgram(8, 2, /*two_hop=*/true,
+                                       /*batched=*/true));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  colog::CompiledProgram prog = std::move(compiled).value();
+  System sys(&prog, 4);
+  ASSERT_TRUE(sys.Init().ok());
+  auto N = [](NodeId x) { return Value::Node(x); };
+  auto I = [](int64_t x) { return Value::Int(x); };
+  for (auto [a, b] :
+       {std::pair<NodeId, NodeId>{0, 1}, {0, 2}, {1, 2}, {2, 3}}) {
+    ASSERT_TRUE(sys.AddLink(a, b).ok());
+    ASSERT_TRUE(sys.InsertFact(a, "link", {N(a), N(b)}).ok());
+    ASSERT_TRUE(sys.InsertFact(b, "link", {N(b), N(a)}).ok());
+  }
+  for (NodeId x = 0; x < 4; ++x) {
+    if (rng.UniformInt(0, 1) == 1) {
+      ASSERT_TRUE(
+          sys.InsertFact(x, "primaryUser", {N(x), I(rng.UniformInt(1, 8))})
+              .ok());
+    }
+  }
+  // Channels neighbors already negotiated.
+  ASSERT_TRUE(
+      sys.InsertFact(1, "assign", {N(1), N(2), I(rng.UniformInt(1, 8))}).ok());
+  ASSERT_TRUE(
+      sys.InsertFact(2, "assign", {N(2), N(3), I(rng.UniformInt(1, 8))}).ok());
+  sys.RunToQuiescence();
+  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(1)}).ok());
+  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(2)}).ok());
+  sys.RunToQuiescence();
+  ExpectOracleHolds(prog, &sys.node(0).engine(), 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BridgeOracleAppsTest, ::testing::Range(0, 4));
 
 }  // namespace
 }  // namespace cologne::runtime
