@@ -430,6 +430,14 @@ Result<CompiledProgram> Plan(const AnalyzedProgram& analyzed) {
     if (!derived.count(name)) out.base_tables.insert(name);
   }
   out.solver_plan = BuildSolverPlan(out);
+  // Engine rules carry the program-wide table ids, which every node's
+  // engine shares (Engine::AddRule checks them against its catalog).
+  for (datalog::RuleIR& rule : out.engine_rules) {
+    rule.head.table_id = out.solver_plan.TableId(rule.head.table);
+    for (datalog::AtomIR& atom : rule.body) {
+      atom.table_id = out.solver_plan.TableId(atom.table);
+    }
+  }
   return out;
 }
 

@@ -133,10 +133,9 @@ class Builder {
     }
     const GoalIR& goal = program_.goal;
     if (goal.present && !goal.table.empty()) inputs.insert(goal.table);
-    std::set<std::string> all = inputs;
-    all.insert(program_.solver_output_tables.begin(),
-               program_.solver_output_tables.end());
-    plan_.tables.assign(all.begin(), all.end());
+    for (const auto& [name, schema] : program_.tables) {
+      plan_.tables.push_back(name);
+    }
     for (const std::string& name : inputs) {
       plan_.input_tables.push_back(TableId(name));
     }
@@ -148,10 +147,8 @@ class Builder {
     }
   }
 
-  int TableId(const std::string& name) const {
-    auto it = std::lower_bound(plan_.tables.begin(), plan_.tables.end(), name);
-    return static_cast<int>(it - plan_.tables.begin());
-  }
+  // Analysis declares every table a rule, goal or var declaration names.
+  int TableId(const std::string& name) const { return plan_.TableId(name); }
 
   int IndexId(int table, const std::vector<int>& cols) {
     auto [it, fresh] = index_ids_.try_emplace(
@@ -271,6 +268,13 @@ class Builder {
 };
 
 }  // namespace
+
+int SolverPlan::TableId(const std::string& name) const {
+  auto it = std::lower_bound(tables.begin(), tables.end(), name);
+  return it != tables.end() && *it == name
+             ? static_cast<int>(it - tables.begin())
+             : -1;
+}
 
 bool SolverPlan::IsVarTable(int table) const {
   return std::find(var_tables.begin(), var_tables.end(), table) !=

@@ -92,7 +92,10 @@ struct PlanRule {
 
 /// \brief The solver-rule plan of one compiled program.
 struct SolverPlan {
-  /// Every table the bridge reads or writes, by dense id, ordered by name.
+  /// Every table of the program (CompiledProgram::tables), by dense id,
+  /// ordered by name. runtime::Instance declares its engine's tables in the
+  /// same order, so these are the engine's TableIds too, and the planner
+  /// stamps them on the engine rules' atoms.
   std::vector<std::string> tables;
   /// Parallel to CompiledProgram::solver_rules.
   std::vector<PlanRule> rules;
@@ -110,6 +113,8 @@ struct SolverPlan {
   std::vector<int> output_tables;
 
   bool IsVarTable(int table) const;
+  /// The id of table `name`, or -1 if the program has no such table.
+  int TableId(const std::string& name) const;
 };
 
 /// Build the plan of `program`'s solver rules, var declarations and goal.

@@ -7,39 +7,59 @@
 
 namespace cologne::datalog {
 
+std::vector<TableId>::const_iterator Engine::ByName(
+    const std::string& name) const {
+  return std::lower_bound(
+      by_name_.begin(), by_name_.end(), name,
+      [this](TableId id, const std::string& n) { return table_name(id) < n; });
+}
+
 Status Engine::DeclareTable(const TableSchema& schema) {
-  if (tables_.count(schema.name)) {
+  auto it = ByName(schema.name);
+  if (it != by_name_.end() && table_name(*it) == schema.name) {
     return Status::AlreadyExists("table already declared: " + schema.name);
   }
-  tables_[schema.name] = std::make_unique<Table>(schema);
+  const auto id = static_cast<TableId>(tables_.size());
+  tables_.push_back(std::make_unique<Table>(schema));
+  triggers_.emplace_back();
+  by_name_.insert(it, id);
   return Status::OK();
 }
 
-bool Engine::HasTable(const std::string& name) const {
-  return tables_.count(name) > 0;
+TableId Engine::FindTable(const std::string& name) const {
+  auto it = ByName(name);
+  return it != by_name_.end() && table_name(*it) == name ? *it : -1;
 }
 
 Table* Engine::GetTable(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  const TableId id = FindTable(name);
+  return id < 0 ? nullptr : tables_[static_cast<size_t>(id)].get();
 }
 
 const Table* Engine::GetTable(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  const TableId id = FindTable(name);
+  return id < 0 ? nullptr : tables_[static_cast<size_t>(id)].get();
 }
 
 Status Engine::AddRule(RuleIR rule) {
-  if (!HasTable(rule.head.table)) {
-    return Status::PlanError("rule " + rule.label + ": undeclared head table " +
-                             rule.head.table);
-  }
-  for (const AtomIR& a : rule.body) {
-    if (!HasTable(a.table)) {
-      return Status::PlanError("rule " + rule.label +
-                               ": undeclared body table " + a.table);
+  // A stamped id must name the same table here: then the program's ids and
+  // this engine's are one id space.
+  auto resolve = [&](AtomIR& atom, const char* role) -> Status {
+    const TableId id = FindTable(atom.table);
+    if (id < 0) {
+      return Status::PlanError("rule " + rule.label + ": undeclared " + role +
+                               " table " + atom.table);
     }
-  }
+    if (atom.table_id >= 0 && atom.table_id != id) {
+      return Status::PlanError(StrFormat(
+          "rule %s: table %s has id %d in the rule but %d in the engine",
+          rule.label.c_str(), atom.table.c_str(), atom.table_id, id));
+    }
+    atom.table_id = id;
+    return Status::OK();
+  };
+  COLOGNE_RETURN_IF_ERROR(resolve(rule.head, "head"));
+  for (AtomIR& a : rule.body) COLOGNE_RETURN_IF_ERROR(resolve(a, "body"));
   if (rule.trigger.size() != rule.body.size()) {
     return Status::PlanError("rule " + rule.label +
                              ": trigger flags do not match body atoms");
@@ -65,7 +85,8 @@ Status Engine::AddRule(RuleIR rule) {
 
   for (size_t i = 0; i < rule.body.size(); ++i) {
     if (rule.trigger[i]) {
-      triggers_[rule.body[i].table].push_back({rule_idx, i});
+      triggers_[static_cast<size_t>(rule.body[i].table_id)].push_back(
+          {rule_idx, i});
     }
   }
   agg_states_.push_back(rule.agg ? std::make_unique<AggState>() : nullptr);
@@ -75,12 +96,20 @@ Status Engine::AddRule(RuleIR rule) {
 }
 
 Status Engine::Apply(const std::string& table, const Row& row, int sign) {
-  Table* t = GetTable(table);
-  if (t == nullptr) return Status::NotFound("unknown table: " + table);
-  if (row.size() != t->schema().arity()) {
+  const TableId id = FindTable(table);
+  if (id < 0) return Status::NotFound("unknown table: " + table);
+  return Apply(id, row, sign);
+}
+
+Status Engine::Apply(TableId table, const Row& row, int sign) {
+  if (table < 0 || static_cast<size_t>(table) >= tables_.size()) {
+    return Status::NotFound(StrFormat("unknown table id %d", table));
+  }
+  const TableSchema& schema = this->table(table).schema();
+  if (row.size() != schema.arity()) {
     return Status::InvalidArgument(
         StrFormat("arity mismatch on %s: row has %zu values, table expects %zu",
-                  table.c_str(), row.size(), t->schema().arity()));
+                  schema.name.c_str(), row.size(), schema.arity()));
   }
   Route(table, row, sign);
   return Status::OK();
@@ -96,9 +125,8 @@ Status Engine::DeleteFact(const std::string& table, const Row& row) {
   return Flush();
 }
 
-void Engine::Route(const std::string& table, Row row, int sign) {
-  const Table* t = GetTable(table);
-  int loc = t->schema().loc_col;
+void Engine::Route(TableId table, Row row, int sign) {
+  int loc = this->table(table).schema().loc_col;
   if (self_ != kCentralized && loc >= 0 &&
       static_cast<size_t>(loc) < row.size() && row[static_cast<size_t>(loc)].is_node()) {
     NodeId dest = row[static_cast<size_t>(loc)].as_node();
@@ -108,7 +136,8 @@ void Engine::Route(const std::string& table, Row row, int sign) {
         sender_(dest, table, row, sign);
       } else {
         COLOGNE_WARN("dropping remote tuple for node " + std::to_string(dest) +
-                     " (no sender configured): " + table + RowToString(row));
+                     " (no sender configured): " + table_name(table) +
+                     RowToString(row));
       }
       return;
     }
@@ -128,7 +157,7 @@ Status Engine::Flush() {
 }
 
 void Engine::ProcessOne(const PendingDelta& d) {
-  Table* t = GetTable(d.table);
+  Table* t = tables_[static_cast<size_t>(d.table)].get();
   if (d.sign > 0) {
     // NDlog replacement: displace any visible row sharing the primary key.
     if (const Row* disp = t->DisplacedBy(d.row)) {
@@ -137,18 +166,12 @@ void Engine::ProcessOne(const PendingDelta& d) {
       // Fire deletions against the pre-removal state, then remove.
       FireTriggers(d.table, old, -1);
       t->EraseAll(old);
-      auto wit = watchers_.find(d.table);
-      if (wit != watchers_.end()) {
-        for (const WatchFn& w : wit->second) w(old, -1);
-      }
+      Notify(d.table, old, -1);
     }
     int vis = t->Apply(d.row, +1);
     if (vis != 0) {
       ++stats_.deltas_processed;
-      auto wit = watchers_.find(d.table);
-      if (wit != watchers_.end()) {
-        for (const WatchFn& w : wit->second) w(d.row, +1);
-      }
+      Notify(d.table, d.row, +1);
       FireTriggers(d.table, d.row, +1);
     }
   } else {
@@ -159,20 +182,21 @@ void Engine::ProcessOne(const PendingDelta& d) {
       ++stats_.deltas_processed;
       FireTriggers(d.table, d.row, -1);
       t->Apply(d.row, -1);
-      auto wit = watchers_.find(d.table);
-      if (wit != watchers_.end()) {
-        for (const WatchFn& w : wit->second) w(d.row, -1);
-      }
+      Notify(d.table, d.row, -1);
     } else {
       t->Apply(d.row, -1);
     }
   }
 }
 
-void Engine::FireTriggers(const std::string& table, const Row& row, int sign) {
-  auto it = triggers_.find(table);
-  if (it == triggers_.end()) return;
-  for (const TriggerRef& ref : it->second) {
+void Engine::Notify(TableId table, const Row& row, int sign) {
+  for (const auto& [t, fn] : watchers_) {
+    if (t == table) fn(row, sign);
+  }
+}
+
+void Engine::FireTriggers(TableId table, const Row& row, int sign) {
+  for (const TriggerRef& ref : triggers_[static_cast<size_t>(table)]) {
     const RuleIR& rule = rules_[ref.rule_idx];
     if (sign < 0 && ref.atom_idx < rule.insert_only.size() &&
         rule.insert_only[ref.atom_idx]) {
@@ -282,7 +306,7 @@ void Engine::JoinStep(size_t rule_idx, const std::vector<size_t>& order,
     return;
   }
   const AtomIR& atom = rule.body[order[depth]];
-  Table* t = GetTable(atom.table);
+  Table* t = tables_[static_cast<size_t>(atom.table_id)].get();
 
   // Determine bound columns for an indexed probe.
   std::vector<int> cols;
@@ -362,7 +386,7 @@ void Engine::EmitHead(size_t rule_idx, const std::vector<Value>& slots,
     EmitAggregate(rule_idx, group, v, sign);
     return;
   }
-  Route(rule.head.table, std::move(head_row), sign);
+  Route(rule.head.table_id, std::move(head_row), sign);
 }
 
 void Engine::EmitAggregate(size_t rule_idx, const Row& group,
@@ -378,7 +402,7 @@ void Engine::EmitAggregate(size_t rule_idx, const Row& group,
   auto last_it = state.last_out.find(group);
   if (empty) {
     if (last_it != state.last_out.end()) {
-      Route(rule.head.table, last_it->second, -1);
+      Route(rule.head.table_id, last_it->second, -1);
       state.last_out.erase(last_it);
     }
     return;
@@ -397,19 +421,22 @@ void Engine::EmitAggregate(size_t rule_idx, const Row& group,
   }
   if (last_it != state.last_out.end()) {
     if (last_it->second == out) return;  // unchanged
-    Route(rule.head.table, last_it->second, -1);
+    Route(rule.head.table_id, last_it->second, -1);
   }
-  Route(rule.head.table, out, +1);
+  Route(rule.head.table_id, out, +1);
   state.last_out[group] = std::move(out);
 }
 
-void Engine::AddWatcher(const std::string& table, WatchFn fn) {
-  watchers_[table].push_back(std::move(fn));
+Status Engine::AddWatcher(const std::string& table, WatchFn fn) {
+  const TableId id = FindTable(table);
+  if (id < 0) return Status::NotFound("unknown table: " + table);
+  watchers_.emplace_back(id, std::move(fn));
+  return Status::OK();
 }
 
 size_t Engine::MemoryEstimate() const {
   size_t bytes = 0;
-  for (const auto& [name, t] : tables_) {
+  for (const auto& t : tables_) {
     // Each visible row is held twice (derivation counts and the ordered
     // visible set); each copy is a Row header, its cells and the container
     // node around it.

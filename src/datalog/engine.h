@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -32,6 +33,12 @@ struct EngineStats {
 /// incrementally. Derived head tuples whose location specifier addresses a
 /// different node are handed to the sender callback instead of being applied
 /// locally.
+///
+/// Table names are resolved to dense TableIds at the string API edge
+/// (Apply, GetTable, AddWatcher, AddRule); queued deltas, triggers,
+/// watchers and rule atoms all work on ids. runtime::Instance declares a
+/// program's tables in name order, so on every node the ids are the
+/// sorted-name ids.
 class Engine {
  public:
   /// `self` is this node's address; kCentralized (-1) disables routing.
@@ -42,10 +49,18 @@ class Engine {
 
   // --- Catalog -------------------------------------------------------------
 
+  /// Declare a table; it gets the next TableId.
   Status DeclareTable(const TableSchema& schema);
-  bool HasTable(const std::string& name) const;
+  bool HasTable(const std::string& name) const { return FindTable(name) >= 0; }
+  /// The id of table `name`, or -1 if undeclared.
+  TableId FindTable(const std::string& name) const;
   Table* GetTable(const std::string& name);
   const Table* GetTable(const std::string& name) const;
+  /// The table with a valid id.
+  const Table& table(TableId id) const {
+    return *tables_[static_cast<size_t>(id)];
+  }
+  const std::string& table_name(TableId id) const { return table(id).name(); }
 
   // --- Rules ---------------------------------------------------------------
 
@@ -58,6 +73,8 @@ class Engine {
   /// Enqueue a tuple delta (+1 insert / -1 delete) for `table`. If the tuple
   /// addresses a remote node it is sent instead. Call Flush() to evaluate.
   Status Apply(const std::string& table, const Row& row, int sign);
+  /// Apply() by table id (NotFound for an id outside the catalog).
+  Status Apply(TableId table, const Row& row, int sign);
 
   /// Convenience: Apply(+1) then Flush().
   Status InsertFact(const std::string& table, const Row& row);
@@ -70,14 +87,14 @@ class Engine {
   // --- Hooks ---------------------------------------------------------------
 
   /// Sender for tuples addressed to other nodes.
-  using SendFn = std::function<void(NodeId dest, const std::string& table,
+  using SendFn = std::function<void(NodeId dest, TableId table,
                                     const Row& row, int sign)>;
   void SetSender(SendFn fn) { sender_ = std::move(fn); }
 
   /// Watcher invoked on every visibility change of `table` (after the change
-  /// is applied, before dependent rules fire).
+  /// is applied, before dependent rules fire). NotFound if undeclared.
   using WatchFn = std::function<void(const Row& row, int sign)>;
-  void AddWatcher(const std::string& table, WatchFn fn);
+  Status AddWatcher(const std::string& table, WatchFn fn);
 
   const EngineStats& stats() const { return stats_; }
 
@@ -91,7 +108,7 @@ class Engine {
 
  private:
   struct PendingDelta {
-    std::string table;
+    TableId table;
     Row row;
     int sign;
   };
@@ -110,7 +127,8 @@ class Engine {
   };
 
   void ProcessOne(const PendingDelta& d);
-  void FireTriggers(const std::string& table, const Row& row, int sign);
+  void Notify(TableId table, const Row& row, int sign);
+  void FireTriggers(TableId table, const Row& row, int sign);
   void FireRule(size_t rule_idx, size_t atom_idx, const Row& row, int sign);
   // Recursive nested-loop join over remaining body atoms.
   void JoinStep(size_t rule_idx, const std::vector<size_t>& order, size_t depth,
@@ -124,12 +142,15 @@ class Engine {
   void EmitAggregate(size_t rule_idx, const Row& group, const Value& value,
                      int sign);
   // Route a fully-constructed head tuple: local queue or remote send.
-  void Route(const std::string& table, Row row, int sign);
+  void Route(TableId table, Row row, int sign);
   bool MatchAtom(const AtomIR& atom, const Row& row, std::vector<Value>& slots,
                  std::vector<int>& newly_bound);
+  // Where `name` is or would go in by_name_.
+  std::vector<TableId>::const_iterator ByName(const std::string& name) const;
 
   NodeId self_;
-  std::map<std::string, std::unique_ptr<Table>> tables_;
+  std::vector<std::unique_ptr<Table>> tables_;  // by TableId
+  std::vector<TableId> by_name_;  // ids ascending by table name
   std::vector<RuleIR> rules_;
   // Precomputed per rule: slots needed by each guard (selection/assignment).
   struct GuardInfo {
@@ -138,8 +159,8 @@ class Engine {
     std::vector<int> deps;     // slots that must be bound first
   };
   std::vector<std::vector<GuardInfo>> guards_;
-  std::map<std::string, std::vector<TriggerRef>> triggers_;
-  std::map<std::string, std::vector<WatchFn>> watchers_;
+  std::vector<std::vector<TriggerRef>> triggers_;  // by TableId
+  std::vector<std::pair<TableId, WatchFn>> watchers_;
   std::vector<std::unique_ptr<AggState>> agg_states_;
   std::deque<PendingDelta> queue_;
   SendFn sender_;

@@ -9,6 +9,7 @@
 
 #include "datalog/aggregates.h"
 #include "datalog/expr.h"
+#include "datalog/table.h"
 
 namespace cologne::datalog {
 
@@ -35,6 +36,11 @@ struct TermIR {
 struct AtomIR {
   std::string table;
   std::vector<TermIR> args;
+  /// `table`'s id. The Colog planner stamps the program-wide id
+  /// (colog::SolverPlan::tables); Engine::AddRule checks it against its
+  /// catalog, or fills it in when unset, so evaluation never looks a table
+  /// up by name.
+  TableId table_id = -1;
 };
 
 /// Aggregate annotation on a rule head: head arg `arg_index` is

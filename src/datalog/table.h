@@ -14,6 +14,10 @@
 
 namespace cologne::datalog {
 
+/// Dense id of a table in an Engine's catalog: tables are numbered in
+/// declaration order.
+using TableId = int32_t;
+
 /// \brief Table metadata.
 ///
 /// `key_cols` empty means all columns form the key (pure set semantics).

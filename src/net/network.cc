@@ -15,20 +15,7 @@ size_t Message::WireSize() const {
 }
 
 Network::Network(Simulator* sim, uint64_t seed) : sim_(sim), rng_(seed) {
-  channel_ = std::make_unique<ReliableChannel>(sim, seed);
-  channel_->SetTransmit(
-      [this](NodeId from, NodeId to, Message msg, const char* detail) {
-        Transmit(from, to, std::move(msg), detail);
-      });
-  channel_->SetDeliver([this](NodeId from, NodeId to, const Message& msg) {
-    if (receivers_[static_cast<size_t>(to)]) {
-      receivers_[static_cast<size_t>(to)](from, to, msg);
-    }
-  });
-  channel_->SetEmit([this](NetEvent::Kind kind, NodeId from, NodeId to,
-                           const Message& msg, const char* detail) {
-    Emit(kind, from, to, msg, detail);
-  });
+  channel_ = std::make_unique<ReliableChannel>(this, sim, seed);
 }
 
 Network::~Network() = default;
@@ -40,6 +27,7 @@ void Network::SetReliableConfig(const ReliableConfig& config) {
 NodeId Network::AddNode() {
   receivers_.emplace_back();
   stats_.emplace_back();
+  adjacency_.emplace_back();
   return static_cast<NodeId>(receivers_.size() - 1);
 }
 
@@ -50,28 +38,54 @@ Status Network::AddLink(NodeId a, NodeId b, LinkConfig config) {
       static_cast<size_t>(b) >= n) {
     return Status::InvalidArgument("link endpoint does not exist");
   }
-  links_[Key(a, b)] = Link{config};
+  if (a > b) std::swap(a, b);
+  const int existing = DirectedLink(a, b);
+  if (existing >= 0) {
+    links_[static_cast<size_t>(existing) >> 1].config = config;
+    return Status::OK();
+  }
+  const auto id = static_cast<uint32_t>(links_.size());
+  links_.push_back(Link{a, b, config});
+  auto insert = [this, id](NodeId n, NodeId neighbor) {
+    auto& adj = adjacency_[static_cast<size_t>(n)];
+    adj.insert(std::lower_bound(adj.begin(), adj.end(),
+                                std::make_pair(neighbor, id)),
+               {neighbor, id});
+  };
+  insert(a, b);
+  insert(b, a);
   return Status::OK();
 }
 
+int Network::DirectedLink(NodeId from, NodeId to) const {
+  const auto& adj = adjacency_[static_cast<size_t>(from)];
+  auto it = std::lower_bound(adj.begin(), adj.end(), to,
+                             [](const std::pair<NodeId, uint32_t>& e,
+                                NodeId n) { return e.first < n; });
+  if (it == adj.end() || it->first != to) return -1;
+  return static_cast<int>(2 * it->second + (from < to ? 0 : 1));
+}
+
 bool Network::HasLink(NodeId a, NodeId b) const {
-  return links_.count(Key(a, b)) > 0;
+  const size_t n = adjacency_.size();
+  if (a < 0 || static_cast<size_t>(a) >= n) return false;
+  return DirectedLink(a, b) >= 0;
 }
 
 std::vector<NodeId> Network::Neighbors(NodeId n) const {
   std::vector<NodeId> out;
-  for (const auto& [key, link] : links_) {
-    if (key.first == n) out.push_back(key.second);
-    if (key.second == n) out.push_back(key.first);
+  if (n < 0 || static_cast<size_t>(n) >= adjacency_.size()) return out;
+  for (const auto& [neighbor, id] : adjacency_[static_cast<size_t>(n)]) {
+    out.push_back(neighbor);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<std::pair<NodeId, NodeId>> Network::Links() const {
   std::vector<std::pair<NodeId, NodeId>> out;
   out.reserve(links_.size());
-  for (const auto& [key, link] : links_) out.push_back(key);
+  for (const Link& l : links_) out.emplace_back(l.a, l.b);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -92,36 +106,42 @@ void Network::Emit(NetEvent::Kind kind, NodeId from, NodeId to,
   hook_(ev);
 }
 
-void Network::Arrive(NodeId from, NodeId to, const Message& msg, size_t size,
-                     const char* detail) {
+void Network::OnPacket(Packet& packet) {
+  const NodeId from = From(packet.link), to = To(packet.link);
   TrafficStats& r = stats_[static_cast<size_t>(to)];
   ++r.messages_received;
-  r.bytes_received += size;
-  Emit(NetEvent::Kind::kDeliver, from, to, msg, detail);
+  r.bytes_received += packet.size;
+  const Message& msg = packet.msg;
+  Emit(NetEvent::Kind::kDeliver, from, to, msg, packet.detail);
   if (reliable_transport_ && (msg.seq != 0 || msg.table == kAckTable)) {
     // Sequenced data and acks belong to the channel: it suppresses
     // duplicates, reassembles FIFO order, and hands in-order data to the
-    // runtime receiver through its DeliverFn.
-    channel_->OnArrival(from, to, msg);
+    // runtime receiver.
+    channel_->OnArrival(packet.link, msg);
     return;
   }
-  if (receivers_[static_cast<size_t>(to)]) {
-    receivers_[static_cast<size_t>(to)](from, to, msg);
-  }
+  Deliver(from, to, msg);
 }
 
 Status Network::Send(NodeId from, NodeId to, Message msg) {
+  const size_t n = receivers_.size();
+  if (from < 0 || to < 0 || static_cast<size_t>(from) >= n ||
+      static_cast<size_t>(to) >= n) {
+    return Status::InvalidArgument(
+        StrFormat("send between node %d and node %d: no such node (%zu nodes)",
+                  from, to, n));
+  }
   if (from == to) {
     // Local delivery: no latency, no traffic accounting, no faults.
     if (receivers_[static_cast<size_t>(to)]) {
-      Message m = std::move(msg);
-      sim_->Schedule(0.0, [this, from, to, m = std::move(m)] {
+      sim_->Schedule(0.0, [this, from, to, m = std::move(msg)] {
         receivers_[static_cast<size_t>(to)](from, to, m);
       });
     }
     return Status::OK();
   }
-  if (links_.find(Key(from, to)) == links_.end()) {
+  const int dlink = DirectedLink(from, to);
+  if (dlink < 0) {
     return Status::InvalidArgument(
         StrFormat("no link between node %d and node %d", from, to));
   }
@@ -129,18 +149,18 @@ Status Network::Send(NodeId from, NodeId to, Message msg) {
   if (reliable_transport_ && msg.reliable) {
     // Real reliability: the channel sequences the message and calls back
     // into Transmit for the first transmission and every retransmission.
-    channel_->Send(from, to, std::move(msg));
+    channel_->Send(static_cast<uint32_t>(dlink), std::move(msg));
     return Status::OK();
   }
   const char* detail = msg.replay ? "replay" : "";
-  Transmit(from, to, std::move(msg), detail);
+  Transmit(static_cast<uint32_t>(dlink), std::move(msg), detail);
   return Status::OK();
 }
 
-void Network::Transmit(NodeId from, NodeId to, Message msg,
-                       const char* detail) {
-  const LinkConfig& cfg = links_.find(Key(from, to))->second.config;
-  size_t size = msg.WireSize();
+void Network::Transmit(uint32_t dlink, Message msg, const char* detail) {
+  const NodeId from = From(dlink), to = To(dlink);
+  const LinkConfig& cfg = links_[dlink >> 1].config;
+  const auto size = static_cast<uint32_t>(msg.WireSize());
   double now = sim_->Now();
   TrafficStats& s = stats_[static_cast<size_t>(from)];
   ++s.messages_sent;
@@ -201,13 +221,11 @@ void Network::Transmit(NodeId from, NodeId to, Message msg,
     Emit(NetEvent::Kind::kDup, from, to, msg, "");
     copy = msg;
   }
-  sim_->Schedule(delay, [this, from, to, m = std::move(msg), size, detail] {
-    Arrive(from, to, m, size, detail);
-  });
+  sim_->ScheduleArrival(delay, this,
+                        Packet{std::move(msg), dlink, size, detail});
   if (duplicate) {
-    sim_->Schedule(delay, [this, from, to, m = std::move(copy), size] {
-      Arrive(from, to, m, size, "dup");
-    });
+    sim_->ScheduleArrival(delay, this,
+                          Packet{std::move(copy), dlink, size, "dup"});
   }
 }
 

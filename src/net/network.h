@@ -20,51 +20,22 @@
 #define COLOGNE_NET_NETWORK_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/value.h"
 #include "net/fault_plan.h"
+#include "net/message.h"
 #include "net/simulator.h"
 
 namespace cologne::net {
 
 class ReliableChannel;
 struct ReliableConfig;
-
-/// A tuple-delta message: table name + row + sign (+1 insert / -1 delete).
-/// This is the only wire format the declarative networking engine needs.
-struct Message {
-  std::string table;
-  Row row;
-  int sign = 1;
-  /// Sender incarnation (bumped when a node restarts after a crash); the
-  /// runtime drops deliveries from stale incarnations.
-  uint32_t epoch = 0;
-  /// Virtual send time, stamped by Network::Send. Receivers that resynced
-  /// at time T drop superseded ordinary messages sent at or before T: their
-  /// content is already covered by the send-log replay.
-  double sent_s = 0;
-  /// Carried over the reliable channel. In legacy mode (reliable transport
-  /// off) such sends skip drop faults and jitter; in reliable transport
-  /// mode they are sequenced, retransmitted and delivered FIFO.
-  bool reliable = false;
-  /// Anti-entropy replay payload (crash-recovery / resync state replay),
-  /// set by runtime::System. Replay content supersedes ordinary in-flight
-  /// messages; the runtime's floor fencing keys off this flag.
-  bool replay = false;
-  /// Reliable-channel sequence number (0 = unsequenced datagram). For
-  /// packets of table kAckTable this is the cumulative acknowledgement.
-  uint64_t seq = 0;
-
-  /// Approximate wire size: 20-byte UDP/IP-ish header + payload (+8 when
-  /// sequenced by the reliable channel).
-  size_t WireSize() const;
-};
 
 /// Per-link transmission parameters.
 struct LinkConfig {
@@ -101,7 +72,12 @@ struct NetEvent {
 
 /// \brief A static topology of nodes and bidirectional links carrying
 /// tuple-delta messages.
-class Network {
+///
+/// Each link gets a dense id in AddLink order; its two directions are the
+/// directed links 2*id (from the lower node id) and 2*id+1. Packets in
+/// flight and the reliable channel's per-link state are keyed by directed
+/// link, so a hop costs array indexing, not a tree lookup.
+class Network : private PacketSink {
  public:
   explicit Network(Simulator* sim, uint64_t seed = 1);
   ~Network();
@@ -112,7 +88,8 @@ class Network {
   NodeId AddNode();
   size_t num_nodes() const { return receivers_.size(); }
 
-  /// Add a bidirectional link between existing nodes a and b.
+  /// Add a bidirectional link between existing nodes a and b (re-adding an
+  /// existing link replaces its config).
   Status AddLink(NodeId a, NodeId b, LinkConfig config = {});
   bool HasLink(NodeId a, NodeId b) const;
   /// Neighbors of `n`, sorted ascending.
@@ -146,8 +123,9 @@ class Network {
   void SetReliableConfig(const ReliableConfig& config);
 
   /// Send `msg` from `from` to neighbor `to`. Self-sends deliver with zero
-  /// latency. Sends to non-neighbors fail (Cologne rules only ever
-  /// communicate along links). Fault-plan drops return OK, like link loss.
+  /// latency. Sends to non-neighbors or to nodes that do not exist fail
+  /// (Cologne rules only ever communicate along links). Fault-plan drops
+  /// return OK, like link loss.
   Status Send(NodeId from, NodeId to, Message msg);
 
   const TrafficStats& StatsOf(NodeId n) const {
@@ -159,20 +137,41 @@ class Network {
   uint64_t TotalDropped() const;
 
  private:
+  friend class ReliableChannel;
+
   struct Link {
+    NodeId a;  ///< The lower endpoint.
+    NodeId b;
     LinkConfig config;
   };
 
+  /// Directed link id of `from` -> `to`, or -1 without a link.
+  int DirectedLink(NodeId from, NodeId to) const;
+  NodeId From(uint32_t dlink) const {
+    const Link& l = links_[dlink >> 1];
+    return (dlink & 1) != 0 ? l.b : l.a;
+  }
+  NodeId To(uint32_t dlink) const {
+    const Link& l = links_[dlink >> 1];
+    return (dlink & 1) != 0 ? l.a : l.b;
+  }
+  size_t num_directed_links() const { return 2 * links_.size(); }
+
   void Emit(NetEvent::Kind kind, NodeId from, NodeId to, const Message& msg,
             const char* detail);
-  /// One wire transmission: fault evaluation, latency/serialization delay,
-  /// then Arrive at the far end. Used for first sends, retransmissions and
-  /// acks alike; `msg.sent_s` must already be stamped.
-  void Transmit(NodeId from, NodeId to, Message msg, const char* detail);
-  /// A packet reached `to`: account it, then either hand it to the reliable
-  /// channel (sequenced data / acks) or deliver it to the runtime receiver.
-  void Arrive(NodeId from, NodeId to, const Message& msg, size_t size,
-              const char* detail);
+  /// One wire transmission over `dlink`: fault evaluation,
+  /// latency/serialization delay, then an arrival event at the far end.
+  /// Used for first sends, retransmissions and acks alike; `msg.sent_s`
+  /// must already be stamped.
+  void Transmit(uint32_t dlink, Message msg, const char* detail);
+  /// A packet reached its far end: account it, then either hand it to the
+  /// reliable channel (sequenced data / acks) or deliver it to the runtime
+  /// receiver.
+  void OnPacket(Packet& packet) override;
+  void Deliver(NodeId from, NodeId to, const Message& msg) {
+    const Receiver& r = receivers_[static_cast<size_t>(to)];
+    if (r) r(from, to, msg);
+  }
 
   Simulator* sim_;
   Rng rng_;
@@ -180,13 +179,11 @@ class Network {
   std::unique_ptr<ReliableChannel> channel_;
   std::vector<Receiver> receivers_;
   std::vector<TrafficStats> stats_;
-  std::map<std::pair<NodeId, NodeId>, Link> links_;  // key: (min, max)
+  std::vector<Link> links_;  // by link id
+  /// Per node: (neighbor, link id), ascending by neighbor.
+  std::vector<std::vector<std::pair<NodeId, uint32_t>>> adjacency_;
   FaultPlan fault_plan_;
   EventHook hook_;
-
-  static std::pair<NodeId, NodeId> Key(NodeId a, NodeId b) {
-    return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-  }
 };
 
 }  // namespace cologne::net

@@ -17,9 +17,7 @@
 #define COLOGNE_NET_RELIABLE_CHANNEL_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "net/network.h"
@@ -83,39 +81,25 @@ struct ChannelStats {
 /// layers epoch fencing and journal replay on top).
 class ReliableChannel {
  public:
-  /// Raw transmission of one packet over the lossy network. `detail` tags
-  /// the transmission for traces: "" (first send), "replay" (anti-entropy
-  /// payload), "rto" / "fast_rto" (retransmissions), "ack".
-  using TransmitFn =
-      std::function<void(NodeId from, NodeId to, Message msg,
-                         const char* detail)>;
-  /// In-order delivery of a data packet to the runtime receiver.
-  using DeliverFn =
-      std::function<void(NodeId from, NodeId to, const Message& msg)>;
-  /// Observable channel transition (duplicate suppression, give-up) for the
-  /// trace hook; mirrors Network's Emit.
-  using EmitFn = std::function<void(NetEvent::Kind kind, NodeId from,
-                                    NodeId to, const Message& msg,
-                                    const char* detail)>;
+  ReliableChannel(Network* net, Simulator* sim, uint64_t seed,
+                  ReliableConfig config = {})
+      : net_(net),
+        sim_(sim),
+        rng_(SplitMix64(seed ^ 0x52454C49ull)),
+        config_(config) {}
 
-  ReliableChannel(Simulator* sim, uint64_t seed, ReliableConfig config = {})
-      : sim_(sim), rng_(SplitMix64(seed ^ 0x52454C49ull)), config_(config) {}
-
-  void SetTransmit(TransmitFn fn) { transmit_ = std::move(fn); }
-  void SetDeliver(DeliverFn fn) { deliver_ = std::move(fn); }
-  void SetEmit(EmitFn fn) { emit_ = std::move(fn); }
   void set_config(const ReliableConfig& config) { config_ = config; }
   const ReliableConfig& config() const { return config_; }
 
-  /// Sequence `msg` on the (from, to) stream, remember it for
+  /// Sequence `msg` on directed link `dlink`'s stream, remember it for
   /// retransmission, and transmit. `msg.seq` must be 0 (unsequenced).
-  void Send(NodeId from, NodeId to, Message msg);
+  void Send(uint32_t dlink, Message msg);
 
-  /// Handle the arrival of a sequenced data packet (`msg.seq > 0`) or an
-  /// ack (`msg.table == kAckTable`) at `to`. In-order data — including any
-  /// buffered successors it releases — is handed to the DeliverFn; every
-  /// data arrival triggers a cumulative ack back to `from`.
-  void OnArrival(NodeId from, NodeId to, const Message& msg);
+  /// Handle the arrival over `dlink` of a sequenced data packet
+  /// (`msg.seq > 0`) or an ack (`msg.table == kAckTable`). In-order data —
+  /// including any buffered successors it releases — is delivered to the
+  /// runtime receiver; every data arrival triggers a cumulative ack back.
+  void OnArrival(uint32_t dlink, const Message& msg);
 
   const ChannelStats& stats() const { return stats_; }
 
@@ -139,36 +123,48 @@ class ReliableChannel {
     uint64_t acked = 0;
     int dup_acks = 0;
     double rto_s = 0;             ///< Current (backed-off) timeout.
-    EventId timer = 0;
-    bool timer_armed = false;
-    std::map<uint64_t, Pending> window;  // seq -> unacked packet
+    EventId timer = 0;            ///< 0 when no timer is armed.
+    /// Unacked packets from window[head] on, with consecutive sequence
+    /// numbers ending at next_seq - 1 (only the oldest ever leaves).
+    std::vector<Pending> window;
+    size_t head = 0;
+
+    size_t in_flight() const { return window.size() - head; }
+    Pending& oldest() { return window[head]; }
+    void PopOldest();
   };
   struct ReceiverState {
     uint64_t delivered = 0;
-    std::map<uint64_t, Message> reorder;  // seq -> buffered packet
+    /// Buffered out-of-order packets, ascending by seq, all beyond
+    /// delivered + 1.
+    std::vector<Message> reorder;
   };
-  using LinkKey = std::pair<NodeId, NodeId>;  // directed (from, to)
 
-  void ArmTimer(const LinkKey& key, SenderState& ss);
+  // States grow on first use of a directed link, so a network that never
+  // sends reliably holds none.
+  SenderState& Sender(uint32_t dlink);
+  ReceiverState& Receiver(uint32_t dlink);
+
+  void ArmTimer(uint32_t dlink, SenderState& ss);
   void CancelTimer(SenderState& ss);
-  void OnTimer(const LinkKey& key);
+  void OnTimer(uint32_t dlink);
   /// Retransmit the lowest unacked packet of `ss` (or give it up once its
   /// attempt budget is spent). Returns false when the window is empty.
-  bool RetransmitOldest(const LinkKey& key, SenderState& ss,
-                        const char* detail);
-  void OnAck(const LinkKey& key, const Message& msg);
-  void OnData(const LinkKey& key, const Message& msg);
-  void SendAck(NodeId from, NodeId to, uint64_t cumulative);
+  bool RetransmitOldest(uint32_t dlink, SenderState& ss, const char* detail);
+  void OnAck(uint32_t dlink, const Message& msg);
+  void OnData(uint32_t dlink, const Message& msg);
+  /// Ack `cumulative` back over the reverse of data link `dlink`.
+  void SendAck(uint32_t dlink, uint64_t cumulative);
+  void Emit(NetEvent::Kind kind, uint32_t dlink, const Message& msg,
+            const char* detail);
 
+  Network* net_;
   Simulator* sim_;
   Rng rng_;
   ReliableConfig config_;
-  TransmitFn transmit_;
-  DeliverFn deliver_;
-  EmitFn emit_;
   ChannelStats stats_;
-  std::map<LinkKey, SenderState> senders_;
-  std::map<LinkKey, ReceiverState> receivers_;
+  std::vector<SenderState> senders_;      // by directed link
+  std::vector<ReceiverState> receivers_;  // by directed link
 };
 
 }  // namespace cologne::net

@@ -365,12 +365,14 @@ class PlanEval {
   }
 
   // ---- Atom matching --------------------------------------------------------
-  // Returns false (no error) when the row does not match. Symbolic cells
-  // unify: in constraint rules a clash posts an equality constraint; in
-  // derivation rules it is an error (joins on solver attributes are
-  // disallowed, Section 5.3). The caller unbinds the atom's slots afterwards
-  // either way.
+  // Returns false (no error) when the row does not match. Every concrete
+  // column is bound or tested first; only a row that passes them all gets
+  // its symbolic clashes unified, in column order: in constraint rules a
+  // clash posts an equality constraint; in derivation rules it is an error
+  // (joins on solver attributes are disallowed, Section 5.3). The caller
+  // unbinds the atom's slots afterwards either way.
   Result<bool> Match(const PlanAtom& atom, const Row& row) {
+    clashes_.clear();
     for (size_t i = 0; i < atom.args.size(); ++i) {
       const PlanArg& arg = atom.args[i];
       const Value& v = row[i];
@@ -378,23 +380,28 @@ class PlanEval {
         Slot(arg.slot) = v;
         continue;
       }
-      const Value& test =
-          arg.kind == PlanArg::Kind::kTestConst ? arg.value : Slot(arg.slot);
+      const Value& test = TestValue(arg);
       if (test == v) continue;
-      if (test.is_sym() || v.is_sym()) {
-        if (!constraint_) {
-          return Status::SolverError(
-              "rule " + rule_->label +
-              ": join on a solver attribute is not supported");
-        }
-        COLOGNE_ASSIGN_OR_RETURN(ea, TakeExpr(ToSVal(test)));
-        COLOGNE_ASSIGN_OR_RETURN(eb, TakeExpr(ToSVal(v)));
-        PostRecorded(std::move(ea), Rel::kEq, std::move(eb));
-        continue;
+      if (!test.is_sym() && !v.is_sym()) return false;
+      clashes_.push_back(i);
+    }
+    for (size_t i : clashes_) {
+      if (!constraint_) {
+        return Status::SolverError(
+            "rule " + rule_->label +
+            ": join on a solver attribute is not supported");
       }
-      return false;
+      COLOGNE_ASSIGN_OR_RETURN(
+          ea, TakeExpr(ToSVal(TestValue(atom.args[i]))));
+      COLOGNE_ASSIGN_OR_RETURN(eb, TakeExpr(ToSVal(row[i])));
+      PostRecorded(std::move(ea), Rel::kEq, std::move(eb));
     }
     return true;
+  }
+
+  // The value a test column must equal: the constant or the bound slot.
+  const Value& TestValue(const PlanArg& arg) {
+    return arg.kind == PlanArg::Kind::kTestConst ? arg.value : Slot(arg.slot);
   }
 
   void Unbind(const PlanAtom& atom) {
@@ -452,9 +459,7 @@ class PlanEval {
     Row& key = keys_[depth];
     key.clear();
     for (int col : atom.probe_cols) {
-      const PlanArg& arg = atom.args[static_cast<size_t>(col)];
-      const Value& v =
-          arg.kind == PlanArg::Kind::kTestConst ? arg.value : Slot(arg.slot);
+      const Value& v = TestValue(atom.args[static_cast<size_t>(col)]);
       if (v.is_sym() || v.is_double()) return nullptr;
       key.push_back(v);
     }
@@ -915,6 +920,7 @@ class PlanEval {
   bool constraint_ = false;
   std::vector<Value> slots_;
   std::vector<Row> keys_;  // probe key per depth
+  std::vector<size_t> clashes_;  // Match: symbolic clash columns
   std::vector<Row> emitted_;
   // Aggregate emissions: `width` group-by values each, and the inputs.
   std::vector<Value> agg_keys_;

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/strings.h"
 #include "net/reliable_channel.h"
 
@@ -80,24 +81,37 @@ void System::SnapshotMetrics(uint64_t round) {
   if (trace_ != nullptr) trace_->Metrics(round, metrics_);
 }
 
+size_t System::TupleKeyHash::operator()(const TupleKey& k) const {
+  return static_cast<size_t>(HashRow(k.second) ^
+                             SplitMix64(static_cast<uint64_t>(k.first)));
+}
+
+void System::SendTuple(NodeId src, NodeId dst, datalog::TableId table,
+                       const Row& row, int sign, bool reliable, bool replay) {
+  net::Message msg;
+  msg.table = node(src).engine().table_name(table);
+  msg.row = row;
+  msg.sign = sign;
+  msg.epoch = node(src).epoch();
+  msg.reliable = reliable;
+  msg.replay = replay;
+  Status s = net_.Send(src, dst, std::move(msg));
+  if (!s.ok()) {
+    COLOGNE_WARN(StrFormat("%s %d->%d: ", replay ? "send-log replay" : "send",
+                           src, dst) +
+                 s.ToString());
+  }
+}
+
 void System::WireNode(NodeId id) {
   Instance& inst = node(id);
   // Outbound: engine-derived remote tuples enter the network, stamped with
   // the sender's incarnation epoch and journaled for anti-entropy replay.
-  inst.engine().SetSender([this, id](NodeId dest, const std::string& table,
+  inst.engine().SetSender([this, id](NodeId dest, datalog::TableId table,
                                      const Row& row, int sign) {
     sent_log_[static_cast<size_t>(id)].push_back(
         SentRecord{dest, table, row, sign});
-    net::Message msg;
-    msg.table = table;
-    msg.row = row;
-    msg.sign = sign;
-    msg.epoch = node(id).epoch();
-    msg.reliable = net_reliable_;
-    Status s = net_.Send(id, dest, std::move(msg));
-    if (!s.ok()) {
-      COLOGNE_WARN("node " + std::to_string(id) + ": " + s.ToString());
-    }
+    SendTuple(id, dest, table, row, sign, net_reliable_, /*replay=*/false);
   });
   // Inbound: receiver-side fault policy (crash drop, epoch fence, duplicate
   // suppression), then apply the delta and run the local fixpoint.
@@ -106,6 +120,13 @@ void System::WireNode(NodeId id) {
     Instance& inst = this->node(id);
     if (inst.crashed()) {
       if (trace_ != nullptr) trace_->RxDrop(from, id, msg.table, "node_down");
+      return;
+    }
+    datalog::Engine& engine = inst.engine();
+    const datalog::TableId table = engine.FindTable(msg.table);
+    if (table < 0) {
+      COLOGNE_WARN("node " + std::to_string(id) +
+                   " rx: unknown table: " + msg.table);
       return;
     }
     bool suppressed = false;
@@ -138,18 +159,18 @@ void System::WireNode(NodeId id) {
         ps.embedded.clear();
         ps.epoch_seen = msg.epoch;
       }
-      auto key = std::make_pair(msg.table, msg.row);
+      TupleKey key(table, msg.row);
       if (msg.sign > 0) {
-        auto it = ps.debt.find(key);
-        if (it != ps.debt.end() && it->second > 0) {
-          // Already embedded by the previous incarnation: pay off the debt
-          // instead of inflating the derivation count.
-          if (--it->second == 0) ps.debt.erase(it);
-          ++ps.embedded[key];
-          suppressed = true;
-        } else {
-          ++ps.embedded[key];
+        if (!ps.debt.empty()) {
+          auto it = ps.debt.find(key);
+          if (it != ps.debt.end() && it->second > 0) {
+            // Already embedded by the previous incarnation: pay off the
+            // debt instead of inflating the derivation count.
+            if (--it->second == 0) ps.debt.erase(it);
+            suppressed = true;
+          }
         }
+        ++ps.embedded[std::move(key)];
       } else {
         auto it = ps.embedded.find(key);
         if (it != ps.embedded.end() && --it->second == 0) ps.embedded.erase(it);
@@ -159,8 +180,8 @@ void System::WireNode(NodeId id) {
       if (trace_ != nullptr) trace_->RxDrop(from, id, msg.table, "dedup");
       return;
     }
-    Status s = inst.engine().Apply(msg.table, msg.row, msg.sign);
-    if (s.ok()) s = inst.engine().Flush();
+    Status s = engine.Apply(table, msg.row, msg.sign);
+    if (s.ok()) s = engine.Flush();
     if (!s.ok()) {
       COLOGNE_WARN("node " + std::to_string(id) + " rx: " + s.ToString());
     }
@@ -359,20 +380,9 @@ Status System::ResyncNode(NodeId id) {
 }
 
 void System::ReplaySentLog(NodeId src, NodeId dst, bool net_state) {
-  auto send = [this, src, dst](const std::string& table, const Row& row,
+  auto send = [this, src, dst](datalog::TableId table, const Row& row,
                                int sign) {
-    net::Message msg;
-    msg.table = table;
-    msg.row = row;
-    msg.sign = sign;
-    msg.epoch = node(src).epoch();
-    msg.reliable = true;
-    msg.replay = true;
-    Status s = net_.Send(src, dst, std::move(msg));
-    if (!s.ok()) {
-      COLOGNE_WARN("send-log replay " + std::to_string(src) + "->" +
-                   std::to_string(dst) + ": " + s.ToString());
-    }
+    SendTuple(src, dst, table, row, sign, /*reliable=*/true, /*replay=*/true);
   };
   const auto& log = sent_log_[static_cast<size_t>(src)];
   if (!net_state) {
@@ -384,17 +394,17 @@ void System::ReplaySentLog(NodeId src, NodeId dst, bool net_state) {
   // Net mode: per-row net counts plus the order of each row's latest
   // insertion, so keyed replacement at the receiver lands on the same
   // surviving row it did originally.
-  std::map<std::pair<std::string, Row>, int64_t> net;
-  std::vector<std::pair<std::string, Row>> inserts;  // may contain stale dups
+  std::map<TupleKey, int64_t> net;
+  std::vector<TupleKey> inserts;  // may contain stale dups
   for (const SentRecord& rec : log) {
     if (rec.dest != dst) continue;
-    auto key = std::make_pair(rec.table, rec.row);
+    TupleKey key(rec.table, rec.row);
     net[key] += rec.sign;
     if (rec.sign > 0) inserts.push_back(std::move(key));
   }
   // Keep only each row's last insertion, preserving relative order.
-  std::set<std::pair<std::string, Row>> seen;
-  std::vector<const std::pair<std::string, Row>*> order;
+  std::set<TupleKey> seen;
+  std::vector<const TupleKey*> order;
   for (auto it = inserts.rbegin(); it != inserts.rend(); ++it) {
     if (seen.insert(*it).second) order.push_back(&*it);
   }
@@ -423,7 +433,8 @@ void System::ScheduleDebtReconcile(NodeId dst, NodeId src) {
         if (!s.ok()) COLOGNE_WARN("debt reconcile: " + s.ToString());
       }
       if (trace_ != nullptr) {
-        trace_->RxDrop(src, dst, key.first, "reconcile");
+        trace_->RxDrop(src, dst, inst.engine().table_name(key.first),
+                       "reconcile");
       }
     }
     ps.debt.clear();

@@ -26,6 +26,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -158,6 +159,9 @@ class System {
   /// correct for resyncing a *live* node, where already-embedded rows are
   /// debt-suppressed and must not re-fire state-update rules.
   void ReplaySentLog(NodeId src, NodeId dst, bool net_state);
+  /// Send one tuple `src` -> `dst` (sent_log_ bookkeeping is the caller's).
+  void SendTuple(NodeId src, NodeId dst, datalog::TableId table,
+                 const Row& row, int sign, bool reliable, bool replay);
   /// Delay after a restart before leftover-debt reconciliation retracts
   /// rows the new incarnation no longer derives (must exceed the longest
   /// one-way link delay so the rejoin replay has landed).
@@ -171,9 +175,16 @@ class System {
   /// receiver reproduces the original order).
   struct SentRecord {
     NodeId dest;
-    std::string table;
+    datalog::TableId table;
     Row row;
     int sign;
+  };
+  /// A tuple of one table. Every node declares the program's tables in the
+  /// same (name) order, so a TableId means the same table on every node and
+  /// ordering by id orders by table name.
+  using TupleKey = std::pair<datalog::TableId, Row>;
+  struct TupleKeyHash {
+    size_t operator()(const TupleKey& k) const;
   };
   /// Receiver-side bookkeeping about one sending peer.
   struct PeerState {
@@ -185,10 +196,11 @@ class System {
     /// a reliable send-log replay issued then already covers them.
     double floor = -1;
     /// Net per-row contribution currently embedded in our engine.
-    std::map<std::pair<std::string, Row>, int64_t> embedded;
+    std::unordered_map<TupleKey, int64_t, TupleKeyHash> embedded;
     /// Contribution left over from before a restart/resync, paid off by
-    /// the replayed (or re-derived) sends.
-    std::map<std::pair<std::string, Row>, int64_t> debt;
+    /// the replayed (or re-derived) sends. Ordered: the reconciliation
+    /// sweep retracts it in this order.
+    std::map<TupleKey, int64_t> debt;
   };
 
   const colog::CompiledProgram* program_;

@@ -254,6 +254,31 @@ TEST(EngineTest, KeyedHeadReplacesOnUpdateRule) {
   EXPECT_TRUE(e.GetTable("state")->Contains(R({1, 100})));
 }
 
+TEST(EngineTest, AddRuleChecksStampedTableIds) {
+  // Table ids are declaration order; a rule stamped with another catalog's
+  // ids must not silently read the wrong tables.
+  Engine e;
+  ASSERT_TRUE(e.DeclareTable(Schema("b", 1)).ok());
+  ASSERT_TRUE(e.DeclareTable(Schema("a", 1)).ok());
+  EXPECT_EQ(e.FindTable("b"), 0);
+  EXPECT_EQ(e.FindTable("a"), 1);
+  EXPECT_EQ(e.FindTable("c"), -1);
+  RuleIR r;
+  r.label = "copy";
+  r.head = {"b", {TermIR::Slot(0)}, /*table_id=*/1};  // name-order id of b
+  r.body.push_back({"a", {TermIR::Slot(0)}, /*table_id=*/0});
+  r.trigger = {1};
+  r.num_slots = 1;
+  Status s = e.AddRule(r);
+  EXPECT_EQ(s.code(), StatusCode::kPlanError) << s.ToString();
+  // Unstamped atoms take this engine's ids.
+  r.head.table_id = -1;
+  r.body[0].table_id = -1;
+  ASSERT_TRUE(e.AddRule(r).ok());
+  ASSERT_TRUE(e.InsertFact("a", R({7})).ok());
+  EXPECT_TRUE(e.GetTable("b")->Contains(R({7})));
+}
+
 TEST(EngineTest, WatcherSeesVisibilityChanges) {
   Engine e;
   ASSERT_TRUE(e.DeclareTable(Schema("t", 1)).ok());
@@ -288,10 +313,9 @@ TEST(EngineTest, RemoteTuplesGoToSender) {
     ASSERT_TRUE(e->AddRule(std::move(r)).ok());
   }
   // Wire engine 0's sender straight into engine 1.
-  e0.SetSender([&](NodeId dest, const std::string& table, const Row& row,
-                   int sign) {
+  e0.SetSender([&](NodeId dest, TableId table, const Row& row, int sign) {
     ASSERT_EQ(dest, 1);
-    ASSERT_TRUE(e1.Apply(table, row, sign).ok());
+    ASSERT_TRUE(e1.Apply(e0.table_name(table), row, sign).ok());
     ASSERT_TRUE(e1.Flush().ok());
   });
   // in(@0, 1): head out(@1, @0) routes to node 1.

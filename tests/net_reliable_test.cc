@@ -200,6 +200,84 @@ TEST_F(ReliablePairTest, AbandonedPayloadSkipsInsteadOfWedging) {
   EXPECT_EQ(st.in_flight, 0u);
 }
 
+TEST_F(ReliablePairTest, CumulativeAckSlidesPastSkipAtWindowHead) {
+  // Payload 1 is abandoned inside a down window, so the head of the
+  // sender's window is its @skip marker. Payload 2, sent once the link is
+  // back, overtakes the marker and waits in the reorder buffer; when the
+  // marker lands, one cumulative ack covers both and must slide the
+  // window past the marker and the payload behind it.
+  ReliableConfig rc;
+  rc.max_attempts = 3;
+  rc.rto_initial_s = 0.02;
+  rc.rto_max_s = 0.1;
+  rc.rto_jitter_frac = 0;  // timers at 0.02, 0.06, 0.14, 0.24, 0.34
+  rc.fast_retx_dup_acks = 100;
+  net_->SetReliableConfig(rc);
+  FaultPlan plan;
+  LinkFault lf;
+  lf.a = a_;
+  lf.b = b_;
+  lf.down.push_back({0.0, 0.3, 0});
+  plan.links.push_back(lf);
+  net_->SetFaultPlan(plan);
+
+  SendTagged(1);
+  sim_.Schedule(0.31, [this] { SendTagged(2); });
+  sim_.RunUntil(0.33);
+  ReliableChannel::LinkState mid = net_->channel().StateOf(a_, b_);
+  EXPECT_EQ(net_->channel().stats().gave_up, 1u);
+  EXPECT_EQ(mid.in_flight, 2u) << "the skip marker and payload 2";
+  EXPECT_EQ(mid.reorder_buffered, 1u) << "payload 2 waits for seq 1";
+  EXPECT_EQ(mid.delivered, 0u);
+  EXPECT_EQ(mid.acked, 0u);
+  sim_.Run();
+  EXPECT_EQ(received_, std::vector<int64_t>{2});
+  ReliableChannel::LinkState done = net_->channel().StateOf(a_, b_);
+  EXPECT_EQ(done.acked, 2u);
+  EXPECT_EQ(done.in_flight, 0u);
+  EXPECT_EQ(done.delivered, 2u);
+  EXPECT_EQ(done.reorder_buffered, 0u);
+}
+
+TEST_F(ReliablePairTest, StateOfCountsWindowAndReorderBuffer) {
+  // Lose packet 1 on the wire; 2..5 arrive and wait behind the gap until
+  // the RTO (>= 50 ms) resends 1. Fast retransmit is out of reach.
+  ReliableConfig rc;
+  rc.fast_retx_dup_acks = 100;
+  net_->SetReliableConfig(rc);
+  FaultPlan plan;
+  LinkFault lf;
+  lf.a = a_;
+  lf.b = b_;
+  lf.loss.push_back({0.0, 0.005, 1.0});
+  plan.links.push_back(lf);
+  net_->SetFaultPlan(plan);
+
+  SendTagged(1);
+  sim_.Schedule(0.01, [this] {
+    for (int64_t i = 2; i <= 5; ++i) SendTagged(i);
+  });
+  sim_.RunUntil(0.03);
+  ReliableChannel::LinkState mid = net_->channel().StateOf(a_, b_);
+  EXPECT_EQ(mid.next_seq, 6u);
+  EXPECT_EQ(mid.acked, 0u);
+  EXPECT_EQ(mid.in_flight, 5u);
+  EXPECT_EQ(mid.delivered, 0u);
+  EXPECT_EQ(mid.reorder_buffered, 4u);
+  // The reverse direction carried only acks: no stream state there.
+  ReliableChannel::LinkState back = net_->channel().StateOf(b_, a_);
+  EXPECT_EQ(back.next_seq, 1u);
+  EXPECT_EQ(back.in_flight, 0u);
+  EXPECT_EQ(back.delivered, 0u);
+  sim_.Run();
+  EXPECT_EQ(received_, Ascending(5));
+  ReliableChannel::LinkState done = net_->channel().StateOf(a_, b_);
+  EXPECT_EQ(done.acked, 5u);
+  EXPECT_EQ(done.in_flight, 0u);
+  EXPECT_EQ(done.delivered, 5u);
+  EXPECT_EQ(done.reorder_buffered, 0u);
+}
+
 TEST(ReliableMessageTest, SequencedWireSizeAndAckTable) {
   Message plain;
   plain.table = "m";

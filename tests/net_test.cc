@@ -185,6 +185,84 @@ TEST(SimulatorEdgeTest, CancelledEventsAreSkippedByRunUntil) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+// --- Pooled events: slot reuse, tombstones, generations --------------------
+
+TEST(SimulatorPoolTest, StaleCancelLeavesTheSlotsNextEventAlone) {
+  Simulator sim;
+  int first = 0, second = 0;
+  EventId old_id = sim.Schedule(1.0, [&] { ++first; });
+  sim.Run();
+  // The fired event's slot is free again: the next event reuses it.
+  EventId new_id = sim.Schedule(1.0, [&] { ++second; });
+  EXPECT_NE(new_id, old_id);
+  EXPECT_EQ(static_cast<uint32_t>(new_id), static_cast<uint32_t>(old_id))
+      << "the test needs the slot to be reused";
+  sim.Cancel(old_id);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.Run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1) << "a stale handle must not cancel the slot's new event";
+}
+
+TEST(SimulatorPoolTest, CancellingTheRunningEventSparesWhatItScheduled) {
+  Simulator sim;
+  EventId running = 0;
+  int follow_up = 0;
+  running = sim.Schedule(1.0, [&] {
+    // Scheduled from inside the running event: it takes the running
+    // event's (already released) slot.
+    EventId next = sim.Schedule(1.0, [&] { ++follow_up; });
+    EXPECT_EQ(static_cast<uint32_t>(next), static_cast<uint32_t>(running));
+    sim.Cancel(running);
+    EXPECT_EQ(sim.pending(), 1u);
+  });
+  sim.Run();
+  EXPECT_EQ(follow_up, 1);
+  EXPECT_EQ(sim.executed(), 2u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulatorPoolTest, PendingStaysExactWithTombstones) {
+  Simulator sim;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(sim.Schedule(1.0 + i, [] {}));
+  sim.Cancel(ids[0]);
+  sim.Cancel(ids[2]);
+  sim.Cancel(ids[5]);
+  sim.Cancel(ids[5]);  // twice: still one event
+  EXPECT_EQ(sim.pending(), 3u);
+  // New events reuse the cancelled slots while their tombstones are still
+  // in the heap.
+  sim.Schedule(0.5, [] {});
+  sim.Schedule(10.0, [] {});
+  EXPECT_EQ(sim.pending(), 5u);
+  sim.RunUntil(2.5);  // fires t=0.5 and t=2, skipping the t=1 tombstone
+  EXPECT_EQ(sim.executed(), 2u);
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.Run();
+  EXPECT_EQ(sim.executed(), 5u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_DOUBLE_EQ(sim.Now(), 10.0);
+}
+
+TEST(SimulatorPoolTest, EqualTimesStayFifoAcrossSlotReuse) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(sim.Schedule(1.0, [&order, i] { order.push_back(i); }));
+  }
+  sim.Cancel(ids[1]);
+  sim.Cancel(ids[2]);
+  // These take the freed (lower) slots, yet were scheduled last: they must
+  // fire last, in scheduling order.
+  for (int i = 4; i < 6; ++i) {
+    sim.Schedule(1.0, [&order, i] { order.push_back(i); });
+  }
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 4, 5}));
+}
+
 // --- Fault plans -------------------------------------------------------------
 
 TEST(FaultPlanTest, WindowsAndPartitions) {
@@ -423,6 +501,19 @@ TEST_F(NetworkTest, NoLinkRejected) {
   m.table = "t";
   Status s = net_.Send(a_, c_, m);
   EXPECT_FALSE(s.ok());
+}
+
+TEST_F(NetworkTest, SendToMissingNodeRejected) {
+  Message m;
+  m.table = "t";
+  const NodeId missing = static_cast<NodeId>(net_.num_nodes());
+  EXPECT_EQ(net_.Send(a_, missing, m).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(net_.Send(missing, a_, m).code(), StatusCode::kInvalidArgument);
+  // A self-send checks its endpoint too.
+  EXPECT_EQ(net_.Send(missing, missing, m).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(net_.Send(-1, -1, m).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sim_.pending(), 0u) << "a rejected send schedules nothing";
 }
 
 TEST_F(NetworkTest, SelfSendDeliversLocally) {

@@ -476,6 +476,30 @@ c2 x(I,V) -> cap(I,M), V<=M.
   EXPECT_DOUBLE_EQ(out.objective, 9);
 }
 
+TEST(BridgeConstraintTest, ConcreteColumnsFilterBeforeSymbolicEqualities) {
+  // c1's body atom p(V,I) holds the solver column V before the join column
+  // I. Only the p row whose I matches may tie its variable to x's; a row
+  // the I column rejects must post nothing, or every x and p variable
+  // collapses into one value under the tighter cap (objective 2, not 6).
+  const char* src = R"(
+goal maximize S in total(S).
+var x(I,V) forall item(I) domain [0,5].
+var p(V,I) forall item(I) domain [0,5].
+d1 total(SUM<V>) <- x(I,V).
+c1 x(I,V) -> p(V,I).
+c2 p(V,I) -> lim(I,M), V<=M.
+)";
+  SolveOutput out;
+  SolveProgram(src,
+               {{"item", R({0})},
+                {"item", R({1})},
+                {"lim", R({0, 1})},
+                {"lim", R({1, 5})}},
+               &out);
+  EXPECT_DOUBLE_EQ(out.objective, 6);
+  EXPECT_EQ(out.tables.at("x"), (std::vector<Row>{R({0, 1}), R({1, 5})}));
+}
+
 TEST(BridgeErrorTest, JoinOnSolverAttributeRejected) {
   // Section 5.3: joins on solver attributes are not allowed in derivations.
   const char* src = R"(
