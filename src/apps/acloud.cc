@@ -34,6 +34,8 @@ Status InsertFactOnce(runtime::Instance* inst, const std::string& table,
 
 Status SyncKeyedFacts(runtime::Instance* inst, const std::string& table,
                       const std::set<Row>& want) {
+  // Iterate a copy (Rows()), so the loop does not depend on ApplyFact
+  // leaving the table untouched.
   for (const Row& row : inst->engine().GetTable(table)->Rows()) {
     // Delete rows whose key is no longer wanted; keyed replacement handles
     // changed rows on insert.

@@ -27,7 +27,7 @@ std::map<int64_t, int64_t> FtsDemandTotals(FollowTheSunScenario& scenario,
     const datalog::Table* t =
         scenario.system()->node(x).engine().GetTable("curVm");
     if (t == nullptr) continue;
-    for (const Row& row : t->Rows()) {
+    for (const Row& row : t->View()) {
       if (row[0].as_node() != x) continue;
       totals[row[1].as_int()] += row[2].as_int();
     }
@@ -49,7 +49,7 @@ std::string CheckFtsInvariants(FollowTheSunScenario& scenario,
       const datalog::Table* t =
           scenario.system()->node(x).engine().GetTable("curVm");
       if (t == nullptr) return StrFormat("node %d has no curVm table", x);
-      for (const Row& row : t->Rows()) {
+      for (const Row& row : t->View()) {
         if (row[0].as_node() == x) total += row[2].as_int();
       }
       if (total > config.capacity) {

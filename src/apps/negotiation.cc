@@ -34,6 +34,7 @@ Result<double> RunNegotiation(runtime::System* sys,
     runtime::Instance& inst = sys->node(x);
     datalog::Table* set_link = inst.engine().GetTable("setLink");
     if (set_link != nullptr) {
+      // Rows() copies: DeleteFact changes the table.
       for (const Row& row : set_link->Rows()) {
         int guard = 0;
         while (set_link->Contains(row) && guard++ < 8) {

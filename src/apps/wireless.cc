@@ -33,9 +33,13 @@ WirelessScenario::WirelessScenario(const WirelessConfig& config)
       }
     }
   }
-  for (const Link& l : links_) {
+  incident_.assign(static_cast<size_t>(n), {});
+  for (size_t i = 0; i < links_.size(); ++i) {
+    const Link& l = links_[i];
     neighbors_[static_cast<size_t>(l.first)].push_back(l.second);
     neighbors_[static_cast<size_t>(l.second)].push_back(l.first);
+    incident_[static_cast<size_t>(l.first)].push_back(i);
+    incident_[static_cast<size_t>(l.second)].push_back(i);
   }
   // Primary users: block a fraction of the channel set per node.
   primary_.assign(static_cast<size_t>(n), {});
@@ -75,19 +79,36 @@ bool WirelessScenario::Interferes(const Link& a, const Link& b) const {
 
 double WirelessScenario::InterferenceCost(
     const std::map<Link, int>& channel) const {
-  double cost = 0;
-  for (size_t i = 0; i < links_.size(); ++i) {
-    for (size_t j = i + 1; j < links_.size(); ++j) {
-      auto ci = channel.find(links_[i]);
-      auto cj = channel.find(links_[j]);
-      if (ci == channel.end() || cj == channel.end()) continue;
+  // Only links with an endpoint at or next to one of link i's endpoints can
+  // interfere with it: enumerate those through the per-node incident-link
+  // lists and count each unordered pair once, at its lower index.
+  const size_t n = links_.size();
+  std::vector<const int*> ch(n, nullptr);
+  for (size_t i = 0; i < n; ++i) {
+    auto it = channel.find(links_[i]);
+    if (it != channel.end()) ch[i] = &it->second;
+  }
+  std::vector<size_t> seen(n, n);  // seen[j] == i: j already tried for i
+  int64_t pairs = 0;
+  auto try_links_at = [&](size_t i, int v) {
+    for (size_t j : incident_[static_cast<size_t>(v)]) {
+      if (j <= i || seen[j] == i || ch[j] == nullptr) continue;
+      seen[j] = i;
       if (Interferes(links_[i], links_[j]) &&
-          std::abs(ci->second - cj->second) < config_.f_mindiff) {
-        cost += 1;
+          std::abs(*ch[i] - *ch[j]) < config_.f_mindiff) {
+        ++pairs;
       }
     }
+  };
+  for (size_t i = 0; i < n; ++i) {
+    if (ch[i] == nullptr) continue;
+    for (int u : {links_[i].first, links_[i].second}) {
+      try_links_at(i, u);
+      if (config_.interference_hops < 2) continue;
+      for (int w : neighbors_[static_cast<size_t>(u)]) try_links_at(i, w);
+    }
   }
-  return cost;
+  return static_cast<double>(pairs);
 }
 
 // --- Protocols ---------------------------------------------------------------
@@ -159,7 +180,7 @@ Result<ChannelAssignment> WirelessScenario::RunCentralized() {
   result.total_solve_ms = out.stats.wall_ms;
   result.converge_time_s = out.stats.wall_ms / 1000.0;
   const datalog::Table* assign = eng.GetTable("assign");
-  for (const Row& row : assign->Rows()) {
+  for (const Row& row : assign->View()) {
     int a = static_cast<int>(row[0].as_int());
     int b = static_cast<int>(row[1].as_int());
     Link l = a < b ? Link{a, b} : Link{b, a};
@@ -222,7 +243,7 @@ Result<ChannelAssignment> WirelessScenario::RunDistributed() {
   for (const Link& l : links_) {
     int init = std::max(l.first, l.second);
     const datalog::Table* assign = sys.node(init).engine().GetTable("assign");
-    for (const Row& row : assign->Rows()) {
+    for (const Row& row : assign->View()) {
       if (row[0].as_node() == init &&
           row[1].as_node() == std::min(l.first, l.second)) {
         result.channel[l] = static_cast<int>(row[2].as_int());

@@ -108,6 +108,7 @@ class WirelessScenario {
   Rng rng_;
   std::vector<Link> links_;
   std::vector<std::vector<int>> neighbors_;
+  std::vector<std::vector<size_t>> incident_;    // link indexes per node
   std::vector<std::set<int>> primary_;           // blocked channels per node
   std::vector<std::pair<int, int>> flows_;
 };

@@ -105,6 +105,7 @@ class Builder {
     CollectTables();
     for (const VarDeclIR& decl : program_.var_decls) {
       plan_.var_tables.push_back(TableId(decl.var_table));
+      plan_.forall_tables.push_back(TableId(decl.forall_table));
     }
     for (const SolverRuleIR& srule : program_.solver_rules) {
       plan_.rules.push_back(PlanOne(srule));

@@ -99,8 +99,10 @@ struct SolverPlan {
   std::vector<std::string> tables;
   /// Parallel to CompiledProgram::solver_rules.
   std::vector<PlanRule> rules;
-  /// Parallel to CompiledProgram::var_decls.
+  /// Parallel to CompiledProgram::var_decls: each declaration's var table
+  /// and forall table.
   std::vector<int> var_tables;
+  std::vector<int> forall_tables;
   int goal_table = -1;  ///< -1 without an optimization goal.
   int num_indexes = 0;
   /// Engine tables whose contents determine the model, ascending: every

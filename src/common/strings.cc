@@ -1,5 +1,6 @@
 #include "common/strings.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +59,12 @@ std::string ToLower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(tolower(static_cast<unsigned char>(c)));
   return out;
+}
+
+void AppendInt(std::string* out, int64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, res.ptr);
 }
 
 std::string DoubleToShortestString(double v) {

@@ -2,6 +2,7 @@
 #ifndef COLOGNE_COMMON_STRINGS_H_
 #define COLOGNE_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +23,10 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// Append `v` in decimal (as std::to_string writes it), without a
+/// temporary string.
+void AppendInt(std::string* out, int64_t v);
 
 /// Lowercase an ASCII string.
 std::string ToLower(std::string_view s);

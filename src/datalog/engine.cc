@@ -7,28 +7,28 @@
 
 namespace cologne::datalog {
 
-std::vector<TableId>::const_iterator Engine::ByName(
+std::vector<Engine::NameEntry>::const_iterator Engine::ByName(
     const std::string& name) const {
   return std::lower_bound(
       by_name_.begin(), by_name_.end(), name,
-      [this](TableId id, const std::string& n) { return table_name(id) < n; });
+      [](const NameEntry& e, const std::string& n) { return e.first < n; });
 }
 
 Status Engine::DeclareTable(const TableSchema& schema) {
   auto it = ByName(schema.name);
-  if (it != by_name_.end() && table_name(*it) == schema.name) {
+  if (it != by_name_.end() && it->first == schema.name) {
     return Status::AlreadyExists("table already declared: " + schema.name);
   }
   const auto id = static_cast<TableId>(tables_.size());
   tables_.push_back(std::make_unique<Table>(schema));
   triggers_.emplace_back();
-  by_name_.insert(it, id);
+  by_name_.insert(it, NameEntry(schema.name, id));
   return Status::OK();
 }
 
 TableId Engine::FindTable(const std::string& name) const {
   auto it = ByName(name);
-  return it != by_name_.end() && table_name(*it) == name ? *it : -1;
+  return it != by_name_.end() && it->first == name ? it->second : -1;
 }
 
 Table* Engine::GetTable(const std::string& name) {
@@ -177,15 +177,11 @@ void Engine::ProcessOne(const PendingDelta& d) {
   } else {
     // Deletion: fire rules while the row is still in the table so that
     // self-join derivation counts retract symmetrically, then remove.
-    bool will_vanish = t->CountOf(d.row) == 1;
-    if (will_vanish) {
+    const int vis = t->Apply(d.row, -1, [&] {
       ++stats_.deltas_processed;
       FireTriggers(d.table, d.row, -1);
-      t->Apply(d.row, -1);
-      Notify(d.table, d.row, -1);
-    } else {
-      t->Apply(d.row, -1);
-    }
+    });
+    if (vis != 0) Notify(d.table, d.row, -1);
   }
 }
 
@@ -279,63 +275,73 @@ void Engine::FireRule(size_t rule_idx, size_t atom_idx, const Row& row,
   const RuleIR& rule = rules_[rule_idx];
   ++stats_.rule_firings;
 
-  std::vector<Value> slots(static_cast<size_t>(rule.num_slots));
-  std::vector<int> bound;
-  if (!MatchAtom(rule.body[atom_idx], row, slots, bound)) return;
+  // The scratch is sized up front: outer join levels hold references into
+  // it.
+  if (join_scratch_.size() < rule.body.size()) {
+    join_scratch_.resize(rule.body.size());
+  }
+  JoinScratch& top = join_scratch_[0];
+  slots_.assign(static_cast<size_t>(rule.num_slots), Value());
+  top.newly_bound.clear();
+  if (!MatchAtom(rule.body[atom_idx], row, slots_, top.newly_bound)) return;
 
-  std::vector<char> applied(guards_[rule_idx].size(), 0);
-  if (!ApplyGuards(rule_idx, slots, applied)) return;
+  top.applied.assign(guards_[rule_idx].size(), 0);
+  if (!ApplyGuards(rule_idx, slots_, top.applied)) return;
 
   // Join the remaining atoms in body order.
-  std::vector<size_t> order;
-  for (size_t i = 0; i < rule.body.size(); ++i) {
-    if (i != atom_idx) order.push_back(i);
-  }
-  JoinStep(rule_idx, order, 0, slots, applied, sign);
+  JoinStep(rule_idx, atom_idx, 0, sign);
 }
 
-void Engine::JoinStep(size_t rule_idx, const std::vector<size_t>& order,
-                      size_t depth, std::vector<Value>& slots,
-                      std::vector<char>& applied, int sign) {
+void Engine::JoinStep(size_t rule_idx, size_t trigger_atom, size_t depth,
+                      int sign) {
   const RuleIR& rule = rules_[rule_idx];
-  if (depth == order.size()) {
+  if (depth + 1 == rule.body.size()) {
     // All atoms matched; any remaining guards must have fired already for
     // head construction to be meaningful (unfired guards mean unbound slots,
     // which EmitHead reports).
-    EmitHead(rule_idx, slots, sign);
+    EmitHead(rule_idx, slots_, sign);
     return;
   }
-  const AtomIR& atom = rule.body[order[depth]];
+  // Body atoms in order, skipping the one whose delta fired the rule.
+  const AtomIR& atom = rule.body[depth < trigger_atom ? depth : depth + 1];
   Table* t = tables_[static_cast<size_t>(atom.table_id)].get();
+  JoinScratch& scratch = join_scratch_[depth];
 
   // Determine bound columns for an indexed probe.
-  std::vector<int> cols;
-  Row key;
+  std::vector<int>& cols = scratch.cols;
+  Row& key = scratch.key;
+  cols.clear();
+  key.clear();
   for (size_t i = 0; i < atom.args.size(); ++i) {
     const TermIR& term = atom.args[i];
     if (term.is_const) {
       cols.push_back(static_cast<int>(i));
       key.push_back(term.const_val);
-    } else if (!slots[static_cast<size_t>(term.slot)].is_null()) {
+    } else if (!slots_[static_cast<size_t>(term.slot)].is_null()) {
       cols.push_back(static_cast<int>(i));
-      key.push_back(slots[static_cast<size_t>(term.slot)]);
+      key.push_back(slots_[static_cast<size_t>(term.slot)]);
     }
   }
 
-  // Probe returns a reference into the index; copy because recursive calls
-  // may add/rebuild indexes. At Cologne's scales this copy is cheap.
-  std::vector<Row> candidates = t->Probe(cols, key);
-  for (const Row& row : candidates) {
-    std::vector<int> newly_bound;
-    if (!MatchAtom(atom, row, slots, newly_bound)) {
-      for (int s : newly_bound) slots[static_cast<size_t>(s)] = Value::Null();
-      continue;
+  // Copy the candidates' row ids: deeper atoms probe (and may index) the
+  // same table. No table changes during a join (heads are queued), so the
+  // ids stay valid.
+  std::vector<RowId>& ids = scratch.ids;
+  const RowsView candidates = t->Probe(cols, key);
+  ids.resize(candidates.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = candidates.id(i);
+  std::vector<int>& newly_bound = scratch.newly_bound;
+  std::vector<char>& next_applied = join_scratch_[depth + 1].applied;
+  for (const RowId id : ids) {
+    const Row& row = t->row(id);
+    newly_bound.clear();
+    if (MatchAtom(atom, row, slots_, newly_bound)) {
+      next_applied = scratch.applied;
+      if (ApplyGuards(rule_idx, slots_, next_applied)) {
+        JoinStep(rule_idx, trigger_atom, depth + 1, sign);
+      }
     }
-    std::vector<char> applied_copy = applied;
-    if (ApplyGuards(rule_idx, slots, applied_copy)) {
-      JoinStep(rule_idx, order, depth + 1, slots, applied_copy, sign);
-    }
-    for (int s : newly_bound) slots[static_cast<size_t>(s)] = Value::Null();
+    for (int s : newly_bound) slots_[static_cast<size_t>(s)] = Value::Null();
   }
 }
 
@@ -437,11 +443,10 @@ Status Engine::AddWatcher(const std::string& table, WatchFn fn) {
 size_t Engine::MemoryEstimate() const {
   size_t bytes = 0;
   for (const auto& t : tables_) {
-    // Each visible row is held twice (derivation counts and the ordered
-    // visible set); each copy is a Row header, its cells and the container
-    // node around it.
+    // Each visible row is stored once: a Row header, its cells and the
+    // table's per-row bookkeeping.
     const size_t row_bytes = sizeof(Row) + t->schema().arity() * sizeof(Value);
-    bytes += t->size() * (row_bytes + kTableNodeBytes) * 2;
+    bytes += t->size() * (row_bytes + Table::kRowBookkeepingBytes);
   }
   return bytes;
 }

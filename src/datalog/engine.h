@@ -56,6 +56,7 @@ class Engine {
   TableId FindTable(const std::string& name) const;
   Table* GetTable(const std::string& name);
   const Table* GetTable(const std::string& name) const;
+  size_t num_tables() const { return tables_.size(); }
   /// The table with a valid id.
   const Table& table(TableId id) const {
     return *tables_[static_cast<size_t>(id)];
@@ -100,11 +101,9 @@ class Engine {
 
   /// Approximate resident size of all tables (bytes), for the memory
   /// footprint numbers reported in the paper's Section 6: per visible row,
-  /// `2 * (sizeof(Row) + arity * sizeof(Value) + kTableNodeBytes)`.
+  /// `sizeof(Row) + arity * sizeof(Value) + Table::kRowBookkeepingBytes`
+  /// (each row is stored once; see Table).
   size_t MemoryEstimate() const;
-
-  /// Container-node bookkeeping per stored row copy in MemoryEstimate.
-  static constexpr size_t kTableNodeBytes = 40;
 
  private:
   struct PendingDelta {
@@ -130,10 +129,11 @@ class Engine {
   void Notify(TableId table, const Row& row, int sign);
   void FireTriggers(TableId table, const Row& row, int sign);
   void FireRule(size_t rule_idx, size_t atom_idx, const Row& row, int sign);
-  // Recursive nested-loop join over remaining body atoms.
-  void JoinStep(size_t rule_idx, const std::vector<size_t>& order, size_t depth,
-                std::vector<Value>& slots, std::vector<char>& applied,
-                int sign);
+  // Recursive nested-loop join over the body atoms other than
+  // `trigger_atom`, in body order; `depth` counts the atoms joined so far.
+  // Reads the bindings in slots_ and the guard flags in
+  // join_scratch_[depth].applied.
+  void JoinStep(size_t rule_idx, size_t trigger_atom, size_t depth, int sign);
   // Evaluate ready selections/assignments; false = a selection failed or a
   // runtime error occurred (recorded in first_error_).
   bool ApplyGuards(size_t rule_idx, std::vector<Value>& slots,
@@ -146,11 +146,14 @@ class Engine {
   bool MatchAtom(const AtomIR& atom, const Row& row, std::vector<Value>& slots,
                  std::vector<int>& newly_bound);
   // Where `name` is or would go in by_name_.
-  std::vector<TableId>::const_iterator ByName(const std::string& name) const;
+  using NameEntry = std::pair<std::string, TableId>;
+  std::vector<NameEntry>::const_iterator ByName(const std::string& name) const;
 
   NodeId self_;
   std::vector<std::unique_ptr<Table>> tables_;  // by TableId
-  std::vector<TableId> by_name_;  // ids ascending by table name
+  // (name, id) ascending by name: a lookup compares names stored inline
+  // here instead of chasing each table.
+  std::vector<NameEntry> by_name_;
   std::vector<RuleIR> rules_;
   // Precomputed per rule: slots needed by each guard (selection/assignment).
   struct GuardInfo {
@@ -162,6 +165,19 @@ class Engine {
   std::vector<std::vector<TriggerRef>> triggers_;  // by TableId
   std::vector<std::pair<TableId, WatchFn>> watchers_;
   std::vector<std::unique_ptr<AggState>> agg_states_;
+  // The firing rule's binding slots, and per join depth: the guards
+  // already applied, the probe's bound columns and key, the candidates' row
+  // ids and the slots a candidate bound. Reused across firings: a firing
+  // never starts another.
+  struct JoinScratch {
+    std::vector<char> applied;
+    std::vector<int> cols;
+    Row key;
+    std::vector<RowId> ids;
+    std::vector<int> newly_bound;
+  };
+  std::vector<Value> slots_;
+  std::vector<JoinScratch> join_scratch_;
   std::deque<PendingDelta> queue_;
   SendFn sender_;
   EngineStats stats_;

@@ -121,9 +121,8 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
   if (incr != nullptr && incr->reusable && incr->reuse_options == opts) {
     bool unchanged = true;
     for (size_t i = 0; i < plan.input_tables.size() && unchanged; ++i) {
-      const std::string& name =
-          plan.tables[static_cast<size_t>(plan.input_tables[i])];
-      unchanged = TableHash(name) == incr->input_hashes[i];
+      unchanged = engine_.table(plan.input_tables[i]).ContentHash() ==
+                  incr->input_hashes[i];
     }
     if (unchanged) {
       SolveOutput out = incr->last_output;
@@ -218,8 +217,7 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
     if (incr != nullptr) {
       incr->input_hashes.clear();
       for (int t : plan.input_tables) {
-        incr->input_hashes.push_back(
-            TableHash(plan.tables[static_cast<size_t>(t)]));
+        incr->input_hashes.push_back(engine_.table(t).ContentHash());
       }
       incr->reuse_options = opts;
       incr->last_output = out;
@@ -242,16 +240,12 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
   return out;
 }
 
-uint64_t Instance::TableHash(const std::string& name) const {
-  const datalog::Table* t = engine_.GetTable(name);
-  return t == nullptr ? 0 : t->ContentHash();
-}
-
 Status Instance::Writeback(
     const std::map<std::string, std::vector<Row>>& tables,
     bool flush_per_delta) {
   // Normalize new rows per output table (sorted, deduplicated); rows the
   // bridge already emitted in order (var tables usually are) skip the sort.
+  // Plan table ids are engine table ids, so rows apply by id.
   const colog::SolverPlan& plan = program_->solver_plan;
   const size_t n = plan.output_tables.size();
   auto name_of = [&](size_t i) -> const std::string& {
@@ -279,7 +273,7 @@ Status Instance::Writeback(
     if (plan.IsVarTable(plan.output_tables[i])) continue;
     for (const Row& old : owned_rows_[i]) {
       if (!std::binary_search(next[i].begin(), next[i].end(), old)) {
-        COLOGNE_RETURN_IF_ERROR(engine_.Apply(name_of(i), old, -1));
+        COLOGNE_RETURN_IF_ERROR(engine_.Apply(plan.output_tables[i], old, -1));
       }
     }
   }
@@ -287,7 +281,7 @@ Status Instance::Writeback(
     const std::vector<Row>& old = owned_rows_[i];
     for (const Row& row : next[i]) {
       if (!std::binary_search(old.begin(), old.end(), row)) {
-        COLOGNE_RETURN_IF_ERROR(engine_.Apply(name_of(i), row, +1));
+        COLOGNE_RETURN_IF_ERROR(engine_.Apply(plan.output_tables[i], row, +1));
         // Batched mode: run the fixpoint now so the next inserted row
         // observes this one's post-solve effects (sequential per-delta
         // semantics, matching what per-link solves produce one at a time).

@@ -160,8 +160,6 @@ class Instance {
   /// produces one solve at a time.
   Status Writeback(const std::map<std::string, std::vector<Row>>& tables,
                    bool flush_per_delta);
-  /// Content hash of an engine table (0 when undeclared).
-  uint64_t TableHash(const std::string& name) const;
 
   struct BaseFact {
     std::string table;

@@ -104,11 +104,12 @@ int64_t EvalLin(const LinExpr& e, const solver::Solution& sol) {
 // concrete output.
 //
 // Joins read each table in one fixed scan order: the bridge-local rows in
-// derivation order, or the engine table's sorted snapshot (taken once per
-// solve). Bound columns are probed through hash indexes built lazily from
-// that order, so a probe yields exactly the rows a nested-loop scan would
-// accept, in the same order; variable ids and propagator order therefore
-// do not depend on the index.
+// derivation order, or the engine table's sorted view (read in place; the
+// engine does not change while the model is built). Bound columns are
+// probed through hash indexes built lazily from that order, so a probe
+// yields exactly the rows a nested-loop scan would accept, in the same
+// order; variable ids and propagator order therefore do not depend on the
+// index.
 class PlanEval {
  public:
   PlanEval(const CompiledProgram* program, const datalog::Engine* engine,
@@ -137,8 +138,8 @@ class PlanEval {
   Status InstantiateVars() {
     for (size_t d = 0; d < program_->var_decls.size(); ++d) {
       const VarDeclIR& decl = program_->var_decls[d];
-      const datalog::Table* forall = engine_->GetTable(decl.forall_table);
-      if (forall == nullptr) {
+      const int forall = plan_.forall_tables[d];
+      if (forall < 0) {
         return Status::SolverError("forall table missing: " +
                                    decl.forall_table);
       }
@@ -146,7 +147,7 @@ class PlanEval {
       has_local_[static_cast<size_t>(table)] = 1;
       std::vector<Row>& out = local_[static_cast<size_t>(table)];
       std::set<Row> seen;  // dedupe identical regular projections
-      for (const Row& frow : forall->Rows()) {
+      for (const Row& frow : engine_->table(forall).View()) {
         Row key;
         for (int src : decl.from_forall_col) {
           if (src >= 0) key.push_back(frow[static_cast<size_t>(src)]);
@@ -187,8 +188,9 @@ class PlanEval {
       // Head is a pattern over an existing table: every row must satisfy the
       // body.
       const PlanAtom& head = plan_rule_->head;
-      for (const Row& hrow : RowsOf(head.table)) {
-        Result<bool> ok = Match(head, hrow);
+      const ScanRows rows = RowsOf(head.table);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        Result<bool> ok = Match(head, rows[i]);
         Status st = ok.status();
         if (ok.ok() && ok.value()) st = JoinBody(0);
         Unbind(head);
@@ -220,8 +222,8 @@ class PlanEval {
   // e.g. the first wireless link negotiation before any neighbor has chosen
   // a channel) — the solve then degrades to pure satisfaction.
   Result<SVal> GoalValue() {
-    const std::vector<Row>& rows = RowsOf(plan_.goal_table);
-    if (rows.empty()) {
+    const ScanRows rows = RowsOf(plan_.goal_table);
+    if (rows.size() == 0) {
       return SVal::Concrete(Value::Int(0));
     }
     if (rows.size() > 1) {
@@ -291,17 +293,33 @@ class PlanEval {
     std::unordered_map<Row, std::vector<uint32_t>, RowHasher> buckets;
   };
 
+  // A table's rows in scan order: the bridge-local rows, or an engine
+  // table's view.
+  class ScanRows {
+   public:
+    explicit ScanRows(const std::vector<Row>* local) : local_(local) {}
+    explicit ScanRows(datalog::RowsView view) : view_(view) {}
+    size_t size() const { return local_ ? local_->size() : view_.size(); }
+    const Row& operator[](size_t i) const {
+      return local_ ? (*local_)[i] : view_[i];
+    }
+
+   private:
+    const std::vector<Row>* local_ = nullptr;
+    datalog::RowsView view_;
+  };
+
   // Rows of a table in scan order: the bridge-local solver table once one
-  // exists, the engine table's sorted snapshot otherwise.
-  const std::vector<Row>& RowsOf(int table) {
+  // exists, the engine table's sorted view otherwise (plan table ids are
+  // engine table ids).
+  ScanRows RowsOf(int table) {
     const auto t = static_cast<size_t>(table);
-    if (has_local_[t]) return local_[t];
+    if (has_local_[t]) return ScanRows(&local_[t]);
     if (!has_snapshot_[t]) {
       has_snapshot_[t] = 1;
-      const datalog::Table* engine_table = engine_->GetTable(plan_.tables[t]);
-      if (engine_table != nullptr) snapshots_[t] = engine_table->Rows();
+      snapshots_[t] = engine_->table(table).View();
     }
-    return snapshots_[t];
+    return ScanRows(snapshots_[t]);
   }
 
   int32_t Register(LinExpr e) {
@@ -432,7 +450,7 @@ class PlanEval {
 
   Status JoinAtom(size_t depth) {
     const PlanAtom& atom = plan_rule_->body[depth];
-    const std::vector<Row>& rows = RowsOf(atom.table);
+    const ScanRows rows = RowsOf(atom.table);
     auto visit = [&](const Row& row) -> Status {
       Result<bool> ok = Match(atom, row);
       Status st = ok.status();
@@ -443,7 +461,9 @@ class PlanEval {
     if (const std::vector<uint32_t>* hits = Probe(atom, depth, rows)) {
       for (uint32_t pos : *hits) COLOGNE_RETURN_IF_ERROR(visit(rows[pos]));
     } else {
-      for (const Row& row : rows) COLOGNE_RETURN_IF_ERROR(visit(row));
+      for (size_t i = 0; i < rows.size(); ++i) {
+        COLOGNE_RETURN_IF_ERROR(visit(rows[i]));
+      }
     }
     return Status::OK();
   }
@@ -454,7 +474,7 @@ class PlanEval {
   // rules apply). Match still runs on every candidate, so repeated slots
   // inside the atom are checked there.
   const std::vector<uint32_t>* Probe(const PlanAtom& atom, size_t depth,
-                                     const std::vector<Row>& rows) {
+                                     const ScanRows& rows) {
     if (atom.index < 0) return nullptr;
     Row& key = keys_[depth];
     key.clear();
@@ -470,8 +490,8 @@ class PlanEval {
     return it == index.buckets.end() ? &kNoRows : &it->second;
   }
 
-  static void BuildIndex(const std::vector<int>& cols,
-                         const std::vector<Row>& rows, JoinIndex* index) {
+  static void BuildIndex(const std::vector<int>& cols, const ScanRows& rows,
+                         JoinIndex* index) {
     index->built = true;
     Row proj;
     for (size_t pos = 0; pos < rows.size(); ++pos) {
@@ -906,10 +926,10 @@ class PlanEval {
   // STDEV surrogate index -> the aggregate's input expressions.
   std::map<int32_t, std::vector<LinExpr>> stdev_inputs_;
   // By plan table id: the bridge-local rows (once a var declaration or a
-  // derivation created them) and the engine snapshot (once read).
+  // derivation created them) and the engine table's view (once read).
   std::vector<std::vector<Row>> local_;
   std::vector<char> has_local_;
-  std::vector<std::vector<Row>> snapshots_;
+  std::vector<datalog::RowsView> snapshots_;
   std::vector<char> has_snapshot_;
   // By plan join-index id.
   std::vector<JoinIndex> indexes_;
@@ -1097,9 +1117,12 @@ std::vector<uint64_t> ComputeFingerprints(
   }
 
   std::vector<int32_t> seen;  // distinct groups watched by one propagator
+  std::string text;           // one propagator's rendering, reused
   for (const auto& p : model.propagators()) {
     uint64_t h = kFnvOffset;
-    FnvMixStr(&h, p->DebugString());
+    text.clear();
+    p->AppendDebugString(&text);
+    FnvMixStr(&h, text);
     seen.clear();
     for (int32_t id : p->watched()) {
       int32_t gi = target_of(id);
@@ -1138,6 +1161,16 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   const bool incremental = options.incremental && incr != nullptr;
 
   // ---- Build the constraint network: one pass over the solver rules -------
+  // The plan reads engine tables by id: the catalogs must be one id space.
+  const colog::SolverPlan& plan = program_->solver_plan;
+  bool same_catalog = engine_->num_tables() == plan.tables.size();
+  for (size_t t = 0; same_catalog && t < plan.tables.size(); ++t) {
+    same_catalog =
+        engine_->table_name(static_cast<datalog::TableId>(t)) == plan.tables[t];
+  }
+  if (!same_catalog) {
+    return Status::SolverError("engine tables do not match the program's");
+  }
   PlanEval eval(program_, engine_, &model);
   std::vector<PostedConstraint> posted;
   if (options.record_provenance) eval.RecordConstraintsTo(&posted);

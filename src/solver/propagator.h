@@ -111,7 +111,14 @@ class Propagator {
   /// (re-running on an unchanged store must not change anything).
   virtual bool Propagate(PropCtx& ctx) = 0;
   /// One-line description for tracing and test diagnostics.
-  virtual std::string DebugString() const = 0;
+  std::string DebugString() const {
+    std::string out;
+    AppendDebugString(&out);
+    return out;
+  }
+  /// Append DebugString()'s text to `out` (lets a caller render many
+  /// propagators into one reused buffer).
+  virtual void AppendDebugString(std::string* out) const = 0;
   /// Stable short kind name ("linear", "times", ...) keying the per-kind
   /// propagation counters of the observability layer (obs/metrics.h).
   virtual const char* kind() const { return "other"; }

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/strings.h"
 #include "solver/propagator.h"
 
 namespace cologne::solver {
@@ -84,8 +85,11 @@ class LinearProp : public Propagator {
     return PruneLinearIncremental(ctx, e_, rel_);
   }
 
-  std::string DebugString() const override {
-    return e_.ToString() + " " + RelName(rel_) + " 0";
+  void AppendDebugString(std::string* out) const override {
+    e_.AppendTo(out);
+    *out += ' ';
+    *out += RelName(rel_);
+    *out += " 0";
   }
 
   const char* kind() const override { return "linear"; }
@@ -172,9 +176,14 @@ class ReifiedLinearProp : public Propagator {
     return true;
   }
 
-  std::string DebugString() const override {
-    return "x" + std::to_string(b_.id) + " <=> (" + e_.ToString() + " " +
-           RelName(rel_) + " 0)";
+  void AppendDebugString(std::string* out) const override {
+    *out += 'x';
+    AppendInt(out, b_.id);
+    *out += " <=> (";
+    e_.AppendTo(out);
+    *out += ' ';
+    *out += RelName(rel_);
+    *out += " 0)";
   }
 
   const char* kind() const override { return "reified"; }
@@ -253,9 +262,13 @@ class TimesProp : public Propagator {
     return true;
   }
 
-  std::string DebugString() const override {
-    return "x" + std::to_string(z_.id) + " == x" + std::to_string(x_.id) +
-           " * x" + std::to_string(y_.id);
+  void AppendDebugString(std::string* out) const override {
+    *out += 'x';
+    AppendInt(out, z_.id);
+    *out += " == x";
+    AppendInt(out, x_.id);
+    *out += " * x";
+    AppendInt(out, y_.id);
   }
 
   const char* kind() const override { return "times"; }
@@ -329,8 +342,12 @@ class AbsProp : public Propagator {
     return true;
   }
 
-  std::string DebugString() const override {
-    return "x" + std::to_string(z_.id) + " == |x" + std::to_string(x_.id) + "|";
+  void AppendDebugString(std::string* out) const override {
+    *out += 'x';
+    AppendInt(out, z_.id);
+    *out += " == |x";
+    AppendInt(out, x_.id);
+    *out += '|';
   }
 
   const char* kind() const override { return "abs"; }
@@ -385,9 +402,12 @@ class OrProp : public Propagator {
     return true;
   }
 
-  std::string DebugString() const override {
-    return "x" + std::to_string(b_.id) + " <=> OR(" +
-           std::to_string(bs_.size()) + " vars)";
+  void AppendDebugString(std::string* out) const override {
+    *out += 'x';
+    AppendInt(out, b_.id);
+    *out += " <=> OR(";
+    AppendInt(out, static_cast<int64_t>(bs_.size()));
+    *out += " vars)";
   }
 
   const char* kind() const override { return "or"; }
@@ -417,9 +437,14 @@ class MaxConstProp : public Propagator {
     return true;
   }
 
-  std::string DebugString() const override {
-    return "x" + std::to_string(z_.id) + " == max(x" + std::to_string(x_.id) +
-           ", " + std::to_string(c_) + ")";
+  void AppendDebugString(std::string* out) const override {
+    *out += 'x';
+    AppendInt(out, z_.id);
+    *out += " == max(x";
+    AppendInt(out, x_.id);
+    *out += ", ";
+    AppendInt(out, c_);
+    *out += ')';
   }
 
   const char* kind() const override { return "max_const"; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/strings.h"
+
 namespace cologne::solver {
 
 const char* RelName(Rel rel) {
@@ -105,15 +107,21 @@ void LinExpr::Canonicalize() {
 
 std::string LinExpr::ToString() const {
   std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void LinExpr::AppendTo(std::string* out) const {
   for (size_t i = 0; i < terms.size(); ++i) {
-    if (i) out += " + ";
-    out += std::to_string(terms[i].first) + "*x" + std::to_string(terms[i].second.id);
+    if (i) *out += " + ";
+    AppendInt(out, terms[i].first);
+    *out += "*x";
+    AppendInt(out, terms[i].second.id);
   }
   if (constant != 0 || terms.empty()) {
-    if (!terms.empty()) out += " + ";
-    out += std::to_string(constant);
+    if (!terms.empty()) *out += " + ";
+    AppendInt(out, constant);
   }
-  return out;
 }
 
 const char* BackendName(Backend b) {

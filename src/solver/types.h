@@ -61,6 +61,8 @@ struct LinExpr {
   void Canonicalize();
 
   std::string ToString() const;
+  /// Append ToString()'s text to `out`.
+  void AppendTo(std::string* out) const;
 };
 
 /// Pluggable search strategies (Model::Options::backend).

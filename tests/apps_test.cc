@@ -246,6 +246,66 @@ TEST(WirelessTest, ThroughputOrderingMatchesFigure6) {
       << "cross-layer routing should not hurt throughput";
 }
 
+// InterferenceCost enumerates candidate pairs through per-node link lists;
+// it must count exactly the pairs a scan over every pair of links counts.
+// The reference re-derives the interference relation from links() alone:
+// two distinct links interfere when they share an endpoint or (2-hop model)
+// an endpoint of one is adjacent to an endpoint of the other.
+double BruteForceInterference(const WirelessScenario& scenario, int hops,
+                              int f_mindiff,
+                              const std::map<Link, int>& channel) {
+  const std::vector<Link>& links = scenario.links();
+  std::set<Link> adjacent;
+  for (const Link& l : links) {
+    adjacent.insert(l);
+    adjacent.insert({l.second, l.first});
+  }
+  auto near = [&](int u, int v) {
+    return u == v || (hops >= 2 && adjacent.count({u, v}) > 0);
+  };
+  double cost = 0;
+  for (size_t i = 0; i < links.size(); ++i) {
+    for (size_t j = i + 1; j < links.size(); ++j) {
+      auto ci = channel.find(links[i]);
+      auto cj = channel.find(links[j]);
+      if (ci == channel.end() || cj == channel.end()) continue;
+      bool interferes = false;
+      for (int u : {links[i].first, links[i].second}) {
+        for (int v : {links[j].first, links[j].second}) {
+          interferes = interferes || near(u, v);
+        }
+      }
+      if (interferes && std::abs(ci->second - cj->second) < f_mindiff) {
+        cost += 1;
+      }
+    }
+  }
+  return cost;
+}
+
+TEST(WirelessTest, InterferenceCostMatchesBruteForce) {
+  for (int hops : {1, 2}) {
+    WirelessConfig cfg;
+    cfg.grid_w = 7;
+    cfg.grid_h = 5;
+    cfg.interference_hops = hops;
+    WirelessScenario scenario(cfg);
+    Rng rng(11 + static_cast<uint64_t>(hops));
+    for (int trial = 0; trial < 20; ++trial) {
+      // Every few trials leave some links unassigned.
+      std::map<Link, int> channel;
+      for (const Link& l : scenario.links()) {
+        if (trial % 4 == 3 && rng.UniformInt(0, 4) == 0) continue;
+        channel[l] =
+            static_cast<int>(rng.UniformInt(1, cfg.num_channels));
+      }
+      EXPECT_EQ(scenario.InterferenceCost(channel),
+                BruteForceInterference(scenario, hops, cfg.f_mindiff, channel))
+          << "hops " << hops << ", trial " << trial;
+    }
+  }
+}
+
 // --- ClaimBatches (apps/negotiation.h) ---------------------------------------
 
 using TestLink = std::pair<int, int>;

@@ -327,8 +327,9 @@ TEST(EngineTest, RemoteTuplesGoToSender) {
   EXPECT_EQ(e0.stats().tuples_sent, 1u);
 }
 
-// The estimate is derived from the real cell and row sizes, so a change to
-// Value's layout shows up in datalog.table_mb.
+// The estimate is derived from the real cell and row sizes and the table's
+// per-row bookkeeping, so a change to Value's layout or to Table's storage
+// shows up in datalog.table_mb. Each visible row is stored once.
 TEST(EngineTest, MemoryEstimateFollowsValueAndRowSizes) {
   Engine e;
   ASSERT_TRUE(e.DeclareTable(Schema("t", 3)).ok());
@@ -338,11 +339,13 @@ TEST(EngineTest, MemoryEstimateFollowsValueAndRowSizes) {
   ASSERT_TRUE(e.InsertFact("t", R({4, 5, 6})).ok());
   ASSERT_TRUE(e.InsertFact("u", R({7})).ok());
   ASSERT_TRUE(e.InsertFact("u", R({7})).ok());  // second derivation, one row
-  const size_t node = Engine::kTableNodeBytes;
-  const size_t t_row = sizeof(Row) + 3 * sizeof(Value) + node;
-  const size_t u_row = sizeof(Row) + 1 * sizeof(Value) + node;
-  EXPECT_EQ(e.MemoryEstimate(), 2 * (2 * t_row + 1 * u_row));
-  EXPECT_EQ(e.MemoryEstimate(), 2u * (2 * (24 + 48 + 40) + (24 + 16 + 40)));
+  const size_t book = Table::kRowBookkeepingBytes;
+  const size_t t_row = sizeof(Row) + 3 * sizeof(Value) + book;
+  const size_t u_row = sizeof(Row) + 1 * sizeof(Value) + book;
+  EXPECT_EQ(e.MemoryEstimate(), 2 * t_row + 1 * u_row);
+  // Count 8 + two 16-byte content-map cells + a 4-byte order entry.
+  EXPECT_EQ(book, 44u);
+  EXPECT_EQ(e.MemoryEstimate(), 2u * (24 + 48 + 44) + (24 + 16 + 44));
 }
 
 TEST(EngineTest, ArityMismatchRejected) {

@@ -209,18 +209,19 @@ TEST(TableProbeIndexTest, KeyedDisplacementKeepsIndexesConsistent) {
 }
 
 TEST(TableProbeIndexTest, ProbeReferenceInvalidatedByNextApply) {
-  // The documented contract: the reference returned by Probe() is only valid
+  // The documented contract: the view returned by Probe() is only valid
   // until the next Apply(). The supported pattern is copy-then-mutate; the
   // copy must survive unchanged while a fresh probe sees the mutation.
   Table t(Schema("t", 2));
   t.Apply(R({1, 10}), +1);
-  const std::vector<Row>& live = t.Probe({0}, R({1}));
+  const RowsView live = t.Probe({0}, R({1}));
   ASSERT_EQ(live.size(), 1u);
-  std::vector<Row> copied = live;  // consume the reference before Apply()
-  t.Apply(R({1, 11}), +1);         // invalidates `live`
+  // Consume the view before Apply().
+  std::vector<Row> copied(live.begin(), live.end());
+  t.Apply(R({1, 11}), +1);  // invalidates `live`
   EXPECT_EQ(copied.size(), 1u);
   EXPECT_EQ(copied[0][1].as_int(), 10);
-  const std::vector<Row>& fresh = t.Probe({0}, R({1}));
+  const RowsView fresh = t.Probe({0}, R({1}));
   EXPECT_EQ(fresh.size(), 2u);
 }
 

@@ -40,7 +40,9 @@ class RecordingProp : public Propagator {
     seq_->push_back(id_);
     return true;
   }
-  std::string DebugString() const override { return "recording"; }
+  void AppendDebugString(std::string* out) const override {
+    *out += "recording";
+  }
 
  private:
   int id_;
@@ -229,7 +231,9 @@ class WidthPinProp : public Propagator {
     }
     return true;
   }
-  std::string DebugString() const override { return inner_->DebugString(); }
+  void AppendDebugString(std::string* out) const override {
+    inner_->AppendDebugString(out);
+  }
   bool IdempotentAfterRun() const override {
     return inner_->IdempotentAfterRun();
   }
