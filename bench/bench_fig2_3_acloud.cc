@@ -4,14 +4,13 @@
 // over a 4-hour replay, for Default / Heuristic / ACloud / ACloud (M).
 // Figure 3: number of VM migrations per 10-minute interval.
 //
-// A trailing section compares the search backends (B&B, LNS, portfolio and
-// parallel LNS) on the same replay at equal per-solve time budgets and emits
-// one JSON row per backend.
+// A trailing section compares the two search backends (B&B and LNS) on the
+// same replay at equal per-solve time budgets and emits one JSON row per
+// backend.
 //
 // Usage: bench_fig2_3_acloud [duration_hours] [comparison_budget_ms]
 // The optional arguments shrink the replay for smoke runs (the CI bench-smoke
 // job uses `0.25 40`); defaults reproduce the paper-scale figures.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -26,13 +25,12 @@ namespace {
 
 // Replay the ACloud policy under one backend; returns the per-backend JSON
 // row plus the time-averaged imbalance.
-int CompareBackend(solver::Backend backend, int workers, double budget_ms,
+int CompareBackend(solver::Backend backend, double budget_ms,
                    double duration_hours) {
   ACloudConfig cfg;
   cfg.duration_hours = duration_hours;  // keep the comparison leg quick
   cfg.solver_time_ms = budget_ms;
   cfg.knobs["SOLVER_BACKEND"] = Value::Str(solver::BackendName(backend));
-  cfg.knobs["SOLVER_WORKERS"] = Value::Int(workers);
   ACloudScenario scenario(cfg);
   auto r = scenario.Run(ACloudPolicy::kACloud);
   if (!r.ok()) {
@@ -52,22 +50,18 @@ int CompareBackend(solver::Backend backend, int workers, double budget_ms,
   rec.bench = "fig2_3_acloud";
   rec.backend = solver::BackendName(backend);
   rec.seed = runtime::SolveOptions{}.seed;  // the driver leaves SOLVER_SEED
-  rec.workers = 1;
   for (size_t i = 1; i < rows.size(); ++i) {
     stdev_sum += rows[i].avg_cpu_stdev;
     rec.nodes += rows[i].solver_nodes;
     rec.iterations += rows[i].solver_iterations;
     rec.restarts += rows[i].solver_restarts;
     rec.wall_ms += rows[i].solve_ms;
-    // Effective race width (the core-count cap may shrink the request).
-    rec.workers = std::max(rec.workers, rows[i].solver_workers);
   }
   rec.objective = stdev_sum / static_cast<double>(rows.size() - 1);
   rec.has_objective = true;
-  printf("  %-12s x%llu avg stdev %6.2f%%  (%llu nodes, %llu LNS iterations, "
+  printf("  %-12s avg stdev %6.2f%%  (%llu nodes, %llu LNS iterations, "
          "%llu restarts, %.0f ms solver time)\n",
-         rec.backend.c_str(), static_cast<unsigned long long>(rec.workers),
-         rec.objective,
+         rec.backend.c_str(), rec.objective,
          static_cast<unsigned long long>(rec.nodes),
          static_cast<unsigned long long>(rec.iterations),
          static_cast<unsigned long long>(rec.restarts), rec.wall_ms);
@@ -156,19 +150,9 @@ int main(int argc, char** argv) {
   printf(
       "\nSearch backends on the ACloud replay (%.2f h, %.0f ms per solve):\n",
       comparison_hours, comparison_budget_ms);
-  struct Entry {
-    solver::Backend backend;
-    int workers;
-  };
-  const Entry entries[] = {
-      {solver::Backend::kBranchAndBound, 1},
-      {solver::Backend::kLns, 1},
-      {solver::Backend::kPortfolio, 4},
-      {solver::Backend::kParallelLns, 4},
-  };
-  for (const Entry& e : entries) {
-    if (CompareBackend(e.backend, e.workers, comparison_budget_ms,
-                       comparison_hours) != 0) {
+  for (solver::Backend backend :
+       {solver::Backend::kBranchAndBound, solver::Backend::kLns}) {
+    if (CompareBackend(backend, comparison_budget_ms, comparison_hours) != 0) {
       return 1;
     }
   }

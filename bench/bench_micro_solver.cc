@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the constraint solver substrate,
-// including backend comparisons (B&B vs LNS vs local_search vs portfolio vs
-// parallel LNS) at equal time budgets: the per-iteration `objective` counter
-// is the quality signal to compare. Each backend-comparison benchmark also emits one
-// SolveRecord JSON row (consumed by the CI bench-smoke job).
+// including the B&B vs LNS backend comparison at equal time budgets: the
+// per-iteration `objective` counter is the quality signal to compare. Each
+// backend-comparison benchmark also emits one SolveRecord JSON row
+// (consumed by the CI bench-smoke job).
 //
 // Two extra modes, both over the same canonical fixed-seed micro instances
 // (deterministic node/iteration budgets, no wall clock):
@@ -11,17 +11,17 @@
 //                                    propagations/sec, peak memory, trail
 //                                    saves, and domain-vector allocations
 //                                    (the IntDomain copy-counting hook) —
-//                                    the solver-core perf trajectory the CI
-//                                    bench-smoke job schema-validates.
+//                                    the solver-core perf trajectory that
+//                                    scripts/check_solver_rows.py gates.
 //   bench_micro_solver determinism [GOLDEN [--update-golden]]
 //                                    solves every case twice and fails
 //                                    (exit 1) on any node/failure/solution
 //                                    divergence; with GOLDEN (normally
 //                                    tests/golden/solver_trees.txt) it also
-//                                    diffs every single-worker case's tree
-//                                    against the checked-in one, so solver
-//                                    perf work cannot silently change the
-//                                    search tree (ctest solver_tree_golden).
+//                                    diffs every case's tree against the
+//                                    checked-in one, so solver perf work
+//                                    cannot silently change the search
+//                                    tree (ctest solver_tree_golden).
 //                                    --update-golden rewrites GOLDEN instead.
 #include <benchmark/benchmark.h>
 
@@ -98,21 +98,17 @@ std::unique_ptr<Model> MakeAssignmentModel(int vms) {
 }
 
 // Backend shoot-out at an equal wall-clock budget; report the incumbent
-// objective so the qualities are directly comparable. `workers` > 1 selects
-// the concurrent backends' race width.
-void RunBackendComparison(benchmark::State& state, Backend backend,
-                          int workers = 1) {
+// objective so the qualities are directly comparable.
+void RunBackendComparison(benchmark::State& state, Backend backend) {
   int vms = static_cast<int>(state.range(0));
   auto m = MakeAssignmentModel(vms);
   double obj_sum = 0;
   cologne::SolveRecord rec;
-  rec.workers = 1;
   for (auto _ : state) {
     Model::Options o;
     o.time_limit_ms = 25;
     o.backend = backend;
     o.seed = 0x5EED;
-    o.num_workers = workers;
     Solution s = m->Solve(o);
     benchmark::DoNotOptimize(s.objective);
     obj_sum += s.has_solution() ? static_cast<double>(s.objective) : 0;
@@ -121,9 +117,6 @@ void RunBackendComparison(benchmark::State& state, Backend backend,
     rec.restarts += s.stats.restarts;
     rec.wall_ms += s.stats.wall_ms;
     rec.seed = o.seed;
-    // Effective race width (wall-clock solves cap at the core count), not
-    // the requested one.
-    if (!s.stats.per_worker.empty()) rec.workers = s.stats.per_worker.size();
   }
   double mean_obj = obj_sum / static_cast<double>(state.iterations());
   state.counters["objective"] = mean_obj;
@@ -227,22 +220,6 @@ static void BM_AssignmentBackendLns(benchmark::State& state) {
   RunBackendComparison(state, Backend::kLns);
 }
 BENCHMARK(BM_AssignmentBackendLns)->Arg(10)->Arg(20)->Arg(32);
-
-static void BM_AssignmentBackendLocalSearch(benchmark::State& state) {
-  RunBackendComparison(state, Backend::kLocalSearch);
-}
-BENCHMARK(BM_AssignmentBackendLocalSearch)->Arg(10)->Arg(20)->Arg(32);
-
-// Concurrent backends at the same budget, 4 workers (the ISSUE's race width).
-static void BM_AssignmentBackendPortfolio(benchmark::State& state) {
-  RunBackendComparison(state, Backend::kPortfolio, 4);
-}
-BENCHMARK(BM_AssignmentBackendPortfolio)->Arg(10)->Arg(20)->Arg(32);
-
-static void BM_AssignmentBackendParallelLns(benchmark::State& state) {
-  RunBackendComparison(state, Backend::kParallelLns, 4);
-}
-BENCHMARK(BM_AssignmentBackendParallelLns)->Arg(10)->Arg(20)->Arg(32);
 
 // Luby-restart variant of the B&B backend on the same kernel.
 static void BM_AssignmentBackendBnbRestarts(benchmark::State& state) {
@@ -374,9 +351,7 @@ struct MicroCase {
   uint64_t node_limit;
   uint64_t max_iterations;
   uint64_t restart_base_nodes;
-  bool cache;       ///< Fresh ContextCache per solve (SOLVER_CACHE).
-  int subproblems;  ///< Subproblem-parallel frontier width; 0 = off.
-  int workers;      ///< Race/steal width; <= 1 keeps the sequential path.
+  bool cache;          ///< Fresh ContextCache per solve (SOLVER_CACHE).
   bool naive = false;  ///< Legacy untyped-FIFO propagation reference mode
                        ///< (SOLVER_NAIVE_PROPAGATION); same search tree,
                        ///< historical effort counters.
@@ -384,48 +359,36 @@ struct MicroCase {
 
 // `deep_dive_bnb` is the headline case of the trailed-store trajectory: a
 // 64-decision B&B dive deep enough that state restoration dominates.
-// `deep_dive_bnb_par` is the same instance under the subproblem-parallel
-// mode (8 stealing workers, context cache on) — the wall_ms ratio between
-// the two rows is the PR's time-to-solution acceptance signal.
 const MicroCase kMicroCases[] = {
     {"deep_dive_bnb", MakeAssignmentModel, 16, Backend::kBranchAndBound,
-     0x5EED, 200'000, 0, 0, false, 0, 1},
+     0x5EED, 200'000, 0, 0, false},
     {"bnb_assign10", MakeAssignmentModel, 10, Backend::kBranchAndBound,
-     0x5EED, 50'000, 50, 0, false, 0, 1},
+     0x5EED, 50'000, 50, 0, false},
     {"bnb_luby_assign8", MakeAssignmentModel, 8, Backend::kBranchAndBound,
-     0xABCD, 30'000, 0, 256, false, 0, 1},
+     0xABCD, 30'000, 0, 256, false},
     {"lns_assign12", MakeAssignmentModel, 12, Backend::kLns, 0x10C5, 0, 300,
-     0, false, 0, 1},
+     0, false},
     {"lns_grouped10", MakeGroupedAssignmentModel, 10, Backend::kLns, 0x77, 0,
-     250, 0, false, 0, 1},
+     250, 0, false},
     {"bnb_interf12", MakeInterferenceModel, 12, Backend::kBranchAndBound,
-     0x1234, 40'000, 60, 0, false, 0, 1},
+     0x1234, 40'000, 60, 0, false},
     // Context-cache rows: same kernels, exhausted-subtree proofs on. The
     // Luby case is where intra-solve reuse fires (restart dives re-enter
     // contexts earlier dives exhausted).
     {"bnb_cache_luby8", MakeAssignmentModel, 8, Backend::kBranchAndBound,
-     0xABCD, 30'000, 0, 256, true, 0, 1},
+     0xABCD, 30'000, 0, 256, true},
     {"lns_cache_grouped10", MakeGroupedAssignmentModel, 10, Backend::kLns,
-     0x77, 0, 250, 0, true, 0, 1},
-    {"deep_dive_bnb_par", MakeAssignmentModel, 16, Backend::kPortfolio,
-     0x5EED, 12'000, 0, 0, true, 64, 8},
+     0x77, 0, 250, 0, true},
     // Propagation-ratio pairs: the same instance under the event-typed
     // engine (default) and the naive untyped-FIFO reference. Search trees
     // are identical by construction; the props_executed ratio between the
     // paired rows is the CI acceptance gate of the event-typed engine.
     {"deep_dive_bnb_naive", MakeAssignmentModel, 16, Backend::kBranchAndBound,
-     0x5EED, 200'000, 0, 0, false, 0, 1, true},
+     0x5EED, 200'000, 0, 0, false, true},
     {"prop_heavy_bnb", MakePropHeavyModel, 16, Backend::kBranchAndBound,
-     0xF00D, 60'000, 0, 0, false, 0, 1},
+     0xF00D, 60'000, 0, 0, false},
     {"prop_heavy_naive", MakePropHeavyModel, 16, Backend::kBranchAndBound,
-     0xF00D, 60'000, 0, 0, false, 0, 1, true},
-    // Local-search rows: the move walk is iteration-capped, so its ls_*
-    // counters (moves / accepted / tabu hits) are part of the determinism
-    // contract like nodes and failures are.
-    {"ls_assign12", MakeAssignmentModel, 12, Backend::kLocalSearch, 0x10C5, 0,
-     300, 0, false, 0, 1},
-    {"ls_interf12", MakeInterferenceModel, 12, Backend::kLocalSearch, 0x1234,
-     0, 200, 0, false, 0, 1},
+     0xF00D, 60'000, 0, 0, false, true},
 };
 
 Model::Options MicroOptions(const MicroCase& c) {
@@ -436,8 +399,6 @@ Model::Options MicroOptions(const MicroCase& c) {
   o.node_limit = c.node_limit;
   o.max_iterations = c.max_iterations;
   o.restart_base_nodes = c.restart_base_nodes;
-  o.subproblems = c.subproblems;
-  o.num_workers = c.workers > 0 ? c.workers : 1;
   o.naive_propagation = c.naive;
   return o;
 }
@@ -478,11 +439,9 @@ int RunSolverJson() {
         "\"wall_ms\":%.3f,\"nodes_per_sec\":%.0f,\"props_per_sec\":%.0f,"
         "\"peak_mem_bytes\":%llu,\"trail_saves\":%llu,"
         "\"domain_allocs\":%llu,\"cache_hits\":%llu,\"cache_stores\":%llu,"
-        "\"cache_mem_bytes\":%llu,\"steals\":%llu,\"subproblems\":%llu,"
-        "\"ls_moves\":%llu,\"ls_accepted\":%llu,\"ls_tabu_hits\":%llu,"
+        "\"cache_mem_bytes\":%llu,"
         "\"props_executed\":%llu,\"props_skipped_entailed\":%llu,"
-        "\"wakes_filtered\":%llu,\"naive\":%d,"
-        "\"workers\":%d,\"objective\":%lld}",
+        "\"wakes_filtered\":%llu,\"naive\":%d,\"objective\":%lld}",
         c.name, BackendName(c.backend),
         static_cast<unsigned long long>(c.seed),
         static_cast<unsigned long long>(s.stats.nodes),
@@ -495,16 +454,10 @@ int RunSolverJson() {
         static_cast<unsigned long long>(s.stats.cache_hits),
         static_cast<unsigned long long>(s.stats.cache_stores),
         static_cast<unsigned long long>(s.stats.cache_mem_bytes),
-        static_cast<unsigned long long>(s.stats.steals),
-        static_cast<unsigned long long>(s.stats.subproblems),
-        static_cast<unsigned long long>(s.stats.ls_moves),
-        static_cast<unsigned long long>(s.stats.ls_accepted),
-        static_cast<unsigned long long>(s.stats.ls_tabu_hits),
         static_cast<unsigned long long>(s.stats.propagations),
         static_cast<unsigned long long>(s.stats.props_skipped_entailed),
         static_cast<unsigned long long>(s.stats.wakes_filtered),
         c.naive ? 1 : 0,
-        c.workers > 0 ? c.workers : 1,
         static_cast<long long>(s.has_solution() ? s.objective : 0));
     fprintf(out, "%s\n", row.c_str());
     printf("%s\n", row.c_str());
@@ -514,7 +467,7 @@ int RunSolverJson() {
 }
 
 // One golden-file line: `case nodes failures solutions propagations
-// objective` — the fingerprint of a single-worker search tree.
+// objective` — the fingerprint of one search tree.
 std::string TreeLine(const MicroCase& c, const Solution& s) {
   return cologne::StrFormat(
       "%s %llu %llu %llu %llu %lld", c.name,
@@ -525,7 +478,7 @@ std::string TreeLine(const MicroCase& c, const Solution& s) {
       static_cast<long long>(s.has_solution() ? s.objective : 0));
 }
 
-// Diff `lines` (one per single-worker case, in case order) against the
+// Diff `lines` (one per case, in case order) against the
 // golden file at `path`, or rewrite it when `update` is set. Returns 0 when
 // they agree (or the file was written).
 int CheckTreeGolden(const std::vector<std::string>& lines,
@@ -568,28 +521,19 @@ int CheckTreeGolden(const std::vector<std::string>& lines,
 
 // Solve every canonical case twice; any divergence in the explored tree
 // (nodes / failures / solutions / propagations / objective) is a
-// determinism regression. With `golden_path`, the single-worker trees must
-// also equal the checked-in ones.
+// determinism regression. With `golden_path`, the trees must also equal the
+// checked-in ones.
 int RunDeterminism(const char* golden_path, bool update_golden) {
   int rc = 0;
   std::vector<std::string> tree_lines;
   for (const MicroCase& c : kMicroCases) {
-    if (c.workers > 1) {
-      // Multi-worker runs race on wall clock by design; the determinism
-      // contract covers the single-worker search paths (cache on or off —
-      // a fresh cache per run keeps cache-on solves replayable too).
-      printf("%-18s SKIP (multi-worker)\n", c.name);
-      continue;
-    }
+    // A fresh cache per run keeps cache-on solves replayable too.
     Solution a = RunMicroCase(c);
     Solution b = RunMicroCase(c);
     const bool same = a.stats.nodes == b.stats.nodes &&
                       a.stats.failures == b.stats.failures &&
                       a.stats.solutions == b.stats.solutions &&
                       a.stats.propagations == b.stats.propagations &&
-                      a.stats.ls_moves == b.stats.ls_moves &&
-                      a.stats.ls_accepted == b.stats.ls_accepted &&
-                      a.stats.ls_tabu_hits == b.stats.ls_tabu_hits &&
                       a.objective == b.objective && a.values == b.values;
     printf("%-18s %s nodes=%llu/%llu failures=%llu/%llu solutions=%llu/%llu\n",
            c.name, same ? "OK" : "MISMATCH",

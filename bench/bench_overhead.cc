@@ -339,8 +339,7 @@ int main(int argc, char** argv) {
   printf("\nACloud COP execution (40 VMs x 4 hosts, 2 s cap; paper used 10 s "
          "cap), per backend:\n");
   for (solver::Backend backend :
-       {solver::Backend::kBranchAndBound, solver::Backend::kLns,
-        solver::Backend::kLocalSearch}) {
+       {solver::Backend::kBranchAndBound, solver::Backend::kLns}) {
     runtime::SolveOptions o = inst.solve_options();
     o.time_limit_ms = 2000;
     o.backend = backend;

@@ -227,11 +227,6 @@ Result<int> ACloudScenario::RunCologne(int dc, runtime::Instance* inst,
   m->solver_nodes += out.stats.nodes;
   m->solver_iterations += out.stats.iterations;
   m->solver_restarts += out.stats.restarts;
-  if (!out.stats.per_worker.empty()) {
-    m->solver_workers =
-        std::max(m->solver_workers,
-                 static_cast<uint64_t>(out.stats.per_worker.size()));
-  }
   if (!out.has_solution()) return 0;
 
   // Apply the placement: assign(Vid,Hid,1) => VM Vid runs on host Hid.

@@ -77,9 +77,6 @@ struct ACloudInterval {
   uint64_t solver_nodes = 0;       ///< Search nodes this interval.
   uint64_t solver_iterations = 0;  ///< Backend improvement iterations.
   uint64_t solver_restarts = 0;    ///< Backend restarts.
-  /// Widest effective worker race this interval (1 for sequential backends;
-  /// wall-clock solves cap the requested width at the core count).
-  uint64_t solver_workers = 1;
   /// DCs that performed no placement this interval (crashed instance).
   int skipped_dcs = 0;
   /// True on the interval where a crashed instance rebuilt and rejoined.

@@ -94,9 +94,9 @@ struct ScenarioRun {
 };
 
 /// Execute `scenario` with the driver's SOLVER_BACKEND overridden to
-/// `backend` ("bnb", "lns", "portfolio", "parallel_lns", "local_search";
-/// empty keeps the scenario default), recording a trace and checking the
-/// app's invariants (apps/invariants.h) on the outcome.
+/// `backend` ("bnb" or "lns"; empty keeps the scenario default), recording
+/// a trace and checking the app's invariants (apps/invariants.h) on the
+/// outcome.
 ScenarioRun RunScenario(const Scenario& scenario, const std::string& backend);
 
 }  // namespace cologne::apps

@@ -9,20 +9,16 @@ namespace {
 
 constexpr int64_t kNoMax = std::numeric_limits<int64_t>::max();
 
-// Bounds keep a typo from forking an unbounded worker race or making the
-// subproblem master expand an enormous queue before search starts.
 const KnobSpec kKnobs[] = {
     {"SOLVER_MAX_TIME", &SolveKnobs::time_limit_ms},
     {"SOLVER_BACKEND", &SolveKnobs::backend},
     {"SOLVER_SEED", &SolveKnobs::seed, 0, kNoMax},
     {"SOLVER_RESTARTS", &SolveKnobs::restart_base_nodes, 0, kNoMax},
-    {"SOLVER_WORKERS", &SolveKnobs::num_workers, 1, 256},
     {"NET_RELIABLE", &SystemKnobs::net_reliable, 0, 1},
     {"OBS_METRICS", &SystemKnobs::obs_metrics, 0, 1},
     {"SOLVER_INCREMENTAL", &SolveKnobs::incremental, 0, 1},
     {"SOLVER_INCR_THRESHOLD", &SolveKnobs::incr_threshold_pct, 0, 100},
     {"SOLVER_CACHE", &SolveKnobs::cache, 0, 1},
-    {"SOLVER_SUBPROBLEMS", &SolveKnobs::subproblems, 0, 4096},
     {"SOLVER_NAIVE_PROPAGATION", &SolveKnobs::naive_propagation, 0, 1},
 };
 

@@ -32,9 +32,6 @@ struct SolveKnobs {
   /// Luby restart base for branch-and-bound, in nodes (SOLVER_RESTARTS);
   /// 0 disables restarts.
   uint64_t restart_base_nodes = 0;
-  /// Worker threads for the concurrent backends (SOLVER_WORKERS): portfolio
-  /// race width / parallel-LNS walk count. Sequential backends ignore it.
-  int num_workers = 1;
   /// Incremental re-solve on fact deltas (SOLVER_INCREMENTAL): fingerprint
   /// the compiled model per decision group, compare against the previous
   /// solve, pin the clean groups to the cached incumbent and focus search on
@@ -54,11 +51,6 @@ struct SolveKnobs {
   /// a sweep. Off by default: with it off the solve path (and its traces) is
   /// byte-identical to the cache-free solver.
   bool cache = false;
-  /// Subproblem-parallel B&B (SOLVER_SUBPROBLEMS): with a concurrent backend
-  /// and more than one worker, expand the root into about this many bounded
-  /// subproblems that workers steal from a shared queue instead of
-  /// re-searching from the root. 0 disables.
-  int subproblems = 0;
   /// Legacy untyped-FIFO propagation (SOLVER_NAIVE_PROPAGATION): every
   /// domain change wakes every watcher, linear sums are recomputed from
   /// scratch, entailed propagators keep running. The fixpoints — and hence

@@ -10,7 +10,7 @@
 namespace cologne {
 
 /// One SplitMix64 scrambling step: the repo's canonical way to derive
-/// decorrelated deterministic seeds (Rng seeding, per-worker search seeds).
+/// decorrelated deterministic seeds (Rng seeding, context-cache keys).
 inline uint64_t SplitMix64(uint64_t x) {
   uint64_t z = x + 0x9E3779B97F4A7C15ull;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;

@@ -45,7 +45,6 @@ std::string SolveRecord::ToJsonLine() const {
   w.Key("bench").String(bench);
   w.Key("backend").String(backend);
   w.Key("seed").UInt(seed);
-  w.Key("workers").UInt(workers);
   w.Key("nodes").UInt(nodes);
   w.Key("iterations").UInt(iterations);
   w.Key("restarts").UInt(restarts);

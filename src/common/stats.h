@@ -78,7 +78,6 @@ struct SolveRecord {
   std::string bench;    ///< Harness / scenario label.
   std::string backend;  ///< solver::BackendName of the strategy used.
   uint64_t seed = 0;
-  uint64_t workers = 1;     ///< Worker threads (1 for sequential backends).
   uint64_t nodes = 0;
   uint64_t iterations = 0;  ///< Backend improvement iterations.
   uint64_t restarts = 0;

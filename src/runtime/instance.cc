@@ -182,7 +182,6 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
     // Only emitted when the knobs are on, so knob-off metric traces stay
     // byte-identical.
     if (out.stats.cache_hits > 0) m.Add("solve.cache.hits", out.stats.cache_hits);
-    if (out.stats.steals > 0) m.Add("solve.steals", out.stats.steals);
     if (out.stats.wakes_filtered > 0) {
       m.Add("solve.wakes_filtered", out.stats.wakes_filtered);
     }

@@ -1231,9 +1231,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   sopts.backend = options.backend;
   sopts.seed = options.seed;
   sopts.restart_base_nodes = options.restart_base_nodes;
-  sopts.num_workers = options.num_workers;
   sopts.max_iterations = options.max_iterations;
-  sopts.subproblems = options.subproblems;
   sopts.naive_propagation = options.naive_propagation;
 
   // Warm start: map the cached previous solution onto this solve's freshly

@@ -53,8 +53,8 @@ struct SolveOptions : colog::SolveKnobs {
   /// Batched-solve variable grouping: when > 0, var-table rows whose first
   /// `group_key_prefix` regular key columns agree form one decision group
   /// in the model (e.g. prefix 2 on migVm(X,Y,D,R) groups per (X,Y) link).
-  /// Group-aware backends relax whole groups as LNS neighborhoods, and
-  /// concurrent workers spread across the batch; 0 disables grouping.
+  /// Both backends' LNS phases relax whole groups as neighborhoods; 0
+  /// disables grouping.
   /// Instance::Solve sets it from SolveRequest::group_key_prefix.
   int group_key_prefix = 0;
   /// Feed the previous solution of this program back into the next solve as

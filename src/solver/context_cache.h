@@ -23,9 +23,7 @@
 // search path is bit-identical to the cache-free solver, which keeps the
 // determinism-gated goldens byte-stable.
 //
-// Not thread-safe: one cache serves exactly one search thread. The
-// concurrent backends hand each worker a private cache seeded with the same
-// model key instead of sharing this one.
+// Not thread-safe: one cache serves exactly one search thread.
 #ifndef COLOGNE_SOLVER_CONTEXT_CACHE_H_
 #define COLOGNE_SOLVER_CONTEXT_CACHE_H_
 

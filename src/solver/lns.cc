@@ -96,22 +96,10 @@ bool LnsImprove(SearchContext& ctx, const LnsParams& params, Incumbent* inc) {
     max_k = std::max<size_t>(1, n - 1);
     start_k = focused ? std::clamp(focus_n, min_k, max_k)
                       : std::clamp<size_t>(n / 3 + 1, min_k, max_k);
-    // Deterministic worker diversity: rotate the unit pool so concurrent
-    // walks (parallel_lns) open on different link neighborhoods. Focused
-    // solves skip the rotation — the dirty prefix must stay in front.
-    size_t rot =
-        focused ? 0 : static_cast<size_t>(ctx.options().worker_id) % n;
-    if (rot > 0) {
-      std::rotate(units.begin(), units.begin() + static_cast<ptrdiff_t>(rot),
-                  units.end());
-    }
   } else {
     min_k = std::min<size_t>(n, 2);
     max_k = std::max(min_k, n / 2);
-    start_k = std::clamp(
-        params.relax_base > 0 ? static_cast<size_t>(params.relax_base)
-                              : n / 10 + 1,
-        min_k, max_k);
+    start_k = std::clamp<size_t>(n / 10 + 1, min_k, max_k);
   }
   size_t k = start_k;
 
@@ -138,18 +126,10 @@ bool LnsImprove(SearchContext& ctx, const LnsParams& params, Incumbent* inc) {
       std::max(200, static_cast<int>(64 * (n / start_k + 1)));
   int stale = 0;
   uint64_t iters = 0;
-  uint64_t shared_seen = 0;
 
   while (stale < max_stale) {
     if (params.max_iterations > 0 && iters >= params.max_iterations) break;
     if (ctx.ShouldStop()) break;
-    // Periodic adoption: when a concurrent walk published a better incumbent,
-    // continue this walk from there (the shared-incumbent pattern of
-    // Fioretto et al.'s distributed LNS).
-    if (ctx.AdoptShared(inc, &shared_seen)) {
-      stale = 0;
-      if (at_bound()) return true;
-    }
     ++iters;
     ++ctx.stats.iterations;
 
@@ -213,10 +193,9 @@ bool LnsImprove(SearchContext& ctx, const LnsParams& params, Incumbent* inc) {
   return false;
 }
 
-Solution LnsSearch::Solve(const Model& model,
-                          const Model::Options& options) const {
+Solution LnsSolve(const Model& model, const Model::Options& options) {
   SearchContext ctx(model, options);
-  Solution out;  // Solution::backend is stamped by the Solve dispatch.
+  Solution out;  // Solution::backend is stamped by Model::Solve.
 
   if (!ctx.PropagateRoot()) {
     ctx.FinalizeStats();
@@ -302,7 +281,6 @@ Solution LnsSearch::Solve(const Model& model,
     LnsParams params;
     params.seed = options.seed;
     params.max_iterations = options.max_iterations;
-    params.relax_base = options.lns_relax_base;
     params.have_objective_bound = true;
     params.objective_bound = objective_bound;
     params.incremental = options.incremental;

@@ -11,7 +11,7 @@
 #ifndef COLOGNE_SOLVER_LNS_H_
 #define COLOGNE_SOLVER_LNS_H_
 
-#include "solver/search_backend.h"
+#include "solver/model.h"
 #include "solver/search_internal.h"
 
 namespace cologne::solver {
@@ -23,13 +23,6 @@ struct LnsParams {
   uint64_t max_iterations = 0;
   /// Node budget of each repair dive (the "time slice" of the sub-B&B).
   uint64_t repair_node_budget = 2000;
-  /// Starting neighborhood size; 0 = adaptive default (#decisions / 10 + 1).
-  /// Portfolio workers vary this (Model::Options::lns_relax_base) so their
-  /// walks explore differently-sized basins. Ignored when the model carries
-  /// two or more decision groups — neighborhoods are then whole groups
-  /// (start at #groups / 3 + 1, adapt in group units), and concurrent
-  /// workers rotate the group pool by Model::Options::worker_id.
-  uint64_t relax_base = 0;
   /// Valid relaxation bound on the objective (the propagated root store's
   /// objective min for minimize / max for maximize). When the incumbent
   /// reaches it, the loop stops and reports proven optimality instead of
@@ -46,11 +39,14 @@ struct LnsParams {
   std::vector<size_t> focus_groups;
 };
 
-/// \brief The improvement loop, shared by LnsSearch and the branch-and-bound
+/// \brief The improvement loop, shared by LnsSolve and the branch-and-bound
 /// backend's anytime tail (which historically ran this exact pattern after a
 /// time cutoff).
 ///
-/// Requires an existing incumbent and an optimizing sense; no-op otherwise.
+/// Neighborhoods start at #decisions / 10 + 1 variables, or, when the model
+/// carries two or more decision groups, at #groups / 3 + 1 whole groups, and
+/// adapt in those units. Requires an existing incumbent and an optimizing
+/// sense; no-op otherwise.
 /// Updates `inc` in place and accounts iterations/restarts in ctx.stats.
 /// Returns true when the incumbent provably reached the objective bound.
 /// Rebuilds each trial neighborhood as one trail level over the store's
@@ -60,13 +56,8 @@ struct LnsParams {
 bool LnsImprove(internal::SearchContext& ctx, const LnsParams& params,
                 internal::Incumbent* inc);
 
-/// \brief The LNS search backend.
-class LnsSearch : public SearchBackend {
- public:
-  Solution Solve(const Model& model,
-                 const Model::Options& options) const override;
-  const char* name() const override { return BackendName(Backend::kLns); }
-};
+/// The LNS search backend: run one Model::Solve call under `options`.
+Solution LnsSolve(const Model& model, const Model::Options& options);
 
 }  // namespace cologne::solver
 

@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "solver/domain.h"
 #include "solver/propagator.h"
-#include "solver/sync.h"
 #include "solver/types.h"
 
 namespace cologne::solver {
@@ -65,9 +64,9 @@ class Model {
   /// Declare a group of decision variables that form one semantic unit —
   /// e.g. all variables of one link in a batched multi-link negotiation
   /// solve (the per-agent neighborhoods of Fioretto et al.'s distributed
-  /// LNS). Group-aware backends (LNS and the LNS-based concurrent backends)
-  /// relax whole groups as neighborhoods; models with fewer than two groups
-  /// keep variable-level neighborhoods. Empty groups are ignored.
+  /// LNS). LNS, and B&B's anytime LNS tail, relax whole groups as
+  /// neighborhoods; models with fewer than two groups keep variable-level
+  /// neighborhoods. Empty groups are ignored.
   void MarkGroup(std::vector<IntVar> vars) {
     if (!vars.empty()) groups_.push_back(std::move(vars));
   }
@@ -156,18 +155,6 @@ class Model {
     /// kNoHint. Backends use it to seed the first incumbent and bias value
     /// ordering; infeasible hints are repaired, never trusted.
     std::vector<int64_t> warm_start;
-    /// Worker threads for the concurrent backends (the SOLVER_WORKERS knob):
-    /// kPortfolio races this many heterogeneous configurations, kParallelLns
-    /// runs this many seeded neighborhood walks. Sequential backends ignore
-    /// it. time_limit_ms is the shared wall-clock deadline of the race;
-    /// node_limit and max_iterations apply per worker. Wall-clock-bounded
-    /// solves cap the race at the hardware thread count (time-slicing more
-    /// workers than cores starves each of its share of the deadline);
-    /// deterministic budgets always race the full width.
-    int num_workers = 1;
-    /// Starting LNS neighborhood size (relax-k); 0 = adaptive default
-    /// (#decisions / 10 + 1). Portfolio workers vary it to diversify.
-    uint64_t lns_relax_base = 0;
     /// Incremental re-solve (the runtime's SOLVER_INCREMENTAL path): the
     /// warm-start hint is the previous incumbent of a near-identical model,
     /// so backends skip the incumbent-sharpening prefix and open their
@@ -187,17 +174,8 @@ class Model {
     /// restarts, LNS neighborhood trials, and — when the owner persists the
     /// cache — across solves (solver/context_cache.h). Not owned; null
     /// disables caching (the default) and keeps every search path
-    /// bit-identical to the cache-free solver. Single-threaded: the
-    /// concurrent backends hand each worker a private cache seeded with this
-    /// one's model key instead of sharing it.
+    /// bit-identical to the cache-free solver.
     ContextCache* context_cache = nullptr;
-    /// Subproblem-parallel B&B (the SOLVER_SUBPROBLEMS knob): with more than
-    /// one worker, the portfolio/parallel_lns backends expand the root into
-    /// about this many bounded subproblems (decision-prefix assignment +
-    /// cost bound) and let workers steal them from a shared queue instead of
-    /// each re-searching from the root (solver/sync.h SubproblemQueue).
-    /// 0 disables (the pre-existing race/walk behaviour).
-    int subproblems = 0;
     /// Naive-propagation reference mode (the SOLVER_NAIVE_PROPAGATION knob):
     /// run the legacy flat-FIFO scheduler with full-recompute propagators —
     /// no event filtering, no incremental aggregates, no entailment
@@ -207,20 +185,10 @@ class Model {
     /// the propagation-effort counters differ. Used by the confluence sweep
     /// and as the baseline leg of the CI propagation-ratio gate.
     bool naive_propagation = false;
-    /// Cooperative cancellation: search returns (with the best incumbent so
-    /// far) soon after the token is cancelled. Not owned; may be null.
-    const CancelToken* cancel = nullptr;
-    /// Cross-worker incumbent sharing (set by the concurrent backends, null
-    /// for standalone solves): local improvements are published here, the
-    /// published bound sharpens branch-and-bound cuts, and LNS periodically
-    /// adopts a better shared incumbent. Not owned.
-    IncumbentStore* shared = nullptr;
-    /// This worker's index into `shared`'s publication marks.
-    int worker_id = 0;
   };
 
-  /// Run propagation + the selected search backend (see
-  /// solver/search_backend.h).
+  /// Run propagation + the selected search backend: branch-and-bound
+  /// (search.cc) or LNS (lns.cc).
   ///
   /// The default branch-and-bound backend branches with first-fail variable
   /// selection (smallest domain first, decision variables before

@@ -101,9 +101,10 @@ class PropCtx {
 ///
 /// A propagator narrows the domains of its watched variables; returning false
 /// signals that the constraint is unsatisfiable under the current store.
-/// Propagators are immutable after construction and shared across concurrent
-/// workers: all per-solve state (incremental aggregates, entailment flags)
-/// lives in the worker's DomainStore aux slots, never in the propagator.
+/// Propagators are immutable after construction and shared by every solve
+/// of the model: all per-solve state (incremental aggregates, entailment
+/// flags) lives in the solve's DomainStore aux slots, never in the
+/// propagator.
 class Propagator {
  public:
   virtual ~Propagator() = default;

@@ -14,10 +14,7 @@
 // randomized value order, which helps on heavy-tailed instances.
 #include "common/rng.h"
 #include "solver/lns.h"
-#include "solver/local_search.h"
 #include "solver/model.h"
-#include "solver/portfolio.h"
-#include "solver/search_backend.h"
 #include "solver/search_internal.h"
 
 namespace cologne::solver {
@@ -29,185 +26,169 @@ using internal::Incumbent;
 using internal::Luby;
 using internal::SearchContext;
 
-class BranchAndBound : public SearchBackend {
- public:
-  Solution Solve(const Model& model,
-                 const Model::Options& options) const override {
-    SearchContext ctx(model, options);
-    Solution out;  // Solution::backend is stamped by the Solve dispatch.
+Solution BranchAndBoundSolve(const Model& model,
+                             const Model::Options& options) {
+  SearchContext ctx(model, options);
+  Solution out;  // Solution::backend is stamped by Model::Solve.
 
-    if (!ctx.PropagateRoot()) {
-      ctx.FinalizeStats();
-      out.status = SolveStatus::kInfeasible;
-      out.stats = ctx.stats;
-      return out;
-    }
-
-    Incumbent inc;
-
-    // ---- Warm start --------------------------------------------------------
-    // Seed the incumbent from the caller's hint (the runtime bridge feeds
-    // back the previous invokeSolver solution here): assimilate the hints
-    // into the store, then complete with a short first-solution dive. A good
-    // early incumbent makes every subsequent branch-and-bound cut sharper.
-    // The hint levels unwind afterwards so the tree search starts from the
-    // plain propagated root.
-    if (!options.warm_start.empty()) {
-      size_t applied = 0;
-      ctx.ApplyWarmStart(&applied);
-      if (applied > 0) {
-        SearchContext::DiveLimits seed_dive;
-        seed_dive.stop_on_first = true;
-        seed_dive.bound_objective = false;
-        seed_dive.node_budget = 10'000;
-        seed_dive.hint = &options.warm_start;
-        ctx.Dive(seed_dive, &inc);
-      }
-      ctx.store().BacktrackTo(ctx.root_level());
-    }
-
-    // A warm-started satisfaction solve is already done: any solution is
-    // terminal, so skip the tree search entirely.
-    if (inc.found && model.sense() == Sense::kSatisfy) {
-      ctx.FinalizeStats();
-      out.stats = ctx.stats;
-      out.values = std::move(inc.values);
-      out.objective = inc.objective;
-      out.status = SolveStatus::kOptimal;
-      return out;
-    }
-
-    // Valid relaxation bound on the objective, from root propagation; lets
-    // the improvement phase stop (and claim optimality) when reached.
-    int64_t objective_bound = 0;
-    if (ctx.optimizing()) {
-      const IntDomain& od = ctx.store().dom(model.objective_var().id);
-      objective_bound = ctx.minimizing() ? od.min() : od.max();
-    }
-
-    // ---- Tree search -------------------------------------------------------
-    // Large models cannot be searched exhaustively within SOLVER_MAX_TIME;
-    // once an incumbent exists, reserve the remaining budget for the LNS
-    // improvement phase below.
-    SearchContext::DiveLimits limits;
-    limits.bound_objective = true;
-    limits.hint = options.warm_start.empty() ? nullptr : &options.warm_start;
-    if (ctx.optimizing() && options.time_limit_ms > 0) {
-      limits.soft_deadline_ms = options.time_limit_ms * 0.3;
-    }
-
-    // ---- Incremental re-solve ----------------------------------------------
-    // A warm-seeded incremental solve already holds the previous incumbent of
-    // a near-identical model. Nothing dirty: accept it outright (feasible,
-    // not proven — the delta path trades the proof for latency). Dirty
-    // groups: cap the exhaustive prefix to a short sharpening dive and let
-    // the focused improvement tail do the repair.
-    if (options.incremental && inc.found && ctx.optimizing()) {
-      if (options.focus_groups.empty()) {
-        ctx.FinalizeStats();
-        out.stats = ctx.stats;
-        out.values = std::move(inc.values);
-        out.objective = inc.objective;
-        out.status = SolveStatus::kFeasible;
-        return out;
-      }
-      limits.node_budget = 2000;
-    }
-
-    bool cutoff = false;
-    if (options.restart_base_nodes == 0) {
-      DiveEnd end = ctx.Dive(limits, &inc);
-      cutoff = end == DiveEnd::kCutoff;
-    } else {
-      // Luby restarts: dive i gets base * luby(i) nodes; from the second
-      // dive on, value order is randomized to diversify. The incumbent (and
-      // with it the objective cut) carries across dives; every dive starts
-      // from the propagated root the trail restores between restarts.
-      Rng rng(options.seed);
-      std::vector<int64_t> incumbent_hint;
-      for (uint64_t i = 1;; ++i) {
-        SearchContext::DiveLimits dive = limits;
-        dive.node_budget = options.restart_base_nodes * Luby(i);
-        dive.shuffle_rng = i > 1 ? &rng : nullptr;
-        // Warm-start-aware restarts: once an incumbent exists, it becomes
-        // the value-order hint of every later dive — each restart descends
-        // into the incumbent's basin first while the shuffle diversifies the
-        // rest of the tree, instead of re-rolling value order blindly.
-        if (i > 1 && inc.found) {
-          incumbent_hint = inc.values;
-          dive.hint = &incumbent_hint;
-        }
-        DiveEnd end = ctx.Dive(dive, &inc);
-        if (end == DiveEnd::kExhausted || end == DiveEnd::kFirstSolution) {
-          cutoff = false;
-          break;
-        }
-        cutoff = true;
-        if (ctx.ShouldStop() ||
-            (limits.soft_deadline_ms > 0 && inc.found &&
-             ctx.elapsed_ms() > limits.soft_deadline_ms)) {
-          break;
-        }
-        ++ctx.stats.restarts;
-      }
-    }
-
-    // ---- Anytime improvement tail -----------------------------------------
-    if (cutoff && inc.found && ctx.optimizing()) {
-      LnsParams params;
-      params.seed = options.seed;
-      params.max_iterations = options.max_iterations;
-      params.relax_base = options.lns_relax_base;
-      params.have_objective_bound = true;
-      params.objective_bound = objective_bound;
-      params.incremental = options.incremental;
-      params.focus_groups = options.focus_groups;
-      if (LnsImprove(ctx, params, &inc)) {
-        cutoff = false;  // incumbent reached the relaxation bound: optimal
-      }
-    }
-
+  if (!ctx.PropagateRoot()) {
     ctx.FinalizeStats();
+    out.status = SolveStatus::kInfeasible;
     out.stats = ctx.stats;
-    if (inc.found) {
-      out.values = std::move(inc.values);
-      out.objective = inc.objective;
-      // With a cutoff we cannot claim optimality (except pure satisfaction,
-      // where any solution is terminal).
-      out.status = (cutoff && model.sense() != Sense::kSatisfy)
-                       ? SolveStatus::kFeasible
-                       : SolveStatus::kOptimal;
-    } else {
-      out.status = cutoff ? SolveStatus::kUnknown : SolveStatus::kInfeasible;
-    }
     return out;
   }
 
-  const char* name() const override {
-    return BackendName(Backend::kBranchAndBound);
+  Incumbent inc;
+
+  // ---- Warm start --------------------------------------------------------
+  // Seed the incumbent from the caller's hint (the runtime bridge feeds
+  // back the previous invokeSolver solution here): assimilate the hints
+  // into the store, then complete with a short first-solution dive. A good
+  // early incumbent makes every subsequent branch-and-bound cut sharper.
+  // The hint levels unwind afterwards so the tree search starts from the
+  // plain propagated root.
+  if (!options.warm_start.empty()) {
+    size_t applied = 0;
+    ctx.ApplyWarmStart(&applied);
+    if (applied > 0) {
+      SearchContext::DiveLimits seed_dive;
+      seed_dive.stop_on_first = true;
+      seed_dive.bound_objective = false;
+      seed_dive.node_budget = 10'000;
+      seed_dive.hint = &options.warm_start;
+      ctx.Dive(seed_dive, &inc);
+    }
+    ctx.store().BacktrackTo(ctx.root_level());
   }
-};
+
+  // A warm-started satisfaction solve is already done: any solution is
+  // terminal, so skip the tree search entirely.
+  if (inc.found && model.sense() == Sense::kSatisfy) {
+    ctx.FinalizeStats();
+    out.stats = ctx.stats;
+    out.values = std::move(inc.values);
+    out.objective = inc.objective;
+    out.status = SolveStatus::kOptimal;
+    return out;
+  }
+
+  // Valid relaxation bound on the objective, from root propagation; lets
+  // the improvement phase stop (and claim optimality) when reached.
+  int64_t objective_bound = 0;
+  if (ctx.optimizing()) {
+    const IntDomain& od = ctx.store().dom(model.objective_var().id);
+    objective_bound = ctx.minimizing() ? od.min() : od.max();
+  }
+
+  // ---- Tree search -------------------------------------------------------
+  // Large models cannot be searched exhaustively within SOLVER_MAX_TIME;
+  // once an incumbent exists, reserve the remaining budget for the LNS
+  // improvement phase below.
+  SearchContext::DiveLimits limits;
+  limits.bound_objective = true;
+  limits.hint = options.warm_start.empty() ? nullptr : &options.warm_start;
+  if (ctx.optimizing() && options.time_limit_ms > 0) {
+    limits.soft_deadline_ms = options.time_limit_ms * 0.3;
+  }
+
+  // ---- Incremental re-solve ----------------------------------------------
+  // A warm-seeded incremental solve already holds the previous incumbent of
+  // a near-identical model. Nothing dirty: accept it outright (feasible,
+  // not proven — the delta path trades the proof for latency). Dirty
+  // groups: cap the exhaustive prefix to a short sharpening dive and let
+  // the focused improvement tail do the repair.
+  if (options.incremental && inc.found && ctx.optimizing()) {
+    if (options.focus_groups.empty()) {
+      ctx.FinalizeStats();
+      out.stats = ctx.stats;
+      out.values = std::move(inc.values);
+      out.objective = inc.objective;
+      out.status = SolveStatus::kFeasible;
+      return out;
+    }
+    limits.node_budget = 2000;
+  }
+
+  bool cutoff = false;
+  if (options.restart_base_nodes == 0) {
+    DiveEnd end = ctx.Dive(limits, &inc);
+    cutoff = end == DiveEnd::kCutoff;
+  } else {
+    // Luby restarts: dive i gets base * luby(i) nodes; from the second
+    // dive on, value order is randomized to diversify. The incumbent (and
+    // with it the objective cut) carries across dives; every dive starts
+    // from the propagated root the trail restores between restarts.
+    Rng rng(options.seed);
+    std::vector<int64_t> incumbent_hint;
+    for (uint64_t i = 1;; ++i) {
+      SearchContext::DiveLimits dive = limits;
+      dive.node_budget = options.restart_base_nodes * Luby(i);
+      dive.shuffle_rng = i > 1 ? &rng : nullptr;
+      // Warm-start-aware restarts: once an incumbent exists, it becomes
+      // the value-order hint of every later dive — each restart descends
+      // into the incumbent's basin first while the shuffle diversifies the
+      // rest of the tree, instead of re-rolling value order blindly.
+      if (i > 1 && inc.found) {
+        incumbent_hint = inc.values;
+        dive.hint = &incumbent_hint;
+      }
+      DiveEnd end = ctx.Dive(dive, &inc);
+      if (end == DiveEnd::kExhausted || end == DiveEnd::kFirstSolution) {
+        cutoff = false;
+        break;
+      }
+      cutoff = true;
+      if (ctx.ShouldStop() ||
+          (limits.soft_deadline_ms > 0 && inc.found &&
+           ctx.elapsed_ms() > limits.soft_deadline_ms)) {
+        break;
+      }
+      ++ctx.stats.restarts;
+    }
+  }
+
+  // ---- Anytime improvement tail -----------------------------------------
+  if (cutoff && inc.found && ctx.optimizing()) {
+    LnsParams params;
+    params.seed = options.seed;
+    params.max_iterations = options.max_iterations;
+    params.have_objective_bound = true;
+    params.objective_bound = objective_bound;
+    params.incremental = options.incremental;
+    params.focus_groups = options.focus_groups;
+    if (LnsImprove(ctx, params, &inc)) {
+      cutoff = false;  // incumbent reached the relaxation bound: optimal
+    }
+  }
+
+  ctx.FinalizeStats();
+  out.stats = ctx.stats;
+  if (inc.found) {
+    out.values = std::move(inc.values);
+    out.objective = inc.objective;
+    // With a cutoff we cannot claim optimality (except pure satisfaction,
+    // where any solution is terminal).
+    out.status = (cutoff && model.sense() != Sense::kSatisfy)
+                     ? SolveStatus::kFeasible
+                     : SolveStatus::kOptimal;
+  } else {
+    out.status = cutoff ? SolveStatus::kUnknown : SolveStatus::kInfeasible;
+  }
+  return out;
+}
 
 }  // namespace
 
-std::unique_ptr<SearchBackend> MakeSearchBackend(Backend backend) {
-  switch (backend) {
-    case Backend::kBranchAndBound:
-      return std::make_unique<BranchAndBound>();
-    case Backend::kLns:
-      return std::make_unique<LnsSearch>();
-    case Backend::kPortfolio:
-      return std::make_unique<PortfolioSearch>();
-    case Backend::kParallelLns:
-      return std::make_unique<ParallelLnsSearch>();
-    case Backend::kLocalSearch:
-      return std::make_unique<LocalSearch>();
-  }
-  return std::make_unique<BranchAndBound>();
-}
-
 Solution Model::Solve(const Options& options) const {
-  Solution s = MakeSearchBackend(options.backend)->Solve(*this, options);
+  Solution s;
+  switch (options.backend) {
+    case Backend::kBranchAndBound:
+      s = BranchAndBoundSolve(*this, options);
+      break;
+    case Backend::kLns:
+      s = LnsSolve(*this, options);
+      break;
+  }
   s.backend = options.backend;
   return s;
 }

@@ -185,31 +185,8 @@ class SearchContext {
   bool node_limit_hit() const {
     return options_.node_limit > 0 && stats.nodes >= options_.node_limit;
   }
-  bool cancelled() const {
-    return options_.cancel != nullptr && options_.cancel->cancelled();
-  }
-  /// Combined stop condition of the improvement loops: budget exhausted or
-  /// a concurrent worker cancelled the race.
-  bool ShouldStop() const {
-    return cancelled() || out_of_time() || node_limit_hit();
-  }
-
-  /// Adopt the shared incumbent when a concurrent worker published one that
-  /// strictly improves on `inc` (no-op for sequential solves). `seen_version`
-  /// is the caller's poll cursor into the store's version counter.
-  bool AdoptShared(Incumbent* inc, uint64_t* seen_version) {
-    if (options_.shared == nullptr) return false;
-    int64_t obj = 0;
-    std::vector<int64_t> values;
-    if (!options_.shared->AdoptIfBetter(inc->found, inc->objective,
-                                        seen_version, &obj, &values)) {
-      return false;
-    }
-    inc->found = true;
-    inc->objective = obj;
-    inc->values = std::move(values);
-    return true;
-  }
+  /// Combined stop condition of the improvement loops: budget exhausted.
+  bool ShouldStop() const { return out_of_time() || node_limit_hit(); }
 
   struct DiveLimits {
     uint64_t node_budget = 0;   ///< Nodes for this dive; 0 = unlimited.
@@ -221,12 +198,6 @@ class SearchContext {
     Rng* shuffle_rng = nullptr; ///< Randomize value order (restart dives).
     /// Value-order hint: hint[var.id] tried first when present in the domain.
     const std::vector<int64_t>* hint = nullptr;
-    /// Limited-discrepancy cap: a branch whose cumulative discrepancy count
-    /// (sum of value-order indices along the path from the dive root) would
-    /// exceed this is skipped. A truncated dive reports kCutoff — the
-    /// subtree was not exhausted — and records no context-cache proofs for
-    /// truncated subtrees. -1 (the default) disables LDS.
-    int64_t max_discrepancies = -1;
   };
 
   /// Depth-first search from the store's current state (which must already
@@ -240,13 +211,11 @@ class SearchContext {
     const int base = store_.level();
     frames_.clear();
     const bool use_cache = cache_ != nullptr;
-    bool base_truncated = false;
 
     // Materializes the current store as an open node: selects the branching
     // variable and fills the depth's reusable value buffer. Returns true
     // when the store is a full assignment (recorded, not pushed).
-    auto push_node = [&](size_t watermark, size_t depth,
-                         size_t path_disc) -> bool {
+    auto push_node = [&](size_t watermark, size_t depth) -> bool {
       IntVar v = order_.Select(store_, &watermark);
       if (!v.valid()) {
         RecordSolution(inc);
@@ -257,8 +226,7 @@ class SearchContext {
       values.clear();
       store_.dom(v.id).AppendValues(&values);
       OrderValues(v, limits, &values);
-      frames_.push_back(Frame{v, 0, watermark, values.size(), 0, path_disc,
-                              /*truncated=*/false});
+      frames_.push_back(Frame{v, 0, watermark, values.size(), 0});
       return false;
     };
 
@@ -269,7 +237,7 @@ class SearchContext {
       // effect: nothing to explore (cross-restart / cross-solve skip).
       if (CacheLookup(entry_sig, limits, *inc)) return DiveEnd::kExhausted;
     }
-    if (push_node(0, 0, 0)) {
+    if (push_node(0, 0)) {
       store_.BacktrackTo(base);
       return DiveEnd::kFirstSolution;
     }
@@ -286,10 +254,6 @@ class SearchContext {
         return DiveEnd::kCutoff;
       }
       if ((stats.nodes & 0xFF) == 0) {
-        if (cancelled()) {
-          store_.BacktrackTo(base);
-          return DiveEnd::kCutoff;
-        }
         // The soft deadline is independent of the global wall-clock limit:
         // an anytime dive with time_limit_ms == 0 (unlimited) must still
         // honour it once an incumbent exists. (It historically sat nested
@@ -312,31 +276,13 @@ class SearchContext {
         }
       }
       Frame& top = frames_.back();
-      if (limits.max_discrepancies >= 0 && top.next < top.num_values &&
-          static_cast<int64_t>(top.path_disc + top.next) >
-              limits.max_discrepancies) {
-        // LDS: every remaining branch costs at least this discrepancy count
-        // (value-order index) — skip them and mark the subtree incomplete.
-        top.truncated = true;
-        top.next = top.num_values;
-      }
       if (top.next >= top.num_values) {
-        // Subtree exhausted (or LDS-truncated): drop the frame and (unless
-        // it is the dive root, which owns no level) undo its parent's
-        // branching level. A fully explored subtree is an exhausted-subtree
-        // proof; a truncated one is not, and poisons its ancestors' proofs.
-        const bool truncated = top.truncated;
+        // Subtree exhausted: drop the frame and (unless it is the dive root,
+        // which owns no level) undo its parent's branching level. A fully
+        // explored subtree is an exhausted-subtree proof.
         const uint64_t sig = top.sig;
         frames_.pop_back();
-        if (truncated) {
-          if (!frames_.empty()) {
-            frames_.back().truncated = true;
-          } else {
-            base_truncated = true;
-          }
-        } else if (use_cache) {
-          CacheStore(sig, limits, *inc);
-        }
+        if (use_cache) CacheStore(sig, limits, *inc);
         if (!frames_.empty()) store_.Backtrack();
         continue;
       }
@@ -346,7 +292,6 @@ class SearchContext {
       const IntVar var = top.var;
       const size_t watermark = top.watermark;
       const size_t child_depth = frames_.size();
-      const size_t child_disc = top.path_disc + top.next;
       const int64_t value = value_scratch_[child_depth - 1][top.next++];
       ++stats.nodes;
       ++dive_nodes;
@@ -378,7 +323,7 @@ class SearchContext {
           continue;
         }
       }
-      if (push_node(watermark, child_depth, child_disc)) {
+      if (push_node(watermark, child_depth)) {
         if (limits.stop_on_first || model_.sense() == Sense::kSatisfy) {
           store_.BacktrackTo(base);
           return DiveEnd::kFirstSolution;
@@ -391,7 +336,7 @@ class SearchContext {
       }
     }
     store_.BacktrackTo(base);  // no-op: every frame pop backtracked its level
-    return base_truncated ? DiveEnd::kCutoff : DiveEnd::kExhausted;
+    return DiveEnd::kExhausted;
   }
 
   /// Pin every decision of `units[from..)` to its incumbent value on the
@@ -429,43 +374,17 @@ class SearchContext {
       inc->objective = obj;
       inc->values = std::move(vals);
       ++stats.solutions;
-      // Racing with other workers: publish the improvement. The store keeps
-      // it only when it beats every other worker's best.
-      if (options_.shared != nullptr) {
-        options_.shared->Offer(obj, inc->values, options_.worker_id);
-      }
     }
   }
 
-  /// The bound branch-and-bound prunes against: the tighter of the local
-  /// incumbent and the shared race bound (when a concurrent worker published
-  /// one). False when neither exists yet. This is also the bound region that
-  /// context-cache proofs are stored and looked up under, so the two stay in
-  /// exact agreement by construction.
-  bool EffectiveBound(const Incumbent& inc, int64_t* bound) const {
-    bool have = inc.found;
-    int64_t b = inc.objective;
-    if (options_.shared != nullptr) {
-      int64_t shared_bound = 0;
-      if (options_.shared->BestObjective(&shared_bound) &&
-          (!have ||
-           (minimizing() ? shared_bound < b : shared_bound > b))) {
-        have = true;
-        b = shared_bound;
-      }
-    }
-    *bound = b;
-    return have;
-  }
-
-  /// Clamp the store's objective domain to strictly-better-than-incumbent
-  /// (EffectiveBound); false when the clamp empties it. The clamp is trailed
-  /// like any branching mutation, so backtracking the level restores the
-  /// pre-clamp domain.
+  /// Clamp the store's objective domain to strictly-better-than-incumbent;
+  /// false when the clamp empties it. The incumbent's objective is also the
+  /// bound that context-cache proofs are stored and looked up under. The
+  /// clamp is trailed like any branching mutation, so backtracking the level
+  /// restores the pre-clamp domain.
   bool ApplyBound(std::vector<int32_t>* changed, const Incumbent& inc) {
-    if (!optimizing()) return true;
-    int64_t bound = 0;
-    if (!EffectiveBound(inc, &bound)) return true;
+    if (!optimizing() || !inc.found) return true;
+    const int64_t bound = inc.objective;
     // "Strictly better than the extreme representable value" is
     // unsatisfiable; saturate instead of computing bound∓1, which would be
     // signed-overflow UB at INT64_MIN / INT64_MAX.
@@ -495,18 +414,6 @@ class SearchContext {
           static_cast<uint64_t>(d.value()));
     }
     return sig;
-  }
-
-  /// True (and counted as a cache hit) when a stored proof covers the
-  /// store's current decision context under the bound in effect
-  /// (EffectiveBound, the same region Dive looks up and stores under).
-  /// Lets the subproblem master prune frontier children whose subtree a
-  /// previous dive — possibly from an earlier solve sharing the persistent
-  /// cache — already exhausted, without descending into them. False when
-  /// caching is disabled.
-  bool CacheCoversCurrentContext(const Incumbent& inc) {
-    if (cache_ == nullptr) return false;
-    return CacheLookup(ContextSignature(), DiveLimits{}, inc);
   }
 
   /// Assimilate warm-start hints into the store (which must hold a
@@ -613,27 +520,21 @@ class SearchContext {
     size_t next = 0;
     size_t watermark = 0;
     size_t num_values = 0;
-    uint64_t sig = 0;        ///< Context signature (cache enabled only).
-    size_t path_disc = 0;    ///< Discrepancies consumed, dive root to here.
-    bool truncated = false;  ///< LDS skipped branches somewhere below.
+    uint64_t sig = 0;  ///< Context signature (cache enabled only).
   };
 
   /// True (and counted) when a stored proof covers the dive's current bound
   /// region at `sig`, i.e. the subtree can be pruned without descending.
   bool CacheLookup(uint64_t sig, const DiveLimits& limits,
                    const Incumbent& inc) {
-    bool have = false;
-    int64_t bound = 0;
-    if (optimizing() && limits.bound_objective) {
-      have = EffectiveBound(inc, &bound);
-    }
-    if (!cache_->Lookup(sig, minimizing(), have, bound)) return false;
+    const bool have = optimizing() && limits.bound_objective && inc.found;
+    if (!cache_->Lookup(sig, minimizing(), have, inc.objective)) return false;
     ++stats.cache_hits;
     return true;
   }
 
-  /// Record the proof a fully-explored (never LDS-truncated, never cut off)
-  /// subtree pop establishes: for a bounded optimizing dive, "no solution in
+  /// Record the proof a fully-explored (never cut off) subtree pop
+  /// establishes: for a bounded optimizing dive, "no solution in
   /// this context better than the bound in effect now" (the pop-time bound
   /// is the tightest the subtree was ever searched under, so it is the
   /// strongest sound claim); for satisfy-sense dives — which stop at the
@@ -643,17 +544,16 @@ class SearchContext {
   void CacheStore(uint64_t sig, const DiveLimits& limits,
                   const Incumbent& inc) {
     bool have = false;
-    int64_t bound = 0;
     if (optimizing()) {
       if (!limits.bound_objective) {
         // Explored without pruning: exhaustion with an incumbent proves
         // nothing a later bounded dive can reuse soundly — skip.
         if (inc.found) return;
       } else {
-        have = EffectiveBound(inc, &bound);
+        have = inc.found;
       }
     }
-    cache_->Store(sig, minimizing(), have, bound);
+    cache_->Store(sig, minimizing(), have, inc.objective);
     ++stats.cache_stores;
   }
 

@@ -68,8 +68,7 @@ class DomainListener {
 /// slots share the store's save-once-per-level discipline so `Backtrack()`
 /// restores them in O(changed) together with the domains they summarize.
 ///
-/// Not thread-safe; concurrent backends give each racing worker its own
-/// store (one SearchContext per worker).
+/// Not thread-safe: one SearchContext owns its store.
 class DomainStore {
  public:
   DomainStore() = default;

@@ -128,9 +128,6 @@ const char* BackendName(Backend b) {
   switch (b) {
     case Backend::kBranchAndBound: return "bnb";
     case Backend::kLns: return "lns";
-    case Backend::kPortfolio: return "portfolio";
-    case Backend::kParallelLns: return "parallel_lns";
-    case Backend::kLocalSearch: return "local_search";
   }
   return "?";
 }
@@ -142,18 +139,6 @@ bool ParseBackend(const std::string& name, Backend* out) {
   }
   if (name == "lns") {
     *out = Backend::kLns;
-    return true;
-  }
-  if (name == "portfolio") {
-    *out = Backend::kPortfolio;
-    return true;
-  }
-  if (name == "parallel_lns") {
-    *out = Backend::kParallelLns;
-    return true;
-  }
-  if (name == "local_search") {
-    *out = Backend::kLocalSearch;
     return true;
   }
   return false;

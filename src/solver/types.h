@@ -69,14 +69,10 @@ struct LinExpr {
 enum class Backend : uint8_t {
   kBranchAndBound,  ///< Trailed depth-first branch-and-bound (complete).
   kLns,             ///< Large Neighborhood Search (anytime, incomplete).
-  kPortfolio,       ///< Race heterogeneous configurations on one deadline.
-  kParallelLns,     ///< N seeded LNS walks sharing one incumbent.
-  kLocalSearch,     ///< Shift/swap move walk with SA + tabu acceptance.
 };
 
-/// Human-readable backend name ("bnb", "lns", "portfolio", "parallel_lns",
-/// "local_search") — also the spelling accepted by the Colog SOLVER_BACKEND
-/// knob.
+/// Human-readable backend name ("bnb", "lns") — also the spelling accepted
+/// by the Colog SOLVER_BACKEND knob.
 const char* BackendName(Backend b);
 /// Parse a backend name; false when `name` is not a known backend.
 bool ParseBackend(const std::string& name, Backend* out);
@@ -92,18 +88,6 @@ enum class SolveStatus : uint8_t {
 
 /// Human-readable status name.
 const char* SolveStatusName(SolveStatus s);
-
-/// Per-worker accounting for the concurrent backends (portfolio racing and
-/// parallel LNS). Sequential backends leave SolveStats::per_worker empty.
-struct WorkerSolveStats {
-  std::string config;        ///< Worker configuration, e.g. "lns(seed=7)".
-  uint64_t nodes = 0;        ///< Choice points this worker explored.
-  uint64_t iterations = 0;   ///< Improvement iterations this worker ran.
-  uint64_t restarts = 0;     ///< Restarts this worker performed.
-  uint64_t improvements = 0; ///< Shared-incumbent publications that won.
-  double last_improve_ms = 0;///< Race-relative stamp of the last publication.
-  bool winner = false;       ///< Produced the final incumbent.
-};
 
 /// Search statistics reported by Model::Solve.
 struct SolveStats {
@@ -126,15 +110,8 @@ struct SolveStats {
   uint64_t lns_accepted = 0; ///< LNS neighborhood repairs that improved the
                              ///< incumbent (iterations - lns_accepted were
                              ///< rejected).
-  uint64_t ls_moves = 0;     ///< Local-search shift/swap moves evaluated
-                             ///< (local_search backend only; 0 elsewhere).
-  uint64_t ls_accepted = 0;  ///< Moves accepted by the simulated-annealing
-                             ///< criterion (improving or lucky uphill).
-  uint64_t ls_tabu_hits = 0; ///< Moves rejected because their attribute was
-                             ///< tabu-active and aspiration did not fire.
   /// Propagator executions by propagator kind ("linear", "reified", ...);
-  /// sums to `propagations`. Filled by sequential backends at the end of a
-  /// solve (concurrent backends report only the aggregate counter).
+  /// sums to `propagations`. Filled at the end of a solve.
   std::map<std::string, uint64_t> propagations_by_kind;
   uint64_t trail_saves = 0;  ///< Undo records pushed by the trailed store
                              ///< (touched-domain saves; the O(Δ) backtrack
@@ -145,16 +122,9 @@ struct SolveStats {
                              ///< (0 with SOLVER_CACHE off).
   uint64_t cache_stores = 0; ///< Exhausted-subtree proofs recorded into the
                              ///< context cache.
-  size_t cache_mem_bytes = 0;///< Context-cache table footprint (max across
-                             ///< workers for the concurrent backends).
-  uint64_t steals = 0;       ///< Subproblems stolen from the shared frontier
-                             ///< queue (subproblem-parallel B&B only).
-  uint64_t subproblems = 0;  ///< Frontier subproblems the master generated.
+  size_t cache_mem_bytes = 0;///< Context-cache table footprint.
   double wall_ms = 0;        ///< Elapsed wall-clock milliseconds.
   size_t peak_memory_bytes = 0;  ///< Approximate peak search-state memory.
-  /// Concurrent backends only: one entry per racing worker (counters above
-  /// are the sums/maxima across workers).
-  std::vector<WorkerSolveStats> per_worker;
 };
 
 /// Result of Model::Solve: status, assignment (by variable id), objective.

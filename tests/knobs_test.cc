@@ -45,11 +45,11 @@ Samples SamplesFor(const KnobSpec& spec) {
           s.out_of_range = {Value::Int(-5), Value::Int(0)};
           s.wrong_type = {Value::Str("soon")};
         } else if constexpr (std::is_same_v<T, solver::Backend>) {
-          for (const char* name :
-               {"lns", "portfolio", "parallel_lns", "local_search", "bnb"}) {
+          for (const char* name : {"lns", "bnb"}) {
             s.valid.push_back(Value::Str(name));
           }
-          s.out_of_range = {Value::Str("tabu"), Value::Str("bnbb")};
+          s.out_of_range = {Value::Str("tabu"), Value::Str("bnbb"),
+                            Value::Str("portfolio")};
           s.wrong_type = {Value::Int(1)};
         } else {
           const int64_t max = std::numeric_limits<int64_t>::max();
@@ -102,7 +102,7 @@ bool Landed(const KnobSpec& spec, const CompiledProgram& prog,
 }
 
 TEST(KnobTableTest, EveryRowValidatesAndLands) {
-  ASSERT_EQ(Knobs().size(), 12u);
+  ASSERT_EQ(Knobs().size(), 10u);
   for (const KnobSpec& spec : Knobs()) {
     SCOPED_TRACE(spec.name);
     const Samples samples = SamplesFor(spec);

@@ -286,7 +286,6 @@ param SOLVER_BACKEND = "lns".
 param SOLVER_MAX_TIME = 250.
 param SOLVER_SEED = 99.
 param SOLVER_RESTARTS = 128.
-param SOLVER_WORKERS = 3.
 goal minimize C in cost(C).
 var pick(I,V) forall item(I) domain [0,1].
 d1 cost(SUM<V>) <- pick(I,V).
@@ -300,7 +299,6 @@ d1 cost(SUM<V>) <- pick(I,V).
   EXPECT_DOUBLE_EQ(inst.solve_options().time_limit_ms, 250);
   EXPECT_EQ(inst.solve_options().seed, 99u);
   EXPECT_EQ(inst.solve_options().restart_base_nodes, 128u);
-  EXPECT_EQ(inst.solve_options().num_workers, 3);
 }
 
 TEST(FollowTheSunRuntimeTest, TwoNodeNegotiationMovesVmsTowardCheapComm) {

@@ -45,18 +45,18 @@ TEST(ScenarioGenTest, SingleScenarioMatchesSweepMember) {
 
 TEST(ScenarioSweepTest, InvariantsAndDeterminismAcrossBackends) {
   for (const Scenario& s : GenerateScenarios(SweepConfig())) {
-    const ScenarioRun base = RunScenario(s, "portfolio");
+    const ScenarioRun base = RunScenario(s, "bnb");
     ASSERT_TRUE(base.ok) << s.name << ": " << base.error;
     EXPECT_EQ(base.violation, "") << s.name;
 
-    const ScenarioRun run = RunScenario(s, "local_search");
+    const ScenarioRun run = RunScenario(s, "lns");
     ASSERT_TRUE(run.ok) << s.name << ": " << run.error;
     EXPECT_EQ(run.violation, "") << s.name;
 
     // Generated scenarios solve wall-clock-free over the reliable
     // transport: a re-run must reproduce objective and trace fingerprint
     // exactly.
-    const ScenarioRun again = RunScenario(s, "local_search");
+    const ScenarioRun again = RunScenario(s, "lns");
     ASSERT_TRUE(again.ok) << s.name << ": " << again.error;
     EXPECT_EQ(again.objective, run.objective) << s.name;
     EXPECT_EQ(again.trace_hash, run.trace_hash) << s.name;

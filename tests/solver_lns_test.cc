@@ -1,15 +1,18 @@
-// Tests for the pluggable search backends: LNS determinism under a fixed
-// seed, warm-start reuse across Solve calls, LNS-vs-B&B quality at equal
-// time budgets on the paper's two model shapes (ACloud assignment, wireless
-// channel selection), restart accounting, and the kSatisfy fallback.
+// Tests for the two search backends: LNS determinism under a fixed seed,
+// warm-start reuse across Solve calls, LNS-vs-B&B quality at equal time
+// budgets on the paper's two model shapes (ACloud assignment, wireless
+// channel selection), restart accounting, the kSatisfy fallback, and a
+// property sweep where exhaustive B&B is ground truth that LNS must never
+// beat.
 #include "solver/lns.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "common/rng.h"
 #include "solver/model.h"
-#include "solver/search_backend.h"
 #include "solver_test_util.h"
 
 namespace cologne::solver {
@@ -267,15 +270,128 @@ TEST(RestartTest, RestartsStillProveOptimalityOnSmallModels) {
   EXPECT_EQ(p.objective, r.objective);
 }
 
-TEST(BackendFactoryTest, NamesRoundTrip) {
-  EXPECT_STREQ(MakeSearchBackend(Backend::kBranchAndBound)->name(), "bnb");
-  EXPECT_STREQ(MakeSearchBackend(Backend::kLns)->name(), "lns");
+TEST(BackendTest, NamesRoundTrip) {
+  EXPECT_STREQ(BackendName(Backend::kBranchAndBound), "bnb");
+  EXPECT_STREQ(BackendName(Backend::kLns), "lns");
   Backend b;
   ASSERT_TRUE(ParseBackend("lns", &b));
   EXPECT_EQ(b, Backend::kLns);
   ASSERT_TRUE(ParseBackend("bnb", &b));
   EXPECT_EQ(b, Backend::kBranchAndBound);
   EXPECT_FALSE(ParseBackend("tabu", &b));
+}
+
+int64_t Eval(const LinExpr& e, const std::vector<int64_t>& values) {
+  int64_t v = e.constant;
+  for (const auto& [coef, var] : e.terms) {
+    v += coef * values[static_cast<size_t>(var.id)];
+  }
+  return v;
+}
+
+// A small random COP: a handful of int decisions, a few random linear
+// constraints, and a random linear objective in a random sense. Domains stay
+// tiny so the exhaustive B&B reference solve finishes instantly; some seeds
+// yield infeasible models on purpose (feasibility agreement is part of the
+// property).
+struct RandomCop {
+  std::unique_ptr<Model> model;
+  LinExpr objective;
+  bool maximize = false;
+};
+
+RandomCop MakeRandomCop(uint64_t seed) {
+  RandomCop cop;
+  cop.model = std::make_unique<Model>();
+  Model& m = *cop.model;
+  Rng rng(SplitMix64(seed ^ 0xc0ffee11ull));
+
+  const int n = static_cast<int>(rng.UniformInt(2, 5));
+  std::vector<IntVar> vars;
+  for (int i = 0; i < n; ++i) {
+    IntVar v = m.NewInt(0, rng.UniformInt(2, 6));
+    m.MarkDecision(v);
+    vars.push_back(v);
+  }
+
+  const int constraints = static_cast<int>(rng.UniformInt(1, 3));
+  for (int c = 0; c < constraints; ++c) {
+    LinExpr lhs;
+    for (const IntVar& v : vars) {
+      int64_t coef = rng.UniformInt(0, 2) - 1;  // -1, 0, or 1
+      if (coef != 0) lhs += LinExpr::Term(coef, v);
+    }
+    if (lhs.terms.empty()) lhs += LinExpr(vars[0]);
+    const Rel rel = rng.Bernoulli(0.5) ? Rel::kLe : Rel::kGe;
+    m.PostRel(lhs, rel, LinExpr(rng.UniformInt(0, 6) - 2));
+  }
+
+  for (const IntVar& v : vars) {
+    cop.objective += LinExpr::Term(rng.UniformInt(1, 3), v);
+  }
+  cop.maximize = rng.Bernoulli(0.5);
+  if (cop.maximize) {
+    m.Maximize(cop.objective);
+  } else {
+    m.Minimize(cop.objective);
+  }
+  return cop;
+}
+
+Solution SolveCapped(Model& m, Backend backend, uint64_t seed) {
+  Model::Options o;
+  o.backend = backend;
+  // Iteration-capped, no wall clock: deterministic on any machine.
+  o.time_limit_ms = 0;
+  o.max_iterations = 25;
+  o.seed = seed;
+  return m.Solve(o);
+}
+
+// For every seeded random model, exhaustive B&B is ground truth. LNS must
+// agree on feasibility, its reported objective must re-evaluate from its
+// assignment, and — sign aware in both senses — it must never beat the
+// proved optimum.
+TEST(LnsPropertyTest, NeverBeatsProvedOptimum) {
+  const uint64_t kModels = kSanitizerBuild ? 12 : 30;
+  int optimal = 0;
+  int infeasible = 0;
+  for (uint64_t seed = 1; seed <= kModels; ++seed) {
+    RandomCop ref = MakeRandomCop(seed);
+    Solution truth = SolveCapped(*ref.model, Backend::kBranchAndBound, seed);
+    // No wall clock and no iteration pressure on the tree phase: the tiny
+    // model is solved to exhaustion, one way or the other.
+    ASSERT_TRUE(truth.status == SolveStatus::kOptimal ||
+                truth.status == SolveStatus::kInfeasible)
+        << "seed " << seed << ": " << SolveStatusName(truth.status);
+
+    RandomCop cop = MakeRandomCop(seed);
+    Solution s = SolveCapped(*cop.model, Backend::kLns, seed);
+    if (truth.status == SolveStatus::kInfeasible) {
+      ++infeasible;
+      EXPECT_FALSE(s.has_solution())
+          << "seed " << seed << ": lns claims a solution for a "
+          << "proved-infeasible model";
+      continue;
+    }
+    ++optimal;
+    // Feasible models have an unbounded first dive: a solution is
+    // guaranteed, not merely likely.
+    ASSERT_TRUE(s.has_solution()) << "seed " << seed;
+    EXPECT_EQ(s.objective, Eval(cop.objective, s.values))
+        << "seed " << seed
+        << ": objective does not re-evaluate from its assignment";
+    if (cop.maximize) {
+      EXPECT_LE(s.objective, truth.objective)
+          << "seed " << seed << ": lns beats the proved maximum";
+    } else {
+      EXPECT_GE(s.objective, truth.objective)
+          << "seed " << seed << ": lns beats the proved minimum";
+    }
+  }
+  // The generator must actually exercise both arms of the property.
+  EXPECT_GT(optimal, 0);
+  EXPECT_GT(infeasible, 0);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Tests for the search-core additions of the subproblem-parallel /
-// context-cache PR: the soft-deadline regression (honoured without a global
-// time limit), ApplyBound saturation at the INT64 extremes (signed-overflow
-// UB regression, exercised under UBSan in CI), the ContextCache proof
-// semantics, cross-solve exhausted-subtree reuse, cache-on/off answer
-// parity, and limited-discrepancy dives.
+// Tests for the search core: the soft-deadline regression (honoured without
+// a global time limit), ApplyBound saturation at the INT64 extremes
+// (signed-overflow UB regression, exercised under UBSan in CI), the
+// ContextCache proof semantics, cross-solve exhausted-subtree reuse, and
+// cache-on/off answer parity.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -287,93 +286,6 @@ TEST(ContextCacheSearchTest, CacheOnMatchesCacheOffAnswers) {
       EXPECT_GT(on.stats.cache_hits, 0u);
     }
   }
-}
-
-// ---- Limited-discrepancy dives ---------------------------------------------
-
-TEST(LdsDiveTest, DiscrepancyBudgetShapesTheDive) {
-  // 6 vars in {0,1,2}, maximize the sum, no constraints: the heuristic-first
-  // path (value-order index 0 everywhere) is all-zeros, and reaching value
-  // `v` at any variable costs exactly `v` discrepancies. So a budget of d
-  // bounds the best reachable objective by d.
-  auto run = [](int64_t max_disc, Incumbent* inc, uint64_t* nodes) {
-    Model m;
-    LinExpr sum;
-    for (int i = 0; i < 6; ++i) {
-      IntVar x = m.NewInt(0, 2);
-      m.MarkDecision(x);
-      sum += LinExpr(x);
-    }
-    m.Maximize(sum);
-    Model::Options o;
-    o.time_limit_ms = 0;
-    SearchContext ctx(m, o);
-    EXPECT_TRUE(ctx.PropagateRoot());
-    SearchContext::DiveLimits limits;
-    limits.bound_objective = false;  // count every leaf, undistorted
-    limits.max_discrepancies = max_disc;
-    DiveEnd end = ctx.Dive(limits, inc);
-    *nodes = ctx.stats.nodes;
-    return end;
-  };
-
-  Incumbent inc;
-  uint64_t nodes = 0;
-  // d=0: exactly the heuristic path — 6 nodes, objective 0, truncated.
-  EXPECT_EQ(run(0, &inc, &nodes), DiveEnd::kCutoff);
-  EXPECT_TRUE(inc.found);
-  EXPECT_EQ(inc.objective, 0);
-  EXPECT_EQ(nodes, 6u);
-
-  // d=1: one unit of discrepancy buys at most one value-1 step.
-  inc = Incumbent{};
-  EXPECT_EQ(run(1, &inc, &nodes), DiveEnd::kCutoff);
-  EXPECT_EQ(inc.objective, 1);
-
-  // Budget >= the deepest path's total discrepancy (6 vars * index 2):
-  // nothing is truncated, the dive exhausts, and the optimum appears.
-  inc = Incumbent{};
-  EXPECT_EQ(run(12, &inc, &nodes), DiveEnd::kExhausted);
-  EXPECT_EQ(inc.objective, 12);
-
-  // -1 disables LDS entirely: identical exhaustive result.
-  inc = Incumbent{};
-  EXPECT_EQ(run(-1, &inc, &nodes), DiveEnd::kExhausted);
-  EXPECT_EQ(inc.objective, 12);
-}
-
-TEST(LdsDiveTest, TruncatedDivesStoreNoCacheProofs) {
-  // An LDS-truncated subtree is not exhausted: recording a proof for it
-  // would let a later unlimited dive skip unexplored ground. The truncation
-  // flag must poison every ancestor's store.
-  Model m;
-  LinExpr sum;
-  for (int i = 0; i < 6; ++i) {
-    IntVar x = m.NewInt(0, 2);
-    m.MarkDecision(x);
-    sum += LinExpr(x);
-  }
-  m.Maximize(sum);
-  ContextCache cache;
-  Model::Options o;
-  o.time_limit_ms = 0;
-  o.context_cache = &cache;
-  SearchContext ctx(m, o);
-  ASSERT_TRUE(ctx.PropagateRoot());
-
-  Incumbent inc;
-  SearchContext::DiveLimits lds;
-  lds.bound_objective = false;
-  lds.max_discrepancies = 0;
-  ASSERT_EQ(ctx.Dive(lds, &inc), DiveEnd::kCutoff);
-  EXPECT_EQ(ctx.stats.cache_stores, 0u)
-      << "a truncated dive recorded an exhausted-subtree proof";
-
-  // The full follow-up dive must still reach the true optimum.
-  SearchContext::DiveLimits full;
-  Incumbent best;
-  ASSERT_EQ(ctx.Dive(full, &best), DiveEnd::kExhausted);
-  EXPECT_EQ(best.objective, 12);
 }
 
 }  // namespace

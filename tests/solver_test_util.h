@@ -1,6 +1,6 @@
-// Helpers shared by the search-backend test suites (solver_lns_test,
-// solver_portfolio_test): the ACloud-shaped benchmark model and sanitizer
-// detection for wall-clock-sensitive assertions.
+// Helpers shared by the solver and sweep test suites: the ACloud-shaped
+// benchmark model and sanitizer detection for wall-clock-sensitive
+// assertions.
 #ifndef COLOGNE_TESTS_SOLVER_TEST_UTIL_H_
 #define COLOGNE_TESTS_SOLVER_TEST_UTIL_H_
 

@@ -1,13 +1,13 @@
 // scenario_sweep — run generated scenarios across solver backends and report
-// the objective-gap distribution vs the portfolio incumbent
+// the objective-gap distribution vs the branch-and-bound incumbent
 // (docs/testing.md).
 //
 //   scenario_sweep [--count N] [--seed S] [--apps fts,wireless,acloud]
-//                  [--backends local_search,lns] [--iterations N]
+//                  [--backends lns] [--iterations N]
 //                  [--no-faults] [--gate-gap X] [--out FILE]
 //
-// For every generated scenario the portfolio backend solves first (the
-// baseline incumbent), then each candidate backend; the first candidate
+// For every generated scenario the bnb backend solves first (the baseline
+// incumbent), then each candidate backend; the first candidate
 // additionally re-runs to enforce seed determinism (equal objective and
 // byte-identical trace fingerprint). Every run is invariant-checked
 // (apps/invariants.h). Output is one JSON object per line — per-run rows
@@ -46,7 +46,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--count N] [--seed S] [--apps fts,wireless,acloud]\n"
-      "          [--backends local_search,lns] [--iterations N]\n"
+      "          [--backends lns] [--iterations N]\n"
       "          [--no-faults] [--gate-gap X] [--out FILE]\n",
       argv0);
   return 2;
@@ -98,7 +98,8 @@ double Percentile(std::vector<double> xs, double p) {
 int main(int argc, char** argv) {
   ScenarioGenConfig config;
   config.count = 30;
-  std::vector<std::string> backends = {"local_search", "lns"};
+  const char* kBaseline = "bnb";
+  std::vector<std::string> backends = {"lns"};
   std::string out_path = "BENCH_scenarios.json";
   double gate_gap = 0;  // 0 = report only
 
@@ -174,16 +175,16 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> gaps(backends.size());
 
   for (const Scenario& s : scenarios) {
-    ScenarioRun base = RunScenario(s, "portfolio");
+    ScenarioRun base = RunScenario(s, kBaseline);
     if (!base.ok) {
       ++failures;
-      PrintRepro(s, "portfolio", "driver error", base.error);
+      PrintRepro(s, kBaseline, "driver error", base.error);
       continue;
     }
     if (!base.violation.empty()) {
       ++failures;
       ++violations;
-      PrintRepro(s, "portfolio", "invariant violation", base.violation);
+      PrintRepro(s, kBaseline, "invariant violation", base.violation);
     }
     {
       JsonWriter w;
@@ -191,7 +192,7 @@ int main(int argc, char** argv) {
       w.Key("scenario").String(s.name);
       w.Key("app").String(ScenarioAppName(s.app));
       w.Key("seed").UInt(s.seed);
-      w.Key("backend").String("portfolio");
+      w.Key("backend").String(kBaseline);
       w.Key("objective").Double(base.objective);
       w.Key("gap").Double(1.0);
       w.Key("solves").Int(base.solves);
@@ -235,7 +236,7 @@ int main(int argc, char** argv) {
         ++failures;
         ++violations;
         PrintRepro(s, backend, "conservation violation",
-                   "per-demand VM totals differ from the portfolio run");
+                   "per-demand VM totals differ from the bnb run");
       }
       const double gap = Gap(run.objective, base.objective);
       gaps[b].push_back(gap);
