@@ -132,6 +132,7 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
           static_cast<int>(out.model_groups > 0 ? out.model_groups : 1);
       out.incr_fallback = false;
       out.incr_reused = true;
+      out.template_hit = false;
       out.stats = solver::SolveStats{};  // no search ran
       ++solve_count_;
       // The advisory window closes: this solve consumed (and dismissed)
@@ -162,7 +163,7 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
     }
   }
 
-  SolverBridge bridge(program_, &engine_);
+  SolverBridge bridge(program_, &engine_, templates());
   solver::ContextCache* ctx_cache = opts.cache ? &ctx_cache_ : nullptr;
   COLOGNE_ASSIGN_OR_RETURN(out,
                            bridge.Solve(opts, &warm_cache_, incr, ctx_cache));
@@ -193,8 +194,12 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
       m.Add(out.incr_fallback ? "solve.incr.fallback" : "solve.incr");
       m.Add("solve.incr.dirty", static_cast<uint64_t>(out.incr_dirty));
     }
-    for (const auto& [kind, count] : out.stats.propagations_by_kind) {
-      m.Add("prop." + kind, count);
+    for (size_t k = 0; k < solver::kNumPropKinds; ++k) {
+      const uint64_t count = out.stats.propagations_by_kind[k];
+      if (count == 0) continue;
+      m.Add(std::string("prop.") +
+                solver::PropKindName(static_cast<solver::PropKind>(k)),
+            count);
     }
     m.Observe("solve.nodes", static_cast<int64_t>(out.stats.nodes));
   }

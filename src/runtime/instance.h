@@ -23,6 +23,7 @@
 #include "runtime/solver_bridge.h"
 #include "runtime/trace_replay.h"
 #include "solver/context_cache.h"
+#include "solver/template_cache.h"
 
 namespace cologne::runtime {
 
@@ -131,6 +132,14 @@ class Instance {
     return touched_tables_;
   }
 
+  /// Share `templates` (owned by the caller, e.g. a System, and outliving
+  /// this instance) instead of the instance's own model-template cache.
+  /// Nodes of one program solve the same few model shapes, and each node
+  /// solves too rarely to warm a cache of its own.
+  void set_template_cache(solver::TemplateCache* templates) {
+    shared_templates_ = templates;
+  }
+
   /// Trace sink for invokeSolver outcomes (deterministic fields only).
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
@@ -152,6 +161,9 @@ class Instance {
   }
   /// Declare tables + install rules on a fresh engine (Init and Restart).
   Status InitEngine();
+  solver::TemplateCache* templates() {
+    return shared_templates_ != nullptr ? shared_templates_ : &own_templates_;
+  }
   /// Materialize solver output as engine deltas. `flush_per_delta` runs the
   /// incremental fixpoint after every inserted row instead of once at the
   /// end: batched solves write several migVm rows that address the same
@@ -179,6 +191,10 @@ class Instance {
   IncrementalState incr_state_;
   /// Cross-solve context cache (SOLVER_CACHE); see context_cache().
   solver::ContextCache ctx_cache_;
+  /// Model templates of this instance's solves, unless it shares a
+  /// System's (set_template_cache).
+  solver::TemplateCache own_templates_;
+  solver::TemplateCache* shared_templates_ = nullptr;
   /// Tables touched by the journal since the last completed solve (sorted,
   /// deduplicated); the advisory SolveRequest::changed_tables default.
   std::vector<std::string> touched_tables_;

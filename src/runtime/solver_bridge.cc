@@ -1087,7 +1087,9 @@ void FnvMixStr(uint64_t* h, std::string_view s) {
 // structural change (row added/removed) shifts later ids and conservatively
 // dirties the affected groups.
 std::vector<uint64_t> ComputeFingerprints(
-    const Model& model, const std::vector<PlanEval::VarRow>& var_rows) {
+    const Model& model,
+    const std::vector<std::unique_ptr<solver::Propagator>>& propagators,
+    const std::vector<PlanEval::VarRow>& var_rows) {
   const auto& groups = model.decision_groups();
   const size_t ngroups = std::max<size_t>(groups.size(), 1);
   std::vector<int32_t> group_of(model.num_vars(), -1);
@@ -1118,7 +1120,7 @@ std::vector<uint64_t> ComputeFingerprints(
 
   std::vector<int32_t> seen;  // distinct groups watched by one propagator
   std::string text;           // one propagator's rendering, reused
-  for (const auto& p : model.propagators()) {
+  for (const auto& p : propagators) {
     uint64_t h = kFnvOffset;
     text.clear();
     p->AppendDebugString(&text);
@@ -1157,7 +1159,10 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   SolveOutput out;
   out.backend = options.backend;
   out.seed = options.seed;
-  Model model;
+  solver::TemplateCache one_shot;
+  solver::TemplateCache& templates =
+      templates_ != nullptr ? *templates_ : one_shot;
+  Model& model = templates.RecordModel();
   const bool incremental = options.incremental && incr != nullptr;
 
   // ---- Build the constraint network: one pass over the solver rules -------
@@ -1223,6 +1228,9 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
 
   out.model_vars = model.num_vars();
   out.model_propagators = model.num_propagators();
+  // The recorded model is complete: reuse (or build) its shape's
+  // propagators and engine layout, rebound to this solve's constants.
+  const solver::ModelTemplate& tmpl = templates.Bind(model, &out.template_hit);
 
   // ---- Search -------------------------------------------------------
   Model::Options sopts;
@@ -1297,7 +1305,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   const bool context_caching = ctx_cache != nullptr && options.cache;
   std::vector<uint64_t> fps;
   if (incremental || context_caching) {
-    fps = ComputeFingerprints(model, eval.var_rows());
+    fps = ComputeFingerprints(model, tmpl.propagators(), eval.var_rows());
   }
   if (context_caching) {
     // Namespace the persistent proof cache by the model fingerprint: a fact
@@ -1348,7 +1356,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
     }
   }
 
-  solver::Solution sol = model.Solve(sopts);
+  solver::Solution sol = model.Solve(tmpl, sopts);
   out.status = sol.status;
   out.stats = sol.stats;
   out.model_memory_bytes = sol.stats.peak_memory_bytes;

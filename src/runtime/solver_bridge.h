@@ -16,6 +16,11 @@
 //      back into engine tables (triggering downstream incremental
 //      evaluation, Section 5.1).
 //
+// The model is recorded, not built (solver/model.h): the bridge binds the
+// recorded model to its template in a solver::TemplateCache, which builds
+// each model shape's propagators and engine layout once and rewrites only
+// the constants on later solves of that shape.
+//
 // Each solver rule is evaluated once per solve, along the program's
 // SolverPlan (colog/solver_plan.h): the plan fixes, once per program, the
 // join order, each atom's probe columns and the depth and order at which
@@ -39,6 +44,7 @@
 #include "datalog/engine.h"
 #include "runtime/trace_replay.h"
 #include "solver/model.h"
+#include "solver/template_cache.h"
 
 namespace cologne::runtime {
 
@@ -152,6 +158,9 @@ struct SolveOutput {
   /// because every input table's content hash matched the previous solve
   /// (model build, search, and writeback all skipped).
   bool incr_reused = false;
+  /// True when the model's shape was already in the template cache, so
+  /// only its constants were rewritten (false on a miss or a reused solve).
+  bool template_hit = false;
 
   bool has_solution() const {
     return status == solver::SolveStatus::kOptimal ||
@@ -204,12 +213,18 @@ struct IncrementalState {
 /// \brief Executes the solver-side of a compiled Colog program against the
 /// current state of a Datalog engine.
 ///
-/// Stateless across calls: each Solve builds a fresh model, so it can run
-/// once per periodic trigger or table-update event.
+/// Each Solve records the model from the engine's current state and binds
+/// it to its template in `templates`: the propagators and engine layout of
+/// a shape seen before are reused with their constants rewritten, a new
+/// shape is built and stored. Without a cache every Solve uses a fresh
+/// one-shot cache, which builds the model from scratch. The bridge keeps
+/// no other state across calls, so it can run once per periodic trigger or
+/// table-update event.
 class SolverBridge {
  public:
-  SolverBridge(const colog::CompiledProgram* program, datalog::Engine* engine)
-      : program_(program), engine_(engine) {}
+  SolverBridge(const colog::CompiledProgram* program, datalog::Engine* engine,
+               solver::TemplateCache* templates = nullptr)
+      : program_(program), engine_(engine), templates_(templates) {}
 
   /// Run one complete COP execution. Returns an error Status only for
   /// program-level failures (malformed model); an infeasible or timed-out
@@ -238,6 +253,7 @@ class SolverBridge {
  private:
   const colog::CompiledProgram* program_;
   datalog::Engine* engine_;
+  solver::TemplateCache* templates_;
 };
 
 }  // namespace cologne::runtime

@@ -30,6 +30,7 @@ System::System(const colog::CompiledProgram* program, size_t num_nodes,
   for (size_t i = 0; i < num_nodes; ++i) {
     NodeId id = net_.AddNode();
     nodes_.push_back(std::make_unique<Instance>(id, program_));
+    nodes_.back()->set_template_cache(&templates_);
   }
   sent_log_.resize(num_nodes);
   rx_.resize(num_nodes);

@@ -210,6 +210,10 @@ class System {
   bool net_reliable_ = false;
   bool obs_metrics_ = false;
   obs::MetricsRegistry metrics_;
+  /// One model-template cache for every node: the nodes run one program,
+  /// so they solve the same few model shapes (declared before nodes_, which
+  /// point at it).
+  solver::TemplateCache templates_;
   std::vector<std::unique_ptr<Instance>> nodes_;
   std::vector<std::vector<SentRecord>> sent_log_;   // [src]
   std::vector<std::map<NodeId, PeerState>> rx_;     // [dst][src]

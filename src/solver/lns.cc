@@ -193,8 +193,9 @@ bool LnsImprove(SearchContext& ctx, const LnsParams& params, Incumbent* inc) {
   return false;
 }
 
-Solution LnsSolve(const Model& model, const Model::Options& options) {
-  SearchContext ctx(model, options);
+Solution LnsSolve(const Model& model, const ModelTemplate& tmpl,
+                  const Model::Options& options) {
+  SearchContext ctx(model, tmpl, options);
   Solution out;  // Solution::backend is stamped by Model::Solve.
 
   if (!ctx.PropagateRoot()) {

@@ -57,7 +57,8 @@ bool LnsImprove(internal::SearchContext& ctx, const LnsParams& params,
                 internal::Incumbent* inc);
 
 /// The LNS search backend: run one Model::Solve call under `options`.
-Solution LnsSolve(const Model& model, const Model::Options& options);
+Solution LnsSolve(const Model& model, const ModelTemplate& tmpl,
+                  const Model::Options& options);
 
 }  // namespace cologne::solver
 

@@ -3,7 +3,21 @@
 #include <algorithm>
 #include <set>
 
+#include "solver/template_cache.h"
+
 namespace cologne::solver {
+
+void Model::Clear() {
+  domains_.clear();
+  is_decision_.clear();
+  groups_.clear();
+  has_decisions_ = false;
+  sense_ = Sense::kSatisfy;
+  objective_ = IntVar{};
+  shape_.clear();
+  consts_.clear();
+  num_props_ = 0;
+}
 
 IntVar Model::NewInt(int64_t lo, int64_t hi) {
   return NewIntFromDomain(IntDomain(lo, hi));
@@ -12,12 +26,26 @@ IntVar Model::NewInt(int64_t lo, int64_t hi) {
 IntVar Model::NewIntFromDomain(IntDomain dom) {
   IntVar v{static_cast<int32_t>(domains_.size())};
   domains_.push_back(std::move(dom));
+  shape_.push_back(static_cast<int32_t>(ModelOp::kVar));
   return v;
+}
+
+void Model::RecordLinear(ModelOp op, IntVar b, const LinExpr& e, Rel rel) {
+  shape_.push_back(static_cast<int32_t>(op));
+  if (op == ModelOp::kReified) shape_.push_back(b.id);
+  shape_.push_back(static_cast<int32_t>(rel));
+  shape_.push_back(static_cast<int32_t>(e.terms.size()));
+  consts_.push_back(e.constant);
+  for (const auto& [c, v] : e.terms) {
+    shape_.push_back(v.id);
+    consts_.push_back(c);
+  }
+  ++num_props_;
 }
 
 void Model::PostLinear(LinExpr e, Rel rel) {
   e.Canonicalize();
-  props_.push_back(MakeLinear(std::move(e), rel));
+  RecordLinear(ModelOp::kLinear, IntVar{}, e, rel);
 }
 
 void Model::PostRel(LinExpr lhs, Rel rel, LinExpr rhs) {
@@ -26,8 +54,8 @@ void Model::PostRel(LinExpr lhs, Rel rel, LinExpr rhs) {
 }
 
 void Model::PostReified(IntVar b, LinExpr lhs, Rel rel, LinExpr rhs) {
-  lhs -= rhs;
-  props_.push_back(MakeReifiedLinear(b, std::move(lhs), rel));
+  lhs -= rhs;  // canonicalizes
+  RecordLinear(ModelOp::kReified, b, lhs, rel);
 }
 
 IntVar Model::ReifyRel(LinExpr lhs, Rel rel, LinExpr rhs) {
@@ -38,6 +66,7 @@ IntVar Model::ReifyRel(LinExpr lhs, Rel rel, LinExpr rhs) {
 
 void Model::RemoveValue(IntVar v, int64_t value) {
   domains_[static_cast<size_t>(v.id)].Remove(value);
+  Record(ModelOp::kRemove, v.id);
 }
 
 ExprBounds Model::InitialBounds(const LinExpr& e) const {
@@ -87,7 +116,9 @@ IntVar Model::MakeTimes(IntVar x, IntVar y) {
     return static_cast<int64_t>(v);
   };
   IntVar z = NewInt(clamp(lo), clamp(hi));
-  props_.push_back(solver::MakeTimes(z, x, y));
+  shape_.insert(shape_.end(),
+                {static_cast<int32_t>(ModelOp::kTimes), z.id, x.id, y.id});
+  ++num_props_;
   return z;
 }
 
@@ -101,7 +132,9 @@ IntVar Model::MakeAbs(const LinExpr& e) {
   const IntDomain& d = InitialDomain(x);
   int64_t hi = std::max(std::abs(d.min()), std::abs(d.max()));
   IntVar z = NewInt(0, hi);
-  props_.push_back(solver::MakeAbs(z, x));
+  shape_.insert(shape_.end(),
+                {static_cast<int32_t>(ModelOp::kAbs), z.id, x.id});
+  ++num_props_;
   return z;
 }
 
@@ -109,13 +142,19 @@ IntVar Model::MakeMaxConst(const LinExpr& e, int64_t c) {
   IntVar x = VarOf(e);
   const IntDomain& d = InitialDomain(x);
   IntVar z = NewInt(std::max(d.min(), c), std::max(d.max(), c));
-  props_.push_back(solver::MakeMaxConst(z, x, c));
+  shape_.insert(shape_.end(),
+                {static_cast<int32_t>(ModelOp::kMaxConst), z.id, x.id});
+  consts_.push_back(c);
+  ++num_props_;
   return z;
 }
 
 IntVar Model::MakeOr(std::vector<IntVar> bs) {
   IntVar b = NewBool();
-  props_.push_back(solver::MakeOr(b, std::move(bs)));
+  shape_.insert(shape_.end(), {static_cast<int32_t>(ModelOp::kOr), b.id,
+                               static_cast<int32_t>(bs.size())});
+  for (IntVar v : bs) shape_.push_back(v.id);
+  ++num_props_;
   return b;
 }
 
@@ -159,8 +198,13 @@ size_t Model::MemoryEstimate() const {
   for (const IntDomain& d : domains_) {
     bytes += sizeof(IntDomain) + d.ranges().size() * sizeof(IntDomain::Range);
   }
-  bytes += props_.size() * 96;  // rough per-propagator footprint
+  bytes += num_props_ * 96;  // rough per-propagator footprint
   return bytes;
+}
+
+Solution Model::Solve(const Options& options) const {
+  TemplateCache one_shot;
+  return Solve(one_shot.Bind(*this), options);
 }
 
 }  // namespace cologne::solver

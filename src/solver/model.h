@@ -4,6 +4,13 @@
 // integer variables, post constraints, declare an objective, and call Solve()
 // which runs depth-first branch-and-bound with a configurable time limit (the
 // paper's SOLVER_MAX_TIME knob, Section 4.2).
+//
+// A Model records; it does not build. Each call appends one primitive to a
+// flat log — its structural words (kind, variable ids, relation, ...) to
+// shape(), its numbers (coefficients, right-hand sides, ...) to constants()
+// — and keeps the initial domains. The propagators and the engine's watch
+// structure live in a ModelTemplate (solver/template_cache.h), built once
+// per shape and rebound to each model's constants.
 #ifndef COLOGNE_SOLVER_MODEL_H_
 #define COLOGNE_SOLVER_MODEL_H_
 
@@ -19,19 +26,51 @@
 namespace cologne::solver {
 
 class ContextCache;
+class ModelTemplate;
+
+/// Opcodes of a Model's shape log. Each primitive appends its opcode and
+/// operands to Model::shape(), and its numbers, in the order listed, to
+/// Model::constants():
+///   kVar                          (domain kept in initial_domains())
+///   kRemove v                     (the hole is in initial_domains())
+///   kLinear rel n v1..vn          constant, c1..cn
+///   kReified b rel n v1..vn       constant, c1..cn
+///   kTimes z x y
+///   kAbs z x
+///   kOr b n v1..vn
+///   kMaxConst z x                 c
+///   kDecision v
+///   kGroup n v1..vn
+enum class ModelOp : int32_t {
+  kVar,
+  kRemove,
+  kLinear,
+  kReified,
+  kTimes,
+  kAbs,
+  kOr,
+  kMaxConst,
+  kDecision,
+  kGroup,
+};
 
 /// Objective sense of a model.
 enum class Sense : uint8_t { kSatisfy, kMinimize, kMaximize };
 
 /// \brief A constraint-satisfaction/optimization model.
 ///
-/// Variables and constraints are append-only; Solve() is const and can be
-/// called repeatedly (e.g. once per `invokeSolver` event).
+/// Variables and constraints are append-only until Clear(); Solve() is const
+/// and can be called repeatedly (e.g. once per `invokeSolver` event).
 class Model {
  public:
   Model() = default;
   Model(const Model&) = delete;
   Model& operator=(const Model&) = delete;
+
+  /// Forget every variable, constraint, group and the objective. The log's
+  /// buffers keep their capacity, so a model recorded again and again (one
+  /// per solve) stops allocating for them.
+  void Clear();
 
   // --- Variables -----------------------------------------------------------
 
@@ -43,7 +82,7 @@ class Model {
   IntVar NewBool() { return NewInt(0, 1); }
 
   size_t num_vars() const { return domains_.size(); }
-  size_t num_propagators() const { return props_.size(); }
+  size_t num_propagators() const { return num_props_; }
 
   /// Mark `v` as a decision variable: search branches on decision variables
   /// before any auxiliary variable (auxiliaries are usually functionally
@@ -54,6 +93,7 @@ class Model {
     }
     is_decision_[static_cast<size_t>(v.id)] = 1;
     has_decisions_ = true;
+    Record(ModelOp::kDecision, v.id);
   }
   bool IsDecision(IntVar v) const {
     return static_cast<size_t>(v.id) < is_decision_.size() &&
@@ -68,7 +108,10 @@ class Model {
   /// neighborhoods; models with fewer than two groups keep variable-level
   /// neighborhoods. Empty groups are ignored.
   void MarkGroup(std::vector<IntVar> vars) {
-    if (!vars.empty()) groups_.push_back(std::move(vars));
+    if (vars.empty()) return;
+    Record(ModelOp::kGroup, static_cast<int32_t>(vars.size()));
+    for (IntVar v : vars) shape_.push_back(v.id);
+    groups_.push_back(std::move(vars));
   }
   const std::vector<std::vector<IntVar>>& decision_groups() const {
     return groups_;
@@ -188,13 +231,17 @@ class Model {
   };
 
   /// Run propagation + the selected search backend: branch-and-bound
-  /// (search.cc) or LNS (lns.cc).
+  /// (search.cc) or LNS (lns.cc), over the propagators of `tmpl`, which
+  /// must be the template this model was last bound to
+  /// (TemplateCache::Bind).
   ///
   /// The default branch-and-bound backend branches with first-fail variable
   /// selection (smallest domain first, decision variables before
   /// auxiliaries) and ascending value order; on each incumbent the objective
   /// is bounded and search continues (anytime behaviour under the time
   /// limit).
+  Solution Solve(const ModelTemplate& tmpl, const Options& options) const;
+  /// Bind to a template of a one-shot cache, then solve.
   Solution Solve(const Options& options) const;
   /// Solve with default options.
   Solution Solve() const { return Solve(Options{}); }
@@ -205,18 +252,30 @@ class Model {
   /// Approximate resident size of the model itself (vars + propagators).
   size_t MemoryEstimate() const;
 
-  const std::vector<std::unique_ptr<Propagator>>& propagators() const {
-    return props_;
-  }
+  // --- The recorded log ----------------------------------------------------
+
+  /// Structural words of every primitive, in call order (see ModelOp).
+  const std::vector<int32_t>& shape() const { return shape_; }
+  /// Numbers of every primitive, in call order (see ModelOp).
+  const std::vector<int64_t>& constants() const { return consts_; }
 
  private:
+  void Record(ModelOp op, int32_t operand) {
+    shape_.push_back(static_cast<int32_t>(op));
+    shape_.push_back(operand);
+  }
+  /// Log one linear family propagator over canonical `e`.
+  void RecordLinear(ModelOp op, IntVar b, const LinExpr& e, Rel rel);
+
   std::vector<IntDomain> domains_;
-  std::vector<std::unique_ptr<Propagator>> props_;
   std::vector<char> is_decision_;
   std::vector<std::vector<IntVar>> groups_;
   bool has_decisions_ = false;
   Sense sense_ = Sense::kSatisfy;
   IntVar objective_;
+  std::vector<int32_t> shape_;
+  std::vector<int64_t> consts_;
+  size_t num_props_ = 0;
 };
 
 }  // namespace cologne::solver

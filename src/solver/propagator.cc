@@ -31,39 +31,31 @@ __int128 TermWidth(int64_t c, int64_t lo, int64_t hi) {
 
 }  // namespace
 
-PropagationEngine::PropagationEngine(
-    const std::vector<std::unique_ptr<Propagator>>* props, size_t num_vars,
-    bool naive)
-    : props_(props),
-      naive_(naive),
-      watchers_(num_vars),
-      subs_(num_vars),
-      priority_(props->size(), 0),
-      in_queue_(props->size(), 0),
-      run_counts_(props->size(), 0),
-      proofs_(props->size()),
-      idempotent_(props->size(), 0),
-      aux_base_(props->size(), -1),
-      has_dup_watch_(props->size(), 0) {
-  // Build both watch structures deduplicated per (variable, propagator): a
-  // variable appearing in several watch entries of one propagator (e.g. both
-  // factors of a square) subscribes once, with the union of the entry masks
-  // — one wake per (propagator, change). Dedup is count-neutral in naive
-  // mode too: the duplicate enqueues it removes were already suppressed by
-  // the in_queue_ flag.
+EngineLayout::EngineLayout(
+    const std::vector<std::unique_ptr<Propagator>>& props, size_t num_vars)
+    : subs_(num_vars),
+      priority_(props.size(), 0),
+      proofs_(props.size()),
+      idempotent_(props.size(), 0),
+      aux_offset_(props.size(), -1),
+      num_aux_slots_(static_cast<int>(props.size())) {
+  // Dedup is count-neutral in naive mode too: the duplicate enqueues it
+  // removes were already suppressed by the engine's in_queue_ flag.
   std::vector<int32_t> seen_at(num_vars, -1);
-  for (size_t i = 0; i < props->size(); ++i) {
-    const Propagator& p = *(*props)[i];
+  for (size_t i = 0; i < props.size(); ++i) {
+    const Propagator& p = *props[i];
     const std::vector<int32_t>& w = p.watched();
     const std::vector<uint8_t>& masks = p.watch_masks();
+    const size_t first_ref = refs_.size();
     size_t unique = 0;
+    bool dup = false;
     for (size_t k = 0; k < w.size(); ++k) {
       const size_t v = static_cast<size_t>(w[k]);
       if (seen_at[v] == static_cast<int32_t>(i)) {
         // Duplicate: merge the mask into the existing subscription. The
         // advisor position stays ambiguous, so incremental aggregates are
         // disabled for this propagator (full-recompute path instead).
-        has_dup_watch_[i] = 1;
+        dup = true;
         for (WatchEntry& e : subs_[v]) {
           if (e.prop == i) e.mask |= masks[k];
         }
@@ -71,16 +63,68 @@ PropagationEngine::PropagationEngine(
       }
       seen_at[v] = static_cast<int32_t>(i);
       ++unique;
-      watchers_[v].push_back(i);
-      subs_[v].push_back({static_cast<uint32_t>(i), masks[k],
-                          p.AdviseCoefficient(static_cast<uint32_t>(k))});
+      refs_.push_back({static_cast<uint32_t>(v),
+                       static_cast<uint32_t>(subs_[v].size()),
+                       static_cast<uint32_t>(i), static_cast<uint32_t>(k),
+                       0});
+      subs_[v].push_back({static_cast<uint32_t>(i), masks[k], 0});
     }
-    priority_[i] = naive_ ? 0 : PriorityBucket(unique);
+    priority_[i] = PriorityBucket(unique);
     // Cache the virtual per-propagator traits consulted on every wake and
-    // every self-wake, so the hot paths below are dispatch-free.
+    // every self-wake, so the engine's hot paths are dispatch-free.
     proofs_[i] = p.fixpoint_proof();
     idempotent_[i] = p.IdempotentAfterRun() ? 1 : 0;
+    if (dup) {
+      refs_.resize(first_ref);
+      continue;
+    }
+    const int n = p.NumAuxSlots();
+    if (n > 0) {
+      aux_offset_[i] = num_aux_slots_;
+      num_aux_slots_ += n;
+      for (size_t r = first_ref; r < refs_.size(); ++r) refs_[r].advised = 1;
+    }
   }
+  Rebind(props);
+}
+
+void EngineLayout::Rebind(
+    const std::vector<std::unique_ptr<Propagator>>& props) {
+  for (const EntryRef& r : refs_) {
+    const Propagator& p = *props[r.prop];
+    WatchEntry& e = subs_[r.var][r.entry];
+    e.mask = p.watch_masks()[r.watch_pos];
+    // The engine reads coefficients only of propagators with aggregates.
+    e.coef = r.advised ? p.AdviseCoefficient(r.watch_pos) : 0;
+  }
+}
+
+PropagationEngine::PropagationEngine(
+    const std::vector<std::unique_ptr<Propagator>>* props, size_t num_vars,
+    bool naive)
+    : props_(props),
+      naive_(naive),
+      owned_layout_(std::make_unique<EngineLayout>(*props, num_vars)),
+      layout_(owned_layout_.get()) {
+  InitState();
+}
+
+PropagationEngine::PropagationEngine(
+    const std::vector<std::unique_ptr<Propagator>>* props,
+    const EngineLayout* layout, bool naive)
+    : props_(props), naive_(naive), layout_(layout) {
+  InitState();
+}
+
+void PropagationEngine::InitState() {
+  subs_ = layout_->subs_.data();
+  proofs_ = layout_->proofs_.data();
+  idempotent_ = layout_->idempotent_.data();
+  if (naive_) naive_priority_.assign(props_->size(), 0);
+  priority_ = naive_ ? naive_priority_.data() : layout_->priority_.data();
+  in_queue_.assign(props_->size(), 0);
+  run_counts_.assign(props_->size(), 0);
+  aux_base_.assign(props_->size(), -1);
 }
 
 bool PropagationEngine::ProvablyAtFixpoint(
@@ -115,13 +159,14 @@ bool PropagationEngine::ProvablyAtFixpoint(
 void PropagationEngine::AttachStore(DomainStore& store) {
   if (naive_) return;
   store_ = &store;
-  entailed_base_ = store.AddAuxSlots(static_cast<int>(props_->size()));
+  // Entailed flags first, then each propagator's aggregates in index order
+  // (EngineLayout::aux_offset_).
+  entailed_base_ = store.AddAuxSlots(layout_->num_aux_slots_);
   for (size_t i = 0; i < props_->size(); ++i) {
-    const Propagator& p = *(*props_)[i];
-    const int n = p.NumAuxSlots();
-    if (n > 0 && !has_dup_watch_[i]) {
-      aux_base_[i] = store.AddAuxSlots(n);
-      p.InitAux(store, aux_base_[i]);
+    const int32_t offset = layout_->aux_offset_[i];
+    if (offset >= 0) {
+      aux_base_[i] = entailed_base_ + offset;
+      (*props_)[i]->InitAux(store, aux_base_[i]);
     } else {
       aux_base_[i] = -1;
     }
@@ -141,7 +186,9 @@ void PropagationEngine::OnVarChanged(int32_t var_id) {
   // with its event type; a second, untyped wake here would bypass the mask
   // filter.
   if (!naive_ && store_ != nullptr) return;
-  for (size_t p : watchers_[static_cast<size_t>(var_id)]) Enqueue(p);
+  for (const WatchEntry& w : subs_[static_cast<size_t>(var_id)]) {
+    Enqueue(w.prop);
+  }
 }
 
 void PropagationEngine::OnDomainEvent(int32_t var, uint8_t events,

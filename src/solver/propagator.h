@@ -120,9 +120,18 @@ class Propagator {
   /// Append DebugString()'s text to `out` (lets a caller render many
   /// propagators into one reused buffer).
   virtual void AppendDebugString(std::string* out) const = 0;
-  /// Stable short kind name ("linear", "times", ...) keying the per-kind
-  /// propagation counters of the observability layer (obs/metrics.h).
-  virtual const char* kind() const { return "other"; }
+  /// Kind keying the per-kind propagation counters (SolveStats::
+  /// propagations_by_kind).
+  virtual PropKind kind() const { return PropKind::kOther; }
+  /// Overwrite the constants this propagator holds (coefficients,
+  /// right-hand sides, ...) with the next ones at `*consts`, advancing the
+  /// cursor past them: a model template (solver/template_cache.h) builds
+  /// each propagator once per shape and rebinds it for every solve of that
+  /// shape. The order is the one Model records them in. Watched variables
+  /// stay as constructed; a watch mask that depends on a constant (a linear
+  /// term's on its coefficient's sign) is recomputed, which requires the
+  /// propagator to watch each variable once.
+  virtual void RebindConstants(const int64_t** consts) { (void)consts; }
   /// True when a successful Propagate provably leaves this propagator at its
   /// own fixpoint — its prunes cannot enable further prunes *by itself*
   /// (e.g. a one-sided linear sum prunes opposite bounds only, leaving the
@@ -188,25 +197,87 @@ class Propagator {
   void WatchExprSigned(const LinExpr& e, uint8_t pos_mask, uint8_t neg_mask) {
     for (const auto& [c, v] : e.terms) Watch(v, c >= 0 ? pos_mask : neg_mask);
   }
+  /// Replace watch entry `k`'s mask (RebindConstants).
+  void SetWatchMask(size_t k, uint8_t mask) { watch_masks_[k] = mask; }
 
  private:
   std::vector<int32_t> watched_;
   std::vector<uint8_t> watch_masks_;
 };
 
+/// \brief The constant-independent half of a PropagationEngine over one
+/// propagator list.
+///
+/// Deduplicated typed subscriptions, priority buckets, fixpoint-proof
+/// descriptors, idempotence flags and the aux-slot layout depend only on
+/// the propagators' kinds, relations and watched variables, never on their
+/// constants. A model template (solver/template_cache.h) builds it once per
+/// model shape and every solve of that shape reuses it. What it caches of
+/// the constants, each subscription's advisor coefficient and watch mask,
+/// Rebind() re-reads after the propagators were rebound.
+class EngineLayout {
+ public:
+  /// Builds watch lists deduplicated per (variable, propagator): a variable
+  /// appearing several times in one propagator's watch list yields a single
+  /// subscription whose mask is the union — one wake per (propagator,
+  /// change). Such a propagator gets no aux aggregates (the advisor position
+  /// is ambiguous) and takes its full-recompute path.
+  EngineLayout(const std::vector<std::unique_ptr<Propagator>>& props,
+               size_t num_vars);
+
+  /// Re-read every subscription's advisor coefficient and watch mask from
+  /// `props` (the list the layout was built from, after
+  /// Propagator::RebindConstants). A subscription merged from duplicate
+  /// watches keeps its mask: such propagators have constant masks.
+  void Rebind(const std::vector<std::unique_ptr<Propagator>>& props);
+
+ private:
+  friend class PropagationEngine;
+  /// One per-variable subscription record (event mode).
+  struct WatchEntry {
+    uint32_t prop;  ///< Propagator index.
+    uint8_t mask;   ///< Union of the kEvent* masks this var registered.
+    int64_t coef;   ///< Aggregate contribution (AdviseCoefficient), 0 = none.
+  };
+  /// The watch entry subs_[var][entry] mirrors: props[prop]'s watch
+  /// `watch_pos`, whose advisor coefficient it caches when `advised`.
+  struct EntryRef {
+    uint32_t var;
+    uint32_t entry;
+    uint32_t prop;
+    uint32_t watch_pos : 31;
+    uint32_t advised : 1;
+  };
+
+  /// var id -> typed subscriptions, in propagator order.
+  std::vector<std::vector<WatchEntry>> subs_;
+  std::vector<uint8_t> priority_;              // prop idx -> event-mode bucket
+  std::vector<Propagator::FixpointProof> proofs_;
+  std::vector<char> idempotent_;               // IdempotentAfterRun()
+  /// Per-prop aggregate offset past the per-prop entailed flags, -1 = none.
+  std::vector<int32_t> aux_offset_;
+  /// Entailed flags plus every aggregate: the slots AttachStore allocates.
+  int num_aux_slots_ = 0;
+  /// Every subscription of a propagator without duplicate watches.
+  std::vector<EntryRef> refs_;
+};
+
 /// \brief Queue-driven propagation-to-fixpoint engine.
 ///
 /// Owned by the search; the propagator set is fixed after model construction
 /// (branch-and-bound objective cuts are applied by the search by clamping the
-/// objective variable's domain directly).
+/// objective variable's domain directly). The watch structure is an
+/// EngineLayout, either shared (a model template's) or built by the engine.
 class PropagationEngine : public DomainListener {
  public:
-  /// Builds watch lists (deduplicated: a variable appearing several times in
-  /// one propagator's watch list yields a single subscription whose mask is
-  /// the union — one wake per (propagator, change)). `props` must outlive
-  /// the engine. `naive` selects the legacy flat-FIFO reference mode.
+  /// Engine over `props` with its own layout. `props` must outlive the
+  /// engine. `naive` selects the legacy flat-FIFO reference mode.
   PropagationEngine(const std::vector<std::unique_ptr<Propagator>>* props,
                     size_t num_vars, bool naive = false);
+  /// Engine over `props` with the shared `layout` built from them; both must
+  /// outlive the engine.
+  PropagationEngine(const std::vector<std::unique_ptr<Propagator>>* props,
+                    const EngineLayout* layout, bool naive = false);
 
   /// Event mode: allocate entailment flags + advisor aggregates as trailed
   /// aux slots of `store` (initialized from its current domains — call after
@@ -262,14 +333,11 @@ class PropagationEngine : public DomainListener {
   uint64_t props_skipped_entailed() const { return skipped_entailed_; }
 
  private:
-  /// One per-variable subscription record (event mode).
-  struct WatchEntry {
-    uint32_t prop;  ///< Propagator index.
-    uint8_t mask;   ///< Union of the kEvent* masks this var registered.
-    int64_t coef;   ///< Aggregate contribution (AdviseCoefficient), 0 = none.
-  };
+  using WatchEntry = EngineLayout::WatchEntry;
   static constexpr int kNumBuckets = 4;
 
+  /// Point the hot-path views at the layout and size the per-solve state.
+  void InitState();
   bool RunQueue(DomainStore& store, SolveStats* stats);
   void Enqueue(size_t prop_idx);
   /// Inline evaluation of `proofs_[prop]` against the live aggregates: true
@@ -291,19 +359,22 @@ class PropagationEngine : public DomainListener {
 
   const std::vector<std::unique_ptr<Propagator>>* props_;
   const bool naive_;
-  std::vector<std::vector<size_t>> watchers_;  // var id -> propagator indices
-  std::vector<std::vector<WatchEntry>> subs_;  // var id -> typed subscriptions
+  std::unique_ptr<EngineLayout> owned_layout_;  // null when shared
+  const EngineLayout* layout_;
+  // Views into the layout's arrays, read on every wake.
+  const std::vector<WatchEntry>* subs_ = nullptr;  // var id -> subscriptions
+  const Propagator::FixpointProof* proofs_ = nullptr;
+  const char* idempotent_ = nullptr;
+  /// prop idx -> bucket: the layout's, or all zero in naive mode.
+  std::vector<uint8_t> naive_priority_;
+  const uint8_t* priority_ = nullptr;
   std::array<std::deque<uint32_t>, kNumBuckets> buckets_;
-  std::vector<uint8_t> priority_;  // prop idx -> bucket (0 in naive mode)
   std::vector<char> in_queue_;
   std::vector<uint64_t> run_counts_;
-  std::vector<Propagator::FixpointProof> proofs_;  // construction-time cache
-  std::vector<char> idempotent_;  // IdempotentAfterRun(), cached likewise
 
   DomainStore* store_ = nullptr;  // attached store (event mode only)
   int entailed_base_ = -1;        // aux base of the per-prop entailed flags
   std::vector<int32_t> aux_base_; // per-prop advisor aux base, -1 = none
-  std::vector<char> has_dup_watch_;  // unique-variable precondition failed
   uint64_t wakes_filtered_ = 0;
   uint64_t skipped_entailed_ = 0;
 };

@@ -61,6 +61,13 @@ uint8_t LinearTermMask(Rel rel, int64_t c) {
   return kEventAny;
 }
 
+// Rewrite the constants of `e` from `*consts` in Model's recording order:
+// the constant term, then every coefficient in term order.
+void RebindExpr(LinExpr* e, const int64_t** consts) {
+  e->constant = *(*consts)++;
+  for (auto& term : e->terms) term.first = *(*consts)++;
+}
+
 // ---------------------------------------------------------------------------
 // e rel 0
 // ---------------------------------------------------------------------------
@@ -92,7 +99,15 @@ class LinearProp : public Propagator {
     *out += " 0";
   }
 
-  const char* kind() const override { return "linear"; }
+  PropKind kind() const override { return PropKind::kLinear; }
+
+  // A canonical expression watches each variable once, so watch k is term k.
+  void RebindConstants(const int64_t** consts) override {
+    RebindExpr(&e_, consts);
+    for (size_t k = 0; k < e_.terms.size(); ++k) {
+      SetWatchMask(k, LinearTermMask(rel_, e_.terms[k].first));
+    }
+  }
 
   // One-sided sums prune opposite bounds only (a <= prunes maxes off the
   // sum-of-mins, which those prunes leave untouched), and != removes at most
@@ -186,7 +201,11 @@ class ReifiedLinearProp : public Propagator {
     *out += " 0)";
   }
 
-  const char* kind() const override { return "reified"; }
+  PropKind kind() const override { return PropKind::kReified; }
+
+  void RebindConstants(const int64_t** consts) override {
+    RebindExpr(&e_, consts);
+  }
 
   // Idempotent unless one of the two enforceable relations (rel when b=1,
   // its negation when b=0) is the two-pass ==; kEq/kNe each have == on one
@@ -271,7 +290,7 @@ class TimesProp : public Propagator {
     AppendInt(out, y_.id);
   }
 
-  const char* kind() const override { return "times"; }
+  PropKind kind() const override { return PropKind::kTimes; }
 
  private:
   // Prune `target` given z and the other factor `other`.
@@ -350,7 +369,7 @@ class AbsProp : public Propagator {
     *out += '|';
   }
 
-  const char* kind() const override { return "abs"; }
+  PropKind kind() const override { return PropKind::kAbs; }
 
  private:
   IntVar z_, x_;
@@ -410,7 +429,7 @@ class OrProp : public Propagator {
     *out += " vars)";
   }
 
-  const char* kind() const override { return "or"; }
+  PropKind kind() const override { return PropKind::kOr; }
 
  private:
   IntVar b_;
@@ -447,7 +466,11 @@ class MaxConstProp : public Propagator {
     *out += ')';
   }
 
-  const char* kind() const override { return "max_const"; }
+  PropKind kind() const override { return PropKind::kMaxConst; }
+
+  void RebindConstants(const int64_t** consts) override {
+    c_ = *(*consts)++;
+  }
 
  private:
   IntVar z_, x_;

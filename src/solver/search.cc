@@ -26,9 +26,9 @@ using internal::Incumbent;
 using internal::Luby;
 using internal::SearchContext;
 
-Solution BranchAndBoundSolve(const Model& model,
+Solution BranchAndBoundSolve(const Model& model, const ModelTemplate& tmpl,
                              const Model::Options& options) {
-  SearchContext ctx(model, options);
+  SearchContext ctx(model, tmpl, options);
   Solution out;  // Solution::backend is stamped by Model::Solve.
 
   if (!ctx.PropagateRoot()) {
@@ -179,14 +179,15 @@ Solution BranchAndBoundSolve(const Model& model,
 
 }  // namespace
 
-Solution Model::Solve(const Options& options) const {
+Solution Model::Solve(const ModelTemplate& tmpl,
+                      const Options& options) const {
   Solution s;
   switch (options.backend) {
     case Backend::kBranchAndBound:
-      s = BranchAndBoundSolve(*this, options);
+      s = BranchAndBoundSolve(*this, tmpl, options);
       break;
     case Backend::kLns:
-      s = LnsSolve(*this, options);
+      s = LnsSolve(*this, tmpl, options);
       break;
   }
   s.backend = options.backend;

@@ -23,6 +23,7 @@
 #include "solver/model.h"
 #include "solver/propagator.h"
 #include "solver/store.h"
+#include "solver/template_cache.h"
 
 namespace cologne::solver::internal {
 
@@ -139,10 +140,13 @@ inline uint64_t Luby(uint64_t i) {
 /// phases compose by push/backtrack instead of cloning root vectors.
 class SearchContext {
  public:
-  SearchContext(const Model& model, const Model::Options& options)
+  /// `tmpl` must be the template `model` was last bound to.
+  SearchContext(const Model& model, const ModelTemplate& tmpl,
+                const Model::Options& options)
       : model_(model),
+        tmpl_(tmpl),
         options_(options),
-        engine_(&model.propagators(), model.num_vars(),
+        engine_(&tmpl.propagators(), &tmpl.layout(),
                 options.naive_propagation),
         order_(model),
         cache_(options.context_cache),
@@ -503,9 +507,12 @@ class SearchContext {
     stats.props_skipped_entailed = engine_.props_skipped_entailed();
     if (cache_ != nullptr) stats.cache_mem_bytes = cache_->MemoryBytes();
     const std::vector<uint64_t>& runs = engine_.run_counts();
-    const auto& props = model_.propagators();
+    const auto& props = tmpl_.propagators();
     for (size_t i = 0; i < runs.size() && i < props.size(); ++i) {
-      if (runs[i] > 0) stats.propagations_by_kind[props[i]->kind()] += runs[i];
+      if (runs[i] > 0) {
+        stats.propagations_by_kind[static_cast<size_t>(props[i]->kind())] +=
+            runs[i];
+      }
     }
   }
 
@@ -579,6 +586,7 @@ class SearchContext {
   }
 
   const Model& model_;
+  const ModelTemplate& tmpl_;
   const Model::Options& options_;
   PropagationEngine engine_;
   SearchOrder order_;

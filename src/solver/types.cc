@@ -154,4 +154,17 @@ const char* SolveStatusName(SolveStatus s) {
   return "?";
 }
 
+const char* PropKindName(PropKind kind) {
+  switch (kind) {
+    case PropKind::kLinear: return "linear";
+    case PropKind::kReified: return "reified";
+    case PropKind::kTimes: return "times";
+    case PropKind::kAbs: return "abs";
+    case PropKind::kOr: return "or";
+    case PropKind::kMaxConst: return "max_const";
+    case PropKind::kOther: return "other";
+  }
+  return "?";
+}
+
 }  // namespace cologne::solver

@@ -2,8 +2,8 @@
 #ifndef COLOGNE_SOLVER_TYPES_H_
 #define COLOGNE_SOLVER_TYPES_H_
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -89,6 +89,23 @@ enum class SolveStatus : uint8_t {
 /// Human-readable status name.
 const char* SolveStatusName(SolveStatus s);
 
+/// The closed set of propagator kinds (Propagator::kind()), keying the
+/// per-kind propagation counters.
+enum class PropKind : uint8_t {
+  kLinear,
+  kReified,
+  kTimes,
+  kAbs,
+  kOr,
+  kMaxConst,
+  kOther,
+};
+inline constexpr size_t kNumPropKinds = 7;
+
+/// Stable short kind name ("linear", "max_const", ...): the `prop.<kind>`
+/// metric names of the observability layer (obs/metrics.h).
+const char* PropKindName(PropKind kind);
+
 /// Search statistics reported by Model::Solve.
 struct SolveStats {
   uint64_t nodes = 0;        ///< Choice points explored.
@@ -110,9 +127,9 @@ struct SolveStats {
   uint64_t lns_accepted = 0; ///< LNS neighborhood repairs that improved the
                              ///< incumbent (iterations - lns_accepted were
                              ///< rejected).
-  /// Propagator executions by propagator kind ("linear", "reified", ...);
-  /// sums to `propagations`. Filled at the end of a solve.
-  std::map<std::string, uint64_t> propagations_by_kind;
+  /// Propagator executions by propagator kind, indexed by PropKind; sums
+  /// to `propagations`. Filled at the end of a solve.
+  std::array<uint64_t, kNumPropKinds> propagations_by_kind{};
   uint64_t trail_saves = 0;  ///< Undo records pushed by the trailed store
                              ///< (touched-domain saves; the O(Δ) backtrack
                              ///< cost where the copy-based core paid

@@ -2,15 +2,21 @@
 // enumeration on randomized instances, coverage of every symbolic aggregate
 // construction (objective and substituted output rows), the join paths
 // (index probes, scans, symbolic unification), pinned model fingerprints
-// for the case-study programs and the evaluation paths they leave out, and
-// an independent re-derivation of every solve's output (bridge_oracle.h)
-// over these programs and randomized case-study instances.
+// for the case-study programs and the evaluation paths they leave out, the
+// model-template cache (hits reproduce the pins, structural changes miss,
+// long solve sequences match cache-less builds), and an independent
+// re-derivation of every solve's output (bridge_oracle.h) over these
+// programs and randomized case-study instances.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <functional>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <set>
+#include <tuple>
 
 #include "apps/programs.h"
 #include "bridge_oracle.h"
@@ -18,6 +24,7 @@
 #include "common/rng.h"
 #include "runtime/instance.h"
 #include "runtime/system.h"
+#include "solver/template_cache.h"
 
 namespace cologne {
 // Readable gtest output for Values (and so for rows and tables).
@@ -530,8 +537,27 @@ d2 total(SUM<V>) <- pairCost(I,J,V).
 // constant the rules baked in. A change to the bridge's rule evaluation
 // that is meant to leave the model alone must leave these values alone.
 
-std::map<std::string, uint64_t> ModelFingerprints(
-    const colog::CompiledProgram& prog, datalog::Engine* engine, int prefix) {
+// The engine a pinned solve reads: a standalone instance, or node 0 of a
+// system.
+struct Deployment {
+  std::unique_ptr<Instance> inst;
+  std::unique_ptr<System> sys;
+
+  datalog::Engine* engine() {
+    return inst ? &inst->engine() : &sys->node(0).engine();
+  }
+};
+
+// One deterministic incremental solve and the fingerprints it stored. With
+// `templates`, the model binds through that cache.
+struct PinnedSolve {
+  std::map<std::string, uint64_t> fingerprints;
+  SolveOutput out;
+};
+
+PinnedSolve SolvePinned(const colog::CompiledProgram& prog,
+                        datalog::Engine* engine, int prefix,
+                        solver::TemplateCache* templates = nullptr) {
   SolveOptions opts;
   opts.time_limit_ms = 0;
   opts.node_limit = 2000;
@@ -539,130 +565,156 @@ std::map<std::string, uint64_t> ModelFingerprints(
   opts.group_key_prefix = prefix;
   WarmStartCache cache;
   IncrementalState incr;
-  SolverBridge bridge(&prog, engine);
+  SolverBridge bridge(&prog, engine, templates);
   auto out = bridge.Solve(opts, &cache, &incr);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   if (!out.ok()) return {};
   EXPECT_TRUE(out.value().has_solution());
   EXPECT_TRUE(incr.valid);
   ExpectOracleHolds(prog, *engine, out.value());
-  return incr.fingerprints;
+  return {incr.fingerprints, std::move(out).value()};
 }
 
-TEST(BridgeModelPinTest, ACloudFingerprints) {
-  auto compiled = colog::CompileColog(apps::ACloudProgram(true, 2));
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  colog::CompiledProgram prog = std::move(compiled).value();
-  Instance inst(0, &prog);
-  ASSERT_TRUE(inst.Init().ok());
-  const int64_t cpu[4] = {30, 10, 25, 40};
-  const int64_t mem[4] = {4, 2, 8, 6};
-  for (int64_t v = 0; v < 4; ++v) {
-    ASSERT_TRUE(inst.InsertFact("vm", R({v, cpu[v], mem[v]})).ok());
-    ASSERT_TRUE(inst.InsertFact("origin", R({v, v % 3})).ok());
-  }
-  for (int64_t h = 0; h < 3; ++h) {
-    ASSERT_TRUE(inst.InsertFact("host", R({h, 5 * h, 0})).ok());
-    ASSERT_TRUE(inst.InsertFact("hostMemThres", R({h, 14})).ok());
-  }
-  const std::map<std::string, uint64_t> want = {
-      {"0", 2644413083004124052ull},
-      {"1", 2593005066488361165ull},
-      {"2", 9892763220824851203ull},
-      {"3", 525753909578176908ull},
-  };
-  EXPECT_EQ(ModelFingerprints(prog, &inst.engine(), 1), want);
-}
+// A pinned program: its source, grouping prefix and pinned fingerprints,
+// plus a loader that deploys the pinned facts (variant 0) or facts of the
+// same model shape with other constants or keys (variant 1).
+struct PinCase {
+  std::string src;
+  int prefix;
+  std::function<Deployment(const colog::CompiledProgram&, int)> deploy;
+  std::map<std::string, uint64_t> want;
+};
 
-TEST(BridgeModelPinTest, FollowTheSunFingerprints) {
-  auto compiled = colog::CompileColog(
-      apps::FollowTheSunDistributedProgram(true, 60, 20, /*batched=*/true));
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  colog::CompiledProgram prog = std::move(compiled).value();
-  System sys(&prog, 3);
-  ASSERT_TRUE(sys.Init().ok());
-  auto N = [](NodeId x) { return Value::Node(x); };
-  for (NodeId x = 0; x < 3; ++x) {
-    for (int64_t d = 0; d < 3; ++d) {
-      ASSERT_TRUE(sys.InsertFact(
-                         x, "curVm",
-                         {N(x), Value::Int(d), Value::Int(5 + 3 * x + d)})
-                      .ok());
-      ASSERT_TRUE(sys.InsertFact(x, "commCost",
-                                 {N(x), Value::Int(d),
-                                  Value::Int(x == d ? 1 : 10 + 2 * x + d)})
-                      .ok());
-      ASSERT_TRUE(sys.InsertFact(x, "dc", {N(x), Value::Int(d)}).ok());
+using Facts = std::vector<std::pair<std::string, Row>>;
+
+// Loader for a centralized program: one instance holding `facts[variant]`.
+std::function<Deployment(const colog::CompiledProgram&, int)> InstanceWith(
+    std::array<Facts, 2> facts) {
+  return [facts](const colog::CompiledProgram& prog, int variant) {
+    Deployment d;
+    d.inst = std::make_unique<Instance>(0, &prog);
+    EXPECT_TRUE(d.inst->Init().ok());
+    for (const auto& [table, row] : facts[static_cast<size_t>(variant)]) {
+      EXPECT_TRUE(d.inst->InsertFact(table, row).ok()) << table;
     }
-    ASSERT_TRUE(sys.InsertFact(x, "opCost", {N(x), Value::Int(2)}).ok());
-    ASSERT_TRUE(sys.InsertFact(x, "resource", {N(x), Value::Int(40)}).ok());
-  }
-  for (auto [a, b] : {std::pair<NodeId, NodeId>{0, 1}, {0, 2}}) {
-    ASSERT_TRUE(sys.AddLink(a, b).ok());
-    ASSERT_TRUE(sys.InsertFact(a, "link", {N(a), N(b)}).ok());
-    ASSERT_TRUE(sys.InsertFact(b, "link", {N(b), N(a)}).ok());
-    ASSERT_TRUE(sys.InsertFact(a, "migCost", {N(a), N(b), Value::Int(3)}).ok());
-    ASSERT_TRUE(sys.InsertFact(b, "migCost", {N(b), N(a), Value::Int(3)}).ok());
-  }
-  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(1)}).ok());
-  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(2)}).ok());
-  sys.RunToQuiescence();
-  const std::map<std::string, uint64_t> want = {
-      {"@0,@1", 9448090661494875409ull},
-      {"@0,@2", 13732084249801228668ull},
+    return d;
   };
-  EXPECT_EQ(ModelFingerprints(prog, &sys.node(0).engine(), 2), want);
 }
 
-TEST(BridgeModelPinTest, WirelessFingerprints) {
-  auto compiled = colog::CompileColog(
-      apps::WirelessDistributedProgram(8, 2, /*two_hop=*/true,
-                                       /*batched=*/true));
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  colog::CompiledProgram prog = std::move(compiled).value();
-  System sys(&prog, 4);
-  ASSERT_TRUE(sys.Init().ok());
-  auto N = [](NodeId x) { return Value::Node(x); };
-  for (auto [a, b] :
-       {std::pair<NodeId, NodeId>{0, 1}, {0, 2}, {1, 2}, {2, 3}}) {
-    ASSERT_TRUE(sys.AddLink(a, b).ok());
-    ASSERT_TRUE(sys.InsertFact(a, "link", {N(a), N(b)}).ok());
-    ASSERT_TRUE(sys.InsertFact(b, "link", {N(b), N(a)}).ok());
+PinCase ACloudPin() {
+  Facts facts[2];
+  const int64_t cpu[2][4] = {{30, 10, 25, 40}, {33, 12, 21, 47}};
+  const int64_t mem[2][4] = {{4, 2, 8, 6}, {5, 3, 6, 7}};
+  for (int k = 0; k < 2; ++k) {
+    for (int64_t v = 0; v < 4; ++v) {
+      facts[k].push_back({"vm", R({v, cpu[k][v], mem[k][v]})});
+      facts[k].push_back({"origin", R({v, v % 3})});
+    }
+    for (int64_t h = 0; h < 3; ++h) {
+      facts[k].push_back({"host", R({h, (5 + k) * h, 0})});
+      facts[k].push_back({"hostMemThres", R({h, 14 + k})});
+    }
   }
-  ASSERT_TRUE(sys.InsertFact(1, "primaryUser", {N(1), Value::Int(3)}).ok());
-  ASSERT_TRUE(sys.InsertFact(2, "primaryUser", {N(2), Value::Int(5)}).ok());
-  // Channels neighbors already negotiated.
-  ASSERT_TRUE(sys.InsertFact(1, "assign", {N(1), N(2), Value::Int(4)}).ok());
-  ASSERT_TRUE(sys.InsertFact(2, "assign", {N(2), N(3), Value::Int(6)}).ok());
-  sys.RunToQuiescence();
-  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(1)}).ok());
-  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(2)}).ok());
-  sys.RunToQuiescence();
-  const std::map<std::string, uint64_t> want = {
-      {"@0,@1", 3256916290002170029ull},
-      {"@0,@2", 8060533884054238725ull},
+  return {apps::ACloudProgram(true, 2), 1,
+          InstanceWith({facts[0], facts[1]}),
+          {
+              {"0", 2644413083004124052ull},
+              {"1", 2593005066488361165ull},
+              {"2", 9892763220824851203ull},
+              {"3", 525753909578176908ull},
+          }};
+}
+
+PinCase FollowTheSunPin() {
+  auto deploy = [](const colog::CompiledProgram& prog, int k) {
+    Deployment d;
+    d.sys = std::make_unique<System>(&prog, 3);
+    System& sys = *d.sys;
+    EXPECT_TRUE(sys.Init().ok());
+    auto N = [](NodeId x) { return Value::Node(x); };
+    for (NodeId x = 0; x < 3; ++x) {
+      for (int64_t d = 0; d < 3; ++d) {
+        EXPECT_TRUE(sys.InsertFact(x, "curVm",
+                                   {N(x), Value::Int(d),
+                                    Value::Int(5 + k + 3 * x + d)})
+                        .ok());
+        EXPECT_TRUE(sys.InsertFact(x, "commCost",
+                                   {N(x), Value::Int(d),
+                                    Value::Int(x == d ? 1 : 10 + 3 * k +
+                                                                2 * x + d)})
+                        .ok());
+        EXPECT_TRUE(sys.InsertFact(x, "dc", {N(x), Value::Int(d)}).ok());
+      }
+      EXPECT_TRUE(sys.InsertFact(x, "opCost", {N(x), Value::Int(2 + k)}).ok());
+      EXPECT_TRUE(
+          sys.InsertFact(x, "resource", {N(x), Value::Int(40 + k)}).ok());
+    }
+    for (auto [a, b] : {std::pair<NodeId, NodeId>{0, 1}, {0, 2}}) {
+      EXPECT_TRUE(sys.AddLink(a, b).ok());
+      EXPECT_TRUE(sys.InsertFact(a, "link", {N(a), N(b)}).ok());
+      EXPECT_TRUE(sys.InsertFact(b, "link", {N(b), N(a)}).ok());
+      EXPECT_TRUE(
+          sys.InsertFact(a, "migCost", {N(a), N(b), Value::Int(3 + k)}).ok());
+      EXPECT_TRUE(
+          sys.InsertFact(b, "migCost", {N(b), N(a), Value::Int(3 + k)}).ok());
+    }
+    EXPECT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(1)}).ok());
+    EXPECT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(2)}).ok());
+    sys.RunToQuiescence();
+    return d;
   };
-  EXPECT_EQ(ModelFingerprints(prog, &sys.node(0).engine(), 2), want);
+  return {apps::FollowTheSunDistributedProgram(true, 60, 20,
+                                               /*batched=*/true),
+          2,
+          deploy,
+          {
+              {"@0,@1", 9448090661494875409ull},
+              {"@0,@2", 13732084249801228668ull},
+          }};
+}
+
+PinCase WirelessPin() {
+  auto deploy = [](const colog::CompiledProgram& prog, int k) {
+    Deployment d;
+    d.sys = std::make_unique<System>(&prog, 4);
+    System& sys = *d.sys;
+    EXPECT_TRUE(sys.Init().ok());
+    auto N = [](NodeId x) { return Value::Node(x); };
+    for (auto [a, b] :
+         {std::pair<NodeId, NodeId>{0, 1}, {0, 2}, {1, 2}, {2, 3}}) {
+      EXPECT_TRUE(sys.AddLink(a, b).ok());
+      EXPECT_TRUE(sys.InsertFact(a, "link", {N(a), N(b)}).ok());
+      EXPECT_TRUE(sys.InsertFact(b, "link", {N(b), N(a)}).ok());
+    }
+    EXPECT_TRUE(
+        sys.InsertFact(1, "primaryUser", {N(1), Value::Int(3 + 4 * k)}).ok());
+    EXPECT_TRUE(
+        sys.InsertFact(2, "primaryUser", {N(2), Value::Int(5 - 3 * k)}).ok());
+    // Channels neighbors already negotiated.
+    EXPECT_TRUE(
+        sys.InsertFact(1, "assign", {N(1), N(2), Value::Int(4 - 2 * k)}).ok());
+    EXPECT_TRUE(
+        sys.InsertFact(2, "assign", {N(2), N(3), Value::Int(6 + k)}).ok());
+    sys.RunToQuiescence();
+    EXPECT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(1)}).ok());
+    EXPECT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(2)}).ok());
+    sys.RunToQuiescence();
+    return d;
+  };
+  return {apps::WirelessDistributedProgram(8, 2, /*two_hop=*/true,
+                                           /*batched=*/true),
+          2,
+          deploy,
+          {
+              {"@0,@1", 3256916290002170029ull},
+              {"@0,@2", 8060533884054238725ull},
+          }};
 }
 
 // Pins for the evaluation paths the case-study programs leave out. Each
 // program is loaded into one centralized instance and fingerprinted per
 // var-row key prefix 1.
-std::map<std::string, uint64_t> PinFingerprints(
-    const char* src, const std::vector<std::pair<std::string, Row>>& facts) {
-  auto compiled = colog::CompileColog(src);
-  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
-  if (!compiled.ok()) return {};
-  colog::CompiledProgram prog = std::move(compiled).value();
-  Instance inst(0, &prog);
-  EXPECT_TRUE(inst.Init().ok());
-  for (const auto& [table, row] : facts) {
-    EXPECT_TRUE(inst.InsertFact(table, row).ok()) << table;
-  }
-  return ModelFingerprints(prog, &inst.engine(), 1);
-}
-
-TEST(BridgeModelPinTest, BindingFormsFiltersAndLateGuards) {
+PinCase BindingFormsPin() {
   // d1/d2: form 1 with the unbound slot on the left, then on the right.
   // d3/d4: form 2 with the (X==k) pattern on the left, then on the right.
   // d5: a concrete filter. d6: C==V*W waits for the later w(I,W) atom.
@@ -684,22 +736,22 @@ c2 pick(2,V) -> late(2,C), C<=8.
 c3 pick(I,V) -> twin(I,J), pick(J,V).
 c4 hsum(H) -> H>=3.
 )";
-  const std::map<std::string, uint64_t> want = {
-      {"0", 7192826285713359883ull},
-      {"1", 3482153438766425154ull},
-      {"2", 17559904206564757233ull},
+  // Variant 1 keeps which weights pass W>2.
+  auto facts = [](int64_t w0, int64_t w1, int64_t w2) {
+    return Facts{{"item", R({0})},     {"item", R({1})},
+                 {"item", R({2})},     {"w", R({0, w0})},
+                 {"w", R({1, w1})},    {"w", R({2, w2})},
+                 {"twin", R({0, 1})}};
   };
-  EXPECT_EQ(PinFingerprints(src, {{"item", R({0})},
-                                  {"item", R({1})},
-                                  {"item", R({2})},
-                                  {"w", R({0, 3})},
-                                  {"w", R({1, 2})},
-                                  {"w", R({2, 4})},
-                                  {"twin", R({0, 1})}}),
-            want);
+  return {src, 1, InstanceWith({facts(3, 2, 4), facts(5, 2, 6)}),
+          {
+              {"0", 7192826285713359883ull},
+              {"1", 3482153438766425154ull},
+              {"2", 17559904206564757233ull},
+          }};
 }
 
-TEST(BridgeModelPinTest, EverySymbolicAggregate) {
+PinCase EverySymbolicAggregatePin() {
   const char* src = R"(
 goal minimize S in score(S).
 var x(I,V) forall item(I) domain [-2,3].
@@ -714,24 +766,25 @@ d8 score(SUM<T>) <- s1(G,A), s2(G,B), s3(G,C), s4(G,D), s6(G,N),
      T==A+B+D-C+N.
 c1 s5(U) -> U>=2.
 )";
-  const std::map<std::string, uint64_t> want = {
-      {"0", 16825931624829828395ull},
-      {"1", 18326298541382383082ull},
-      {"2", 8203205065761075791ull},
-      {"3", 1024120853294681357ull},
+  // The program's only numbers are its own; variant 1 renames the keys.
+  auto facts = [](int64_t base) {
+    Facts f;
+    for (int64_t i = 0; i < 4; ++i) {
+      f.push_back({"item", R({base + i})});
+      f.push_back({"grp", R({base + i, base + i / 2})});
+    }
+    return f;
   };
-  EXPECT_EQ(PinFingerprints(src, {{"item", R({0})},
-                                  {"item", R({1})},
-                                  {"item", R({2})},
-                                  {"item", R({3})},
-                                  {"grp", R({0, 0})},
-                                  {"grp", R({1, 0})},
-                                  {"grp", R({2, 1})},
-                                  {"grp", R({3, 1})}}),
-            want);
+  return {src, 1, InstanceWith({facts(0), facts(10)}),
+          {
+              {"0", 16825931624829828395ull},
+              {"1", 18326298541382383082ull},
+              {"2", 8203205065761075791ull},
+              {"3", 1024120853294681357ull},
+          }};
 }
 
-TEST(BridgeModelPinTest, DoubleJoinColumnsScan) {
+PinCase DoubleJoinColumnsPin() {
   // tier(P,K) is probed with a double P (the probe falls back to a scan),
   // and mix(I,K) holds a double in its join column (its index is unusable,
   // so bound probes on it scan too).
@@ -745,23 +798,491 @@ d4 mtotal(SUM<C>) <- mixed(I,C).
 c1 mtotal(M) -> M<=5.
 )";
   auto D = [](double x) { return Value::Double(x); };
-  const std::map<std::string, uint64_t> want = {
-      {"0", 10381292985640104223ull},
-      {"1", 5452369077607501093ull},
-      {"2", 17125109241024648483ull},
+  auto facts = [&](int64_t k) {
+    return Facts{{"item", R({0})},
+                 {"item", R({1})},
+                 {"item", R({2})},
+                 {"price", {Value::Int(0), D(1.5)}},
+                 {"price", {Value::Int(1), D(2.5)}},
+                 {"price", {Value::Int(2), D(1.5)}},
+                 {"tier", {D(1.5), Value::Int(3 + k)}},
+                 {"tier", {D(2.5), Value::Int(5 + k)}},
+                 {"mix", R({0, 2 + k})},
+                 {"mix", {D(1.0), Value::Int(7)}},
+                 {"mix", R({2, 4 + k})}};
   };
-  EXPECT_EQ(PinFingerprints(src, {{"item", R({0})},
-                                  {"item", R({1})},
-                                  {"item", R({2})},
-                                  {"price", {Value::Int(0), D(1.5)}},
-                                  {"price", {Value::Int(1), D(2.5)}},
-                                  {"price", {Value::Int(2), D(1.5)}},
-                                  {"tier", {D(1.5), Value::Int(3)}},
-                                  {"tier", {D(2.5), Value::Int(5)}},
-                                  {"mix", R({0, 2})},
-                                  {"mix", {D(1.0), Value::Int(7)}},
-                                  {"mix", R({2, 4})}}),
-            want);
+  return {src, 1, InstanceWith({facts(0), facts(1)}),
+          {
+              {"0", 10381292985640104223ull},
+              {"1", 5452369077607501093ull},
+              {"2", 17125109241024648483ull},
+          }};
+}
+
+// The pinned case's fingerprints for `variant`'s facts; with `templates`,
+// `*hit` reports whether the model's shape was cached.
+std::map<std::string, uint64_t> CaseFingerprints(
+    const PinCase& c, int variant, solver::TemplateCache* templates = nullptr,
+    bool* hit = nullptr) {
+  auto compiled = colog::CompileColog(c.src);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  if (!compiled.ok()) return {};
+  colog::CompiledProgram prog = std::move(compiled).value();
+  Deployment d = c.deploy(prog, variant);
+  PinnedSolve solved = SolvePinned(prog, d.engine(), c.prefix, templates);
+  if (hit != nullptr) *hit = solved.out.template_hit;
+  return solved.fingerprints;
+}
+
+TEST(BridgeModelPinTest, ACloudFingerprints) {
+  const PinCase c = ACloudPin();
+  EXPECT_EQ(CaseFingerprints(c, 0), c.want);
+}
+
+TEST(BridgeModelPinTest, FollowTheSunFingerprints) {
+  const PinCase c = FollowTheSunPin();
+  EXPECT_EQ(CaseFingerprints(c, 0), c.want);
+}
+
+TEST(BridgeModelPinTest, WirelessFingerprints) {
+  const PinCase c = WirelessPin();
+  EXPECT_EQ(CaseFingerprints(c, 0), c.want);
+}
+
+TEST(BridgeModelPinTest, BindingFormsFiltersAndLateGuards) {
+  const PinCase c = BindingFormsPin();
+  EXPECT_EQ(CaseFingerprints(c, 0), c.want);
+}
+
+TEST(BridgeModelPinTest, EverySymbolicAggregate) {
+  const PinCase c = EverySymbolicAggregatePin();
+  EXPECT_EQ(CaseFingerprints(c, 0), c.want);
+}
+
+TEST(BridgeModelPinTest, DoubleJoinColumnsScan) {
+  const PinCase c = DoubleJoinColumnsPin();
+  EXPECT_EQ(CaseFingerprints(c, 0), c.want);
+}
+
+// ---- Model templates --------------------------------------------------------
+
+// Every pinned program, solved first with other constants (a miss that
+// stores the template), then with the pinned facts: the second solve must
+// hit and reproduce the pins (SolvePinned also runs the oracle on it).
+TEST(BridgeTemplateTest, PinsHitAWarmCache) {
+  for (const PinCase& c :
+       {ACloudPin(), FollowTheSunPin(), WirelessPin(), BindingFormsPin(),
+        EverySymbolicAggregatePin(), DoubleJoinColumnsPin()}) {
+    SCOPED_TRACE(c.src.substr(0, 40));
+    solver::TemplateCache templates;
+    bool hit = true;
+    CaseFingerprints(c, 1, &templates, &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(CaseFingerprints(c, 0, &templates, &hit), c.want);
+    EXPECT_TRUE(hit);
+  }
+}
+
+// A model that differs from the cached one in structure must miss, and its
+// solve must equal a cache-less build of the same facts.
+TEST(BridgeTemplateTest, StructuralChangesMissAndMatchCachelessBuilds) {
+  const char* src = R"(
+goal maximize S in total(S).
+var x(I,V) forall item(I) domain [0,3].
+d1 cost(I,C) <- x(I,V), w(I,W), C==V*W.
+d2 total(SUM<C>) <- cost(I,C).
+c1 x(I,V) -> cap(I,M), V<=M.
+)";
+  auto compiled = colog::CompileColog(src);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const colog::CompiledProgram prog = std::move(compiled).value();
+  // (name, cached facts, probe facts): item -> (weight, cap).
+  using Items = std::vector<std::array<int64_t, 3>>;
+  struct Case {
+    const char* name;
+    Items warm;
+    Items probe;
+  };
+  const Case cases[] = {
+      // w(0) = 0 drops x0's term from the objective sum.
+      {"zero coefficient", {{0, 2, 3}, {1, 3, 2}}, {{0, 0, 3}, {1, 3, 2}}},
+      // One item of weight 1: the objective is 1*x0, which VarOf returns
+      // as is instead of channeling a fresh variable.
+      {"VarOf unit expression", {{0, 2, 3}}, {{0, 1, 3}}},
+      {"changed row count", {{0, 2, 3}, {1, 3, 2}},
+       {{0, 2, 3}, {1, 3, 2}, {2, 4, 1}}},
+  };
+  auto load = [&](Instance* inst, const Items& items) {
+    ASSERT_TRUE(inst->Init().ok());
+    for (const auto& [i, w, cap] : items) {
+      ASSERT_TRUE(inst->InsertFact("item", R({i})).ok());
+      ASSERT_TRUE(inst->InsertFact("w", R({i, w})).ok());
+      ASSERT_TRUE(inst->InsertFact("cap", R({i, cap})).ok());
+    }
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    solver::TemplateCache templates;
+    Instance warm(0, &prog);
+    load(&warm, c.warm);
+    EXPECT_FALSE(SolvePinned(prog, &warm.engine(), 1, &templates)
+                     .out.template_hit);
+    Instance probe(0, &prog);
+    load(&probe, c.probe);
+    const PinnedSolve cached =
+        SolvePinned(prog, &probe.engine(), 1, &templates);
+    const PinnedSolve fresh = SolvePinned(prog, &probe.engine(), 1);
+    EXPECT_FALSE(cached.out.template_hit);
+    EXPECT_EQ(cached.fingerprints, fresh.fingerprints);
+    EXPECT_EQ(cached.out.objective, fresh.out.objective);
+    EXPECT_EQ(cached.out.tables, fresh.out.tables);
+    // The same facts again: now the shape is cached.
+    const PinnedSolve again = SolvePinned(prog, &probe.engine(), 1, &templates);
+    EXPECT_TRUE(again.out.template_hit);
+    EXPECT_EQ(again.fingerprints, fresh.fingerprints);
+    EXPECT_EQ(again.out.tables, fresh.out.tables);
+  }
+}
+
+// Model-level counterpart for domain holes, which no Colog rule makes: a
+// RemoveValue is structure (it misses), while a different interval or a
+// coefficient of the other sign is a constant (it hits, and the sign moves
+// the term's watch mask). Either way the bound template solves like a
+// fresh one.
+TEST(BridgeTemplateTest, DomainHoleMissesAndIntervalsRebind) {
+  auto record = [](solver::Model* m, int64_t hi, bool hole, int64_t cx) {
+    const solver::IntVar x = m->NewInt(0, hi);
+    const solver::IntVar y = m->NewInt(0, hi);
+    if (hole) m->RemoveValue(x, 5);
+    m->MarkDecision(x);
+    m->MarkDecision(y);
+    m->PostRel(solver::LinExpr::Term(cx, x) + solver::LinExpr(y),
+               solver::Rel::kLe, solver::LinExpr(7));
+    m->Maximize(solver::LinExpr::Term(2, x) + solver::LinExpr::Term(3, y));
+  };
+  // Each propagator's rendering plus its watch masks.
+  auto debug_strings = [](const solver::ModelTemplate& t) {
+    std::vector<std::string> out;
+    for (const auto& p : t.propagators()) {
+      out.push_back(p->DebugString());
+      for (uint8_t mask : p->watch_masks()) {
+        out.back() += " " + std::to_string(mask);
+      }
+    }
+    return out;
+  };
+  solver::TemplateCache templates;
+  solver::Model::Options opts;
+  opts.time_limit_ms = 0;
+  bool hit = true;
+  solver::Model base;
+  record(&base, 5, false, 1);
+  templates.Bind(base, &hit);
+  EXPECT_FALSE(hit);
+  for (const auto& [hi, hole, cx, want_hit] :
+       {std::tuple<int64_t, bool, int64_t, bool>{5, true, 1, false},
+        {6, false, 1, true},
+        {5, false, -2, true}}) {
+    solver::Model m;
+    record(&m, hi, hole, cx);
+    const solver::ModelTemplate& t = templates.Bind(m, &hit);
+    EXPECT_EQ(hit, want_hit);
+    solver::TemplateCache fresh_cache;
+    EXPECT_EQ(debug_strings(t), debug_strings(fresh_cache.Bind(m)));
+    const solver::Solution got = m.Solve(t, opts);
+    const solver::Solution want = m.Solve(opts);
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.objective, want.objective);
+    EXPECT_EQ(got.values, want.values);
+  }
+}
+
+TEST(BridgeTemplateTest, CacheStaysWithinItsBound) {
+  solver::Model::Options opts;
+  opts.time_limit_ms = 0;
+  opts.node_limit = 2000;
+  // Model n: a chain of n + 1 variables, x_i + x_{i+1} <= 3, maximize sum.
+  auto record = [](solver::Model* m, int n) {
+    solver::LinExpr sum;
+    std::vector<solver::IntVar> xs;
+    for (int i = 0; i <= n; ++i) {
+      xs.push_back(m->NewInt(0, 2));
+      m->MarkDecision(xs.back());
+      sum += solver::LinExpr(xs.back());
+    }
+    for (int i = 0; i < n; ++i) {
+      m->PostRel(solver::LinExpr(xs[i]) + solver::LinExpr(xs[i + 1]),
+                 solver::Rel::kLe, solver::LinExpr(3));
+    }
+    m->Maximize(sum);
+  };
+  const int kShapes =
+      static_cast<int>(solver::TemplateCache::kMaxTemplates) + 8;
+  solver::TemplateCache templates;
+  bool hit = true;
+  for (int n = 1; n <= kShapes; ++n) {
+    solver::Model m;
+    record(&m, n);
+    templates.Bind(m, &hit);
+    EXPECT_FALSE(hit) << n;
+    EXPECT_LE(templates.size(), solver::TemplateCache::kMaxTemplates);
+  }
+  EXPECT_EQ(templates.size(), solver::TemplateCache::kMaxTemplates);
+  // The most recent shape is still cached; the oldest was evicted, and
+  // binding it again rebuilds a template that solves like a fresh one.
+  for (const auto& [n, want_hit] : {std::pair<int, bool>{kShapes, true},
+                                    {1, false}}) {
+    solver::Model m;
+    record(&m, n);
+    const solver::ModelTemplate& t = templates.Bind(m, &hit);
+    EXPECT_EQ(hit, want_hit) << n;
+    const solver::Solution got = m.Solve(t, opts);
+    const solver::Solution want = m.Solve(opts);
+    EXPECT_EQ(got.objective, want.objective) << n;
+    EXPECT_EQ(got.values, want.values) << n;
+  }
+  EXPECT_EQ(templates.size(), solver::TemplateCache::kMaxTemplates);
+}
+
+// Nodes of one System share its cache: a node whose first solve has the
+// shape another node already solved hits. A standalone instance keeps its
+// own cache, so its second solve of a shape hits too.
+TEST(BridgeTemplateTest, SystemNodesShareOneCache) {
+  auto compiled = colog::CompileColog(apps::WirelessDistributedProgram(
+      8, 2, /*two_hop=*/true, /*batched=*/true));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const colog::CompiledProgram prog = std::move(compiled).value();
+  System sys(&prog, 4);
+  ASSERT_TRUE(sys.Init().ok());
+  auto N = [](NodeId x) { return Value::Node(x); };
+  // A ring: nodes 0 and 2 see isomorphic neighborhoods.
+  for (auto [a, b] :
+       {std::pair<NodeId, NodeId>{0, 1}, {1, 2}, {2, 3}, {3, 0}}) {
+    ASSERT_TRUE(sys.AddLink(a, b).ok());
+    ASSERT_TRUE(sys.InsertFact(a, "link", {N(a), N(b)}).ok());
+    ASSERT_TRUE(sys.InsertFact(b, "link", {N(b), N(a)}).ok());
+  }
+  for (auto [x, y] :
+       {std::pair<NodeId, NodeId>{0, 1}, {0, 3}, {2, 1}, {2, 3}}) {
+    ASSERT_TRUE(sys.InsertFact(x, "setLink", {N(x), N(y)}).ok());
+  }
+  sys.RunToQuiescence();
+  const SolveRequest req{SolveMode::kBatched, 2, {}};
+  auto first = sys.node(0).Solve(req);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first.value().template_hit);
+  auto second = sys.node(2).Solve(req);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(second.value().template_hit);
+
+  const PinCase c = ACloudPin();
+  auto acloud = colog::CompileColog(c.src);
+  ASSERT_TRUE(acloud.ok()) << acloud.status().ToString();
+  const colog::CompiledProgram acloud_prog = std::move(acloud).value();
+  Deployment d = c.deploy(acloud_prog, 0);
+  for (bool want_hit : {false, true}) {
+    auto out = d.inst->Solve();
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out.value().template_hit, want_hit);
+  }
+}
+
+// ---- Differential sequences -------------------------------------------------
+//
+// A small System per case-study program, driven through ~50 solves over
+// changing facts. Each solve binds through one cache shared by every node;
+// a fresh cache-less bridge on the same engine state, with copies of the
+// same warm-start and incremental state, must produce the same status,
+// objective, output tables and fingerprints.
+
+class TemplateSequence {
+ public:
+  TemplateSequence(const colog::CompiledProgram* prog, int prefix)
+      : prog_(prog), prefix_(prefix) {}
+
+  void Solve(System& sys, NodeId node) {
+    SolveOptions opts;
+    opts.time_limit_ms = 0;
+    opts.node_limit = 2000;
+    opts.incremental = true;
+    opts.group_key_prefix = prefix_;
+    datalog::Engine* engine = &sys.node(node).engine();
+    auto& [warm, incr] = state_[node];
+    WarmStartCache fresh_warm = warm;
+    IncrementalState fresh_incr = incr;
+    auto fresh = SolverBridge(prog_, engine)
+                     .Solve(opts, &fresh_warm, &fresh_incr);
+    auto cached = SolverBridge(prog_, engine, &templates_)
+                      .Solve(opts, &warm, &incr);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+    const SolveOutput& a = cached.value();
+    const SolveOutput& b = fresh.value();
+    EXPECT_FALSE(b.template_hit);
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.has_objective, b.has_objective);
+    EXPECT_EQ(a.objective, b.objective);
+    EXPECT_EQ(a.tables, b.tables);
+    EXPECT_EQ(a.model_vars, b.model_vars);
+    EXPECT_EQ(a.model_propagators, b.model_propagators);
+    EXPECT_EQ(a.stats.nodes, b.stats.nodes);
+    EXPECT_EQ(incr.valid, fresh_incr.valid);
+    EXPECT_EQ(incr.fingerprints, fresh_incr.fingerprints);
+    ++solves_;
+    if (a.template_hit) ++hits_;
+    EXPECT_LE(templates_.size(), solver::TemplateCache::kMaxTemplates);
+  }
+
+  int solves() const { return solves_; }
+  int hits() const { return hits_; }
+
+ private:
+  const colog::CompiledProgram* prog_;
+  int prefix_;
+  solver::TemplateCache templates_;
+  std::map<NodeId, std::pair<WarmStartCache, IncrementalState>> state_;
+  int solves_ = 0;
+  int hits_ = 0;
+};
+
+constexpr int kSequenceSolves = 50;
+
+TEST(BridgeTemplateTest, ACloudSequenceMatchesCachelessBuilds) {
+  auto compiled = colog::CompileColog(apps::ACloudProgram(true, 2));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const colog::CompiledProgram prog = std::move(compiled).value();
+  System sys(&prog, 1);
+  ASSERT_TRUE(sys.Init().ok());
+  Rng rng(2027);
+  for (int64_t h = 0; h < 3; ++h) {
+    ASSERT_TRUE(sys.InsertFact(0, "host", R({h, 5 * h, 0})).ok());
+    ASSERT_TRUE(sys.InsertFact(0, "hostMemThres", R({h, 30})).ok());
+  }
+  auto put_vm = [&](int64_t v) {
+    ASSERT_TRUE(sys.InsertFact(0, "vm", R({v, rng.UniformInt(5, 40),
+                                           rng.UniformInt(1, 8)}))
+                    .ok());
+    ASSERT_TRUE(sys.InsertFact(0, "origin", R({v, v % 3})).ok());
+  };
+  for (int64_t v = 0; v < 4; ++v) put_vm(v);
+  int64_t vms = 4;
+  TemplateSequence seq(&prog, 1);
+  for (int step = 0; step < kSequenceSolves; ++step) {
+    SCOPED_TRACE(step);
+    if (step % 10 == 9 && vms < 6) {
+      put_vm(vms++);  // a new VM: a new shape
+    } else {
+      put_vm(rng.UniformInt(0, vms - 1));  // new demands, same shape
+    }
+    const int64_t host = rng.UniformInt(0, 2);
+    ASSERT_TRUE(sys.InsertFact(0, "hostMemThres",
+                               R({host, rng.UniformInt(20, 40)}))
+                    .ok());
+    sys.RunToQuiescence();
+    seq.Solve(sys, 0);
+  }
+  EXPECT_EQ(seq.solves(), kSequenceSolves);
+  EXPECT_GT(seq.hits(), kSequenceSolves / 2);
+}
+
+TEST(BridgeTemplateTest, FollowTheSunSequenceMatchesCachelessBuilds) {
+  auto compiled = colog::CompileColog(
+      apps::FollowTheSunDistributedProgram(true, 60, 20, /*batched=*/true));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const colog::CompiledProgram prog = std::move(compiled).value();
+  System sys(&prog, 3);
+  ASSERT_TRUE(sys.Init().ok());
+  Rng rng(2028);
+  auto N = [](NodeId x) { return Value::Node(x); };
+  auto I = [](int64_t x) { return Value::Int(x); };
+  for (NodeId x = 0; x < 3; ++x) {
+    for (int64_t d = 0; d < 3; ++d) {
+      ASSERT_TRUE(
+          sys.InsertFact(x, "curVm", {N(x), I(d), I(rng.UniformInt(0, 12))})
+              .ok());
+      ASSERT_TRUE(sys.InsertFact(x, "commCost",
+                                 {N(x), I(d), I(x == d ? 1 : 10 + x + d)})
+                      .ok());
+      ASSERT_TRUE(sys.InsertFact(x, "dc", {N(x), I(d)}).ok());
+    }
+    ASSERT_TRUE(sys.InsertFact(x, "opCost", {N(x), I(2)}).ok());
+    ASSERT_TRUE(sys.InsertFact(x, "resource", {N(x), I(40)}).ok());
+  }
+  for (auto [a, b] : {std::pair<NodeId, NodeId>{0, 1}, {0, 2}}) {
+    ASSERT_TRUE(sys.AddLink(a, b).ok());
+    ASSERT_TRUE(sys.InsertFact(a, "link", {N(a), N(b)}).ok());
+    ASSERT_TRUE(sys.InsertFact(b, "link", {N(b), N(a)}).ok());
+    ASSERT_TRUE(sys.InsertFact(a, "migCost", {N(a), N(b), I(3)}).ok());
+    ASSERT_TRUE(sys.InsertFact(b, "migCost", {N(b), N(a), I(3)}).ok());
+  }
+  ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(1)}).ok());
+  sys.RunToQuiescence();
+  TemplateSequence seq(&prog, 2);
+  for (int step = 0; step < kSequenceSolves; ++step) {
+    SCOPED_TRACE(step);
+    const NodeId x = static_cast<NodeId>(rng.UniformInt(0, 2));
+    const int64_t d = rng.UniformInt(0, 2);
+    if (step == kSequenceSolves / 2) {
+      // A second negotiated link: a new shape.
+      ASSERT_TRUE(sys.InsertFact(0, "setLink", {N(0), N(2)}).ok());
+    } else if (step % 2 == 0) {
+      ASSERT_TRUE(
+          sys.InsertFact(x, "curVm", {N(x), I(d), I(rng.UniformInt(0, 12))})
+              .ok());
+    } else if (x != d) {
+      ASSERT_TRUE(sys.InsertFact(x, "commCost",
+                                 {N(x), I(d), I(rng.UniformInt(5, 25))})
+                      .ok());
+    }
+    sys.RunToQuiescence();
+    seq.Solve(sys, 0);
+  }
+  EXPECT_EQ(seq.solves(), kSequenceSolves);
+  EXPECT_GT(seq.hits(), kSequenceSolves / 2);
+}
+
+TEST(BridgeTemplateTest, WirelessSequenceMatchesCachelessBuilds) {
+  auto compiled = colog::CompileColog(apps::WirelessDistributedProgram(
+      8, 2, /*two_hop=*/true, /*batched=*/true));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const colog::CompiledProgram prog = std::move(compiled).value();
+  System sys(&prog, 4);
+  ASSERT_TRUE(sys.Init().ok());
+  Rng rng(2029);
+  auto N = [](NodeId x) { return Value::Node(x); };
+  auto I = [](int64_t x) { return Value::Int(x); };
+  for (auto [a, b] :
+       {std::pair<NodeId, NodeId>{0, 1}, {1, 2}, {2, 3}, {3, 0}}) {
+    ASSERT_TRUE(sys.AddLink(a, b).ok());
+    ASSERT_TRUE(sys.InsertFact(a, "link", {N(a), N(b)}).ok());
+    ASSERT_TRUE(sys.InsertFact(b, "link", {N(b), N(a)}).ok());
+  }
+  for (auto [x, y] :
+       {std::pair<NodeId, NodeId>{0, 1}, {0, 3}, {2, 1}, {2, 3}}) {
+    ASSERT_TRUE(sys.InsertFact(x, "setLink", {N(x), N(y)}).ok());
+  }
+  sys.RunToQuiescence();
+  TemplateSequence seq(&prog, 2);
+  for (int step = 0; step < kSequenceSolves; ++step) {
+    SCOPED_TRACE(step);
+    const NodeId x = static_cast<NodeId>(rng.UniformInt(0, 3));
+    if (step % 3 == 0) {
+      // Primary users come and go: a removed channel is a constant.
+      ASSERT_TRUE(
+          sys.InsertFact(x, "primaryUser", {N(x), I(rng.UniformInt(1, 8))})
+              .ok());
+    } else {
+      // A neighbor announces a channel on one of its links.
+      const NodeId y = static_cast<NodeId>((x + 1) % 4);
+      ASSERT_TRUE(sys.InsertFact(x, "assign",
+                                 {N(x), N(y), I(rng.UniformInt(1, 8))})
+                      .ok());
+    }
+    sys.RunToQuiescence();
+    seq.Solve(sys, step % 2 == 0 ? 0 : 2);
+  }
+  EXPECT_EQ(seq.solves(), kSequenceSolves);
+  EXPECT_GT(seq.hits(), kSequenceSolves / 2);
 }
 
 // ---- Oracle over randomized case-study instances ----------------------------

@@ -578,8 +578,10 @@ TEST(ConfluencePropertyTest, EventAndNaiveModesAgreeOnSeededModels) {
 
     // Root fixpoint domains, variable by variable.
     {
-      internal::SearchContext nctx(*model, naive_opts);
-      internal::SearchContext ectx(*model, event_opts);
+      TemplateCache templates;
+      const ModelTemplate& tmpl = templates.Bind(*model);
+      internal::SearchContext nctx(*model, tmpl, naive_opts);
+      internal::SearchContext ectx(*model, tmpl, event_opts);
       const bool nok = nctx.PropagateRoot();
       const bool eok = ectx.PropagateRoot();
       ASSERT_EQ(nok, eok) << "root feasibility diverged, seed " << seed;
@@ -817,8 +819,10 @@ TEST(ConfluencePropertyTest, EventAndNaiveModesAgreeOnLargeCoefficients) {
     Model::Options event_opts = naive_opts;
     event_opts.naive_propagation = false;
     {
-      internal::SearchContext nctx(model, naive_opts);
-      internal::SearchContext ectx(model, event_opts);
+      TemplateCache templates;
+      const ModelTemplate& tmpl = templates.Bind(model);
+      internal::SearchContext nctx(model, tmpl, naive_opts);
+      internal::SearchContext ectx(model, tmpl, event_opts);
       const bool nok = nctx.PropagateRoot();
       const bool eok = ectx.PropagateRoot();
       ASSERT_EQ(nok, eok) << "root feasibility diverged, model " << i;

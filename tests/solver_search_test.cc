@@ -50,7 +50,8 @@ TEST(SoftDeadlineTest, HonoredWithoutGlobalTimeLimit) {
   auto m = MakeChainModel(100, &xs);
   Model::Options o;
   o.time_limit_ms = 0;  // unlimited wall clock: the historical dead-code path
-  SearchContext ctx(*m, o);
+  TemplateCache templates;
+  SearchContext ctx(*m, templates.Bind(*m), o);
   ASSERT_TRUE(ctx.PropagateRoot());
 
   // The deadline only applies once an incumbent exists; seed one first.
@@ -84,7 +85,8 @@ TEST(ApplyBoundTest, SaturatesAtInt64MinWhenMinimizing) {
   m.Minimize(LinExpr(x));
   Model::Options o;
   o.time_limit_ms = 0;
-  SearchContext ctx(m, o);
+  TemplateCache templates;
+  SearchContext ctx(m, templates.Bind(m), o);
   ASSERT_TRUE(ctx.PropagateRoot());
   ASSERT_TRUE(ctx.minimizing());
 
@@ -113,7 +115,8 @@ TEST(ApplyBoundTest, SaturatesAtInt64MaxWhenMaximizing) {
   m.Maximize(LinExpr(x));
   Model::Options o;
   o.time_limit_ms = 0;
-  SearchContext ctx(m, o);
+  TemplateCache templates;
+  SearchContext ctx(m, templates.Bind(m), o);
   ASSERT_TRUE(ctx.PropagateRoot());
   ASSERT_TRUE(ctx.maximizing());
 
