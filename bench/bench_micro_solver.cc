@@ -38,7 +38,6 @@
 
 #include "common/stats.h"
 #include "common/strings.h"
-#include "solver/context_cache.h"
 #include "solver/domain.h"
 #include "solver/model.h"
 
@@ -221,21 +220,6 @@ static void BM_AssignmentBackendLns(benchmark::State& state) {
 }
 BENCHMARK(BM_AssignmentBackendLns)->Arg(10)->Arg(20)->Arg(32);
 
-// Luby-restart variant of the B&B backend on the same kernel.
-static void BM_AssignmentBackendBnbRestarts(benchmark::State& state) {
-  int vms = static_cast<int>(state.range(0));
-  auto m = MakeAssignmentModel(vms);
-  for (auto _ : state) {
-    Model::Options o;
-    o.time_limit_ms = 25;
-    o.restart_base_nodes = 512;
-    o.seed = 0x5EED;
-    Solution s = m->Solve(o);
-    benchmark::DoNotOptimize(s.objective);
-  }
-}
-BENCHMARK(BM_AssignmentBackendBnbRestarts)->Arg(10)->Arg(20);
-
 // ---------------------------------------------------------------------------
 // Canonical fixed-seed micro instances (solverjson / determinism modes).
 // Deterministic budgets only — node limits and iteration caps, no wall
@@ -350,8 +334,6 @@ struct MicroCase {
   uint64_t seed;
   uint64_t node_limit;
   uint64_t max_iterations;
-  uint64_t restart_base_nodes;
-  bool cache;          ///< Fresh ContextCache per solve (SOLVER_CACHE).
   bool naive = false;  ///< Legacy untyped-FIFO propagation reference mode
                        ///< (SOLVER_NAIVE_PROPAGATION); same search tree,
                        ///< historical effort counters.
@@ -361,34 +343,24 @@ struct MicroCase {
 // 64-decision B&B dive deep enough that state restoration dominates.
 const MicroCase kMicroCases[] = {
     {"deep_dive_bnb", MakeAssignmentModel, 16, Backend::kBranchAndBound,
-     0x5EED, 200'000, 0, 0, false},
+     0x5EED, 200'000, 0},
     {"bnb_assign10", MakeAssignmentModel, 10, Backend::kBranchAndBound,
-     0x5EED, 50'000, 50, 0, false},
-    {"bnb_luby_assign8", MakeAssignmentModel, 8, Backend::kBranchAndBound,
-     0xABCD, 30'000, 0, 256, false},
-    {"lns_assign12", MakeAssignmentModel, 12, Backend::kLns, 0x10C5, 0, 300,
-     0, false},
+     0x5EED, 50'000, 50},
+    {"lns_assign12", MakeAssignmentModel, 12, Backend::kLns, 0x10C5, 0, 300},
     {"lns_grouped10", MakeGroupedAssignmentModel, 10, Backend::kLns, 0x77, 0,
-     250, 0, false},
+     250},
     {"bnb_interf12", MakeInterferenceModel, 12, Backend::kBranchAndBound,
-     0x1234, 40'000, 60, 0, false},
-    // Context-cache rows: same kernels, exhausted-subtree proofs on. The
-    // Luby case is where intra-solve reuse fires (restart dives re-enter
-    // contexts earlier dives exhausted).
-    {"bnb_cache_luby8", MakeAssignmentModel, 8, Backend::kBranchAndBound,
-     0xABCD, 30'000, 0, 256, true},
-    {"lns_cache_grouped10", MakeGroupedAssignmentModel, 10, Backend::kLns,
-     0x77, 0, 250, 0, true},
+     0x1234, 40'000, 60},
     // Propagation-ratio pairs: the same instance under the event-typed
     // engine (default) and the naive untyped-FIFO reference. Search trees
     // are identical by construction; the props_executed ratio between the
     // paired rows is the CI acceptance gate of the event-typed engine.
     {"deep_dive_bnb_naive", MakeAssignmentModel, 16, Backend::kBranchAndBound,
-     0x5EED, 200'000, 0, 0, false, true},
+     0x5EED, 200'000, 0, true},
     {"prop_heavy_bnb", MakePropHeavyModel, 16, Backend::kBranchAndBound,
-     0xF00D, 60'000, 0, 0, false},
+     0xF00D, 60'000, 0},
     {"prop_heavy_naive", MakePropHeavyModel, 16, Backend::kBranchAndBound,
-     0xF00D, 60'000, 0, 0, false, true},
+     0xF00D, 60'000, 0, true},
 };
 
 Model::Options MicroOptions(const MicroCase& c) {
@@ -398,17 +370,13 @@ Model::Options MicroOptions(const MicroCase& c) {
   o.seed = c.seed;
   o.node_limit = c.node_limit;
   o.max_iterations = c.max_iterations;
-  o.restart_base_nodes = c.restart_base_nodes;
   o.naive_propagation = c.naive;
   return o;
 }
 
 Solution RunMicroCase(const MicroCase& c) {
   auto m = c.make(c.size);
-  Model::Options o = MicroOptions(c);
-  ContextCache cache;  // fresh per solve: runs stay independent
-  if (c.cache) o.context_cache = &cache;
-  return m->Solve(o);
+  return m->Solve(MicroOptions(c));
 }
 
 // One BENCH_solver.json row per canonical case.
@@ -423,8 +391,6 @@ int RunSolverJson() {
     // (nodes/sec, allocations during search), not model construction.
     auto m = c.make(c.size);
     Model::Options o = MicroOptions(c);
-    ContextCache cache;
-    if (c.cache) o.context_cache = &cache;
     const uint64_t allocs_before = DomainCopyCount();
     const auto t0 = std::chrono::steady_clock::now();
     Solution s = m->Solve(o);
@@ -438,8 +404,7 @@ int RunSolverJson() {
         "\"seed\":%llu,\"nodes\":%llu,\"propagations\":%llu,"
         "\"wall_ms\":%.3f,\"nodes_per_sec\":%.0f,\"props_per_sec\":%.0f,"
         "\"peak_mem_bytes\":%llu,\"trail_saves\":%llu,"
-        "\"domain_allocs\":%llu,\"cache_hits\":%llu,\"cache_stores\":%llu,"
-        "\"cache_mem_bytes\":%llu,"
+        "\"domain_allocs\":%llu,"
         "\"props_executed\":%llu,\"props_skipped_entailed\":%llu,"
         "\"wakes_filtered\":%llu,\"naive\":%d,\"objective\":%lld}",
         c.name, BackendName(c.backend),
@@ -451,9 +416,6 @@ int RunSolverJson() {
         static_cast<unsigned long long>(s.stats.peak_memory_bytes),
         static_cast<unsigned long long>(s.stats.trail_saves),
         static_cast<unsigned long long>(domain_allocs),
-        static_cast<unsigned long long>(s.stats.cache_hits),
-        static_cast<unsigned long long>(s.stats.cache_stores),
-        static_cast<unsigned long long>(s.stats.cache_mem_bytes),
         static_cast<unsigned long long>(s.stats.propagations),
         static_cast<unsigned long long>(s.stats.props_skipped_entailed),
         static_cast<unsigned long long>(s.stats.wakes_filtered),
@@ -527,7 +489,6 @@ int RunDeterminism(const char* golden_path, bool update_golden) {
   int rc = 0;
   std::vector<std::string> tree_lines;
   for (const MicroCase& c : kMicroCases) {
-    // A fresh cache per run keeps cache-on solves replayable too.
     Solution a = RunMicroCase(c);
     Solution b = RunMicroCase(c);
     const bool same = a.stats.nodes == b.stats.nodes &&

@@ -15,8 +15,7 @@ counts, not on the wall clock:
   - each event/naive pair searches the same tree to the same optimum;
   - the event engine executes at least 2x fewer propagators than the naive
     reference on deep_dive_bnb and 1.5x fewer on prop_heavy_bnb, and stays
-    below 17.53 propagations per node on the deep dive;
-  - cache-off rows report no cache work, and both cache rows hit.
+    below 17.53 propagations per node on the deep dive.
 """
 import argparse
 import json
@@ -27,14 +26,11 @@ from pathlib import Path
 
 REQUIRED = {"bench", "case", "backend", "seed", "nodes", "propagations",
             "wall_ms", "nodes_per_sec", "props_per_sec", "peak_mem_bytes",
-            "trail_saves", "domain_allocs", "cache_hits", "cache_stores",
-            "cache_mem_bytes", "props_executed", "props_skipped_entailed",
-            "wakes_filtered", "naive", "objective"}
-CASES = {"deep_dive_bnb", "bnb_assign10", "bnb_luby_assign8", "lns_assign12",
-         "lns_grouped10", "bnb_interf12", "bnb_cache_luby8",
-         "lns_cache_grouped10", "deep_dive_bnb_naive", "prop_heavy_bnb",
+            "trail_saves", "domain_allocs", "props_executed",
+            "props_skipped_entailed", "wakes_filtered", "naive", "objective"}
+CASES = {"deep_dive_bnb", "bnb_assign10", "lns_assign12", "lns_grouped10",
+         "bnb_interf12", "deep_dive_bnb_naive", "prop_heavy_bnb",
          "prop_heavy_naive"}
-CACHE_CASES = {"bnb_cache_luby8", "lns_cache_grouped10"}
 MODE_PAIRS = (("deep_dive_bnb", "deep_dive_bnb_naive"),
               ("prop_heavy_bnb", "prop_heavy_naive"))
 # The PR 8 deep dive ran 17.53 propagations per node; the event engine must
@@ -66,11 +62,6 @@ def check(path: Path) -> str | None:
             return f"{name}: naive mode must not filter wakes"
         if r["props_executed"] != r["propagations"]:
             return f"{name}: props_executed disagrees with propagations"
-        if name not in CACHE_CASES and (r["cache_hits"] or r["cache_stores"]):
-            return f"cache-off case reports cache work: {name}"
-    for name in sorted(CACHE_CASES):
-        if by_case[name]["cache_hits"] <= 0:
-            return f"{name}: the context cache never hit"
 
     # Both propagation modes must search the identical tree to the
     # identical optimum.

@@ -13,12 +13,9 @@ const KnobSpec kKnobs[] = {
     {"SOLVER_MAX_TIME", &SolveKnobs::time_limit_ms},
     {"SOLVER_BACKEND", &SolveKnobs::backend},
     {"SOLVER_SEED", &SolveKnobs::seed, 0, kNoMax},
-    {"SOLVER_RESTARTS", &SolveKnobs::restart_base_nodes, 0, kNoMax},
     {"NET_RELIABLE", &SystemKnobs::net_reliable, 0, 1},
     {"OBS_METRICS", &SystemKnobs::obs_metrics, 0, 1},
     {"SOLVER_INCREMENTAL", &SolveKnobs::incremental, 0, 1},
-    {"SOLVER_INCR_THRESHOLD", &SolveKnobs::incr_threshold_pct, 0, 100},
-    {"SOLVER_CACHE", &SolveKnobs::cache, 0, 1},
     {"SOLVER_NAIVE_PROPAGATION", &SolveKnobs::naive_propagation, 0, 1},
 };
 

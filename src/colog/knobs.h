@@ -29,28 +29,12 @@ struct SolveKnobs {
   solver::Backend backend = solver::Backend::kBranchAndBound;
   /// Seed for randomized search decisions (SOLVER_SEED).
   uint64_t seed = 0x10C5;
-  /// Luby restart base for branch-and-bound, in nodes (SOLVER_RESTARTS);
-  /// 0 disables restarts.
-  uint64_t restart_base_nodes = 0;
   /// Incremental re-solve on fact deltas (SOLVER_INCREMENTAL): fingerprint
   /// the compiled model per decision group, compare against the previous
   /// solve, pin the clean groups to the cached incumbent and focus search on
   /// the dirty ones. Off by default; with it off the solve path (and its
   /// traces) is byte-identical to the cold solver.
   bool incremental = false;
-  /// Staleness threshold of the incremental path (SOLVER_INCR_THRESHOLD):
-  /// fall back to a cold solve when strictly more than this percentage of
-  /// decision groups changed fingerprint. 0 = any change falls back;
-  /// 100 = never fall back on account of volume.
-  int incr_threshold_pct = 50;
-  /// Context cache of exhausted-subtree proofs (SOLVER_CACHE): keyed on the
-  /// fixed decision prefix, namespaced by the model fingerprint, and —
-  /// because the Instance owns the cache — persisted across solves, LNS
-  /// neighborhoods, and incremental re-solves. A fact delta that changes any
-  /// group fingerprint changes the namespace, retiring stale proofs without
-  /// a sweep. Off by default: with it off the solve path (and its traces) is
-  /// byte-identical to the cache-free solver.
-  bool cache = false;
   /// Legacy untyped-FIFO propagation (SOLVER_NAIVE_PROPAGATION): every
   /// domain change wakes every watcher, linear sums are recomputed from
   /// scratch, entailed propagators keep running. The fixpoints — and hence
@@ -80,8 +64,8 @@ struct SystemKnobs {
 struct KnobSpec {
   using Field =
       std::variant<double SolveKnobs::*, solver::Backend SolveKnobs::*,
-                   uint64_t SolveKnobs::*, int SolveKnobs::*,
-                   bool SolveKnobs::*, bool SystemKnobs::*>;
+                   uint64_t SolveKnobs::*, bool SolveKnobs::*,
+                   bool SystemKnobs::*>;
 
   const char* name;
   Field field;

@@ -55,6 +55,12 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+bool ParseUint64(std::string_view s, uint64_t* out) {
+  const char* end = s.data() + s.size();
+  auto [stop, ec] = std::from_chars(s.data(), end, *out, 10);
+  return !s.empty() && ec == std::errc() && stop == end;
+}
+
 std::string ToLower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(tolower(static_cast<unsigned char>(c)));

@@ -28,6 +28,10 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 /// temporary string.
 void AppendInt(std::string* out, int64_t v);
 
+/// Parse `s` as a plain non-negative decimal that fits in 64 bits (no
+/// sign, no whitespace, no trailing characters). False otherwise.
+bool ParseUint64(std::string_view s, uint64_t* out);
+
 /// Lowercase an ASCII string.
 std::string ToLower(std::string_view s);
 

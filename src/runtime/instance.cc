@@ -164,9 +164,7 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
   }
 
   SolverBridge bridge(program_, &engine_, templates());
-  solver::ContextCache* ctx_cache = opts.cache ? &ctx_cache_ : nullptr;
-  COLOGNE_ASSIGN_OR_RETURN(out,
-                           bridge.Solve(opts, &warm_cache_, incr, ctx_cache));
+  COLOGNE_ASSIGN_OR_RETURN(out, bridge.Solve(opts, &warm_cache_, incr));
   ++solve_count_;
   total_solve_ms_ += out.stats.wall_ms;
   if (metrics_ != nullptr) {
@@ -180,9 +178,8 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
     if (out.stats.lns_accepted > 0) {
       m.Add("lns.accepted", out.stats.lns_accepted);
     }
-    // Only emitted when the knobs are on, so knob-off metric traces stay
-    // byte-identical.
-    if (out.stats.cache_hits > 0) m.Add("solve.cache.hits", out.stats.cache_hits);
+    // Only emitted when nonzero, so metric traces of solves that filter or
+    // skip nothing (the naive propagation mode) carry no such lines.
     if (out.stats.wakes_filtered > 0) {
       m.Add("solve.wakes_filtered", out.stats.wakes_filtered);
     }

@@ -22,7 +22,6 @@
 #include "datalog/engine.h"
 #include "runtime/solver_bridge.h"
 #include "runtime/trace_replay.h"
-#include "solver/context_cache.h"
 #include "solver/template_cache.h"
 
 namespace cologne::runtime {
@@ -106,19 +105,11 @@ class Instance {
   const WarmStartCache& warm_start_cache() const { return warm_cache_; }
   WarmStartCache& warm_start_cache() { return warm_cache_; }
   /// Clears the incremental fingerprints too: they describe the model whose
-  /// incumbent the cache held, so they cannot outlive it. The context cache
-  /// goes with them — its proofs are bound-relative to that incumbent's
-  /// model namespace, and "reset cross-solve state" should mean all of it.
+  /// incumbent the cache held, so they cannot outlive it.
   void reset_warm_start() {
     warm_cache_.clear();
     incr_state_.clear();
-    ctx_cache_.Clear();
   }
-
-  /// Persistent exhausted-subtree proof cache (SOLVER_CACHE); handed to the
-  /// bridge on every solve where the knob is on, so proofs survive across
-  /// solves of this instance. Read-only access for tests/metrics.
-  const solver::ContextCache& context_cache() const { return ctx_cache_; }
 
   /// Cross-solve fingerprint state of the incremental path (read-only; the
   /// tests assert stability across journal replay and crash/restart).
@@ -189,8 +180,6 @@ class Instance {
   /// crash/restart alongside the warm cache — journal replay rebuilds the
   /// same model, so the fingerprints still classify correctly.
   IncrementalState incr_state_;
-  /// Cross-solve context cache (SOLVER_CACHE); see context_cache().
-  solver::ContextCache ctx_cache_;
   /// Model templates of this instance's solves, unless it shares a
   /// System's (set_template_cache).
   solver::TemplateCache own_templates_;

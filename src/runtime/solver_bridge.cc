@@ -11,7 +11,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "datalog/aggregates.h"
-#include "solver/context_cache.h"
 
 namespace cologne::runtime {
 
@@ -1056,6 +1055,11 @@ std::vector<SolveProvGroup> BuildProvenance(
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
+// Staleness ceiling of the incremental path: fall back to a cold solve when
+// strictly more than this percentage of the decision groups changed
+// fingerprint or vanished since the previous solve.
+constexpr size_t kIncrFallbackPct = 50;
+
 void FnvMix(uint64_t* h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     *h ^= (v >> (i * 8)) & 0xFF;
@@ -1154,8 +1158,7 @@ std::vector<uint64_t> ComputeFingerprints(
 
 Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
                                         WarmStartCache* warm_cache,
-                                        IncrementalState* incr,
-                                        solver::ContextCache* ctx_cache) const {
+                                        IncrementalState* incr) const {
   SolveOutput out;
   out.backend = options.backend;
   out.seed = options.seed;
@@ -1238,7 +1241,6 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   sopts.node_limit = options.node_limit;
   sopts.backend = options.backend;
   sopts.seed = options.seed;
-  sopts.restart_base_nodes = options.restart_base_nodes;
   sopts.max_iterations = options.max_iterations;
   sopts.naive_propagation = options.naive_propagation;
 
@@ -1300,25 +1302,11 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   // focuses on the dirty ones. Falls back to a cold solve when there is
   // nothing to compare against (first solve, post-crash, cache disabled),
   // when no warm incumbent exists to pin to, or when more than
-  // incr_threshold_pct of the groups changed.
+  // kIncrFallbackPct percent of the groups changed.
   std::map<std::string, uint64_t> fp_map;
-  const bool context_caching = ctx_cache != nullptr && options.cache;
-  std::vector<uint64_t> fps;
-  if (incremental || context_caching) {
-    fps = ComputeFingerprints(model, tmpl.propagators(), eval.var_rows());
-  }
-  if (context_caching) {
-    // Namespace the persistent proof cache by the model fingerprint: a fact
-    // delta that changes any group fingerprint changes the key, so proofs
-    // about the previous model can never match — invalidation without a
-    // sweep. Identical models across solves keep the namespace, which is
-    // what lets a re-solve skip subtrees the last solve exhausted.
-    uint64_t model_key = kFnvOffset;
-    for (uint64_t f : fps) FnvMix(&model_key, f);
-    ctx_cache->set_model_key(model_key);
-    sopts.context_cache = ctx_cache;
-  }
   if (incremental) {
+    const std::vector<uint64_t> fps =
+        ComputeFingerprints(model, tmpl.propagators(), eval.var_rows());
     const size_t total = fps.size();
     auto key_of = [&](size_t gi) {
       return gi < group_keys.size() ? group_keys[gi] : std::string();
@@ -1345,9 +1333,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
       out.incr_dirty = static_cast<int>(dirty.size());
       out.incr_clean = static_cast<int>(total - dirty.size());
       const size_t changes = dirty.size() + vanished;
-      const auto threshold =
-          static_cast<size_t>(std::max(options.incr_threshold_pct, 0));
-      if (changes * 100 > threshold * total) fallback = true;
+      if (changes * 100 > kIncrFallbackPct * total) fallback = true;
     }
     out.incr_fallback = fallback;
     if (!fallback) {

@@ -150,7 +150,7 @@ struct SolveOutput {
   /// Incremental classification of this solve; -1/-1/false when the
   /// incremental path was off. `incr_fallback` means the delta path bailed
   /// to a cold solve (no prior fingerprints, no warm incumbent, or more
-  /// than incr_threshold_pct of the groups dirty).
+  /// than half of the groups dirty or vanished).
   int incr_dirty = -1;
   int incr_clean = -1;
   bool incr_fallback = false;
@@ -237,18 +237,12 @@ class SolverBridge {
   /// When `incr` is non-null and options.incremental is set, the compiled
   /// model is fingerprinted per decision group and compared against `incr`:
   /// clean groups stay pinned to the warm-start incumbent while search
-  /// focuses on the dirty ones, falling back to a cold solve past the
-  /// staleness threshold. `incr` refreshes exactly when the warm cache does
+  /// focuses on the dirty ones, falling back to a cold solve when more than
+  /// half of the groups changed. `incr` refreshes exactly when the warm cache does
   /// (the fingerprints describe the model whose solution the cache holds).
-  ///
-  /// When `ctx_cache` is non-null and options.cache is set, the solver keeps
-  /// exhausted-subtree proofs in it across solves; the bridge re-keys it
-  /// with the current model fingerprint before each search, so entries from
-  /// a model a fact delta invalidated can never match.
   Result<SolveOutput> Solve(const SolveOptions& options,
                             WarmStartCache* warm_cache = nullptr,
-                            IncrementalState* incr = nullptr,
-                            solver::ContextCache* ctx_cache = nullptr) const;
+                            IncrementalState* incr = nullptr) const;
 
  private:
   const colog::CompiledProgram* program_;

@@ -25,7 +25,6 @@
 
 namespace cologne::solver {
 
-class ContextCache;
 class ModelTemplate;
 
 /// Opcodes of a Model's shape log. Each primitive appends its opcode and
@@ -186,10 +185,6 @@ class Model {
     /// reproducible *solutions*, also replace the wall-clock limit with a
     /// deterministic budget (max_iterations and/or node_limit).
     uint64_t seed = 0x10C5;
-    /// Luby restart policy for the branch-and-bound backend: restart i gets a
-    /// node budget of `restart_base_nodes * luby(i)`, with randomized value
-    /// ordering after the first restart. 0 disables restarts.
-    uint64_t restart_base_nodes = 0;
     /// Cap on backend improvement iterations (LNS neighborhoods / B&B
     /// improvement dives). 0 means "until the time budget runs out"; a finite
     /// cap makes runs wall-clock independent (deterministic tests).
@@ -212,13 +207,6 @@ class Model {
     /// way. Empty with `incremental` set means "nothing dirty": the
     /// warm-started incumbent is accepted after the first dive.
     std::vector<size_t> focus_groups;
-    /// Transposition/context cache (the SOLVER_CACHE knob): exhausted-subtree
-    /// proofs keyed on the fixed decision context, consulted across Luby
-    /// restarts, LNS neighborhood trials, and — when the owner persists the
-    /// cache — across solves (solver/context_cache.h). Not owned; null
-    /// disables caching (the default) and keeps every search path
-    /// bit-identical to the cache-free solver.
-    ContextCache* context_cache = nullptr;
     /// Naive-propagation reference mode (the SOLVER_NAIVE_PROPAGATION knob):
     /// run the legacy flat-FIFO scheduler with full-recompute propagators —
     /// no event filtering, no incremental aggregates, no entailment

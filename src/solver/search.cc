@@ -9,10 +9,7 @@
 // Under a time cap it is anytime — after the tree-search phase is cut off it
 // spends the remaining budget on the shared LNS improvement loop (lns.cc),
 // the pattern behind the paper's "close-to-optimal under a 10 s cap"
-// executions (Section 6.2). Optional Luby restarts (Options::
-// restart_base_nodes) rerun the dive under growing node budgets with
-// randomized value order, which helps on heavy-tailed instances.
-#include "common/rng.h"
+// executions (Section 6.2).
 #include "solver/lns.h"
 #include "solver/model.h"
 #include "solver/search_internal.h"
@@ -23,7 +20,6 @@ namespace {
 
 using internal::DiveEnd;
 using internal::Incumbent;
-using internal::Luby;
 using internal::SearchContext;
 
 Solution BranchAndBoundSolve(const Model& model, const ModelTemplate& tmpl,
@@ -109,43 +105,7 @@ Solution BranchAndBoundSolve(const Model& model, const ModelTemplate& tmpl,
     limits.node_budget = 2000;
   }
 
-  bool cutoff = false;
-  if (options.restart_base_nodes == 0) {
-    DiveEnd end = ctx.Dive(limits, &inc);
-    cutoff = end == DiveEnd::kCutoff;
-  } else {
-    // Luby restarts: dive i gets base * luby(i) nodes; from the second
-    // dive on, value order is randomized to diversify. The incumbent (and
-    // with it the objective cut) carries across dives; every dive starts
-    // from the propagated root the trail restores between restarts.
-    Rng rng(options.seed);
-    std::vector<int64_t> incumbent_hint;
-    for (uint64_t i = 1;; ++i) {
-      SearchContext::DiveLimits dive = limits;
-      dive.node_budget = options.restart_base_nodes * Luby(i);
-      dive.shuffle_rng = i > 1 ? &rng : nullptr;
-      // Warm-start-aware restarts: once an incumbent exists, it becomes
-      // the value-order hint of every later dive — each restart descends
-      // into the incumbent's basin first while the shuffle diversifies the
-      // rest of the tree, instead of re-rolling value order blindly.
-      if (i > 1 && inc.found) {
-        incumbent_hint = inc.values;
-        dive.hint = &incumbent_hint;
-      }
-      DiveEnd end = ctx.Dive(dive, &inc);
-      if (end == DiveEnd::kExhausted || end == DiveEnd::kFirstSolution) {
-        cutoff = false;
-        break;
-      }
-      cutoff = true;
-      if (ctx.ShouldStop() ||
-          (limits.soft_deadline_ms > 0 && inc.found &&
-           ctx.elapsed_ms() > limits.soft_deadline_ms)) {
-        break;
-      }
-      ++ctx.stats.restarts;
-    }
-  }
+  bool cutoff = ctx.Dive(limits, &inc) == DiveEnd::kCutoff;
 
   // ---- Anytime improvement tail -----------------------------------------
   if (cutoff && inc.found && ctx.optimizing()) {

@@ -1,5 +1,5 @@
 // Shared machinery for the search backends (search.cc, lns.cc): branching
-// order, trailed DFS dives, warm-start assimilation, Luby sequence.
+// order, trailed DFS dives, warm-start assimilation.
 //
 // State restoration is trailed (solver/store.h): branching pushes a level,
 // mutates the one shared store in place, and backtracks O(changed domains)
@@ -13,13 +13,10 @@
 #define COLOGNE_SOLVER_SEARCH_INTERNAL_H_
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
-#include "solver/context_cache.h"
 #include "solver/model.h"
 #include "solver/propagator.h"
 #include "solver/store.h"
@@ -82,8 +79,8 @@ class SearchOrder {
     return best;
   }
 
-  /// Decision-variable ids (the relaxation pool for LNS, and the context-
-  /// cache signature domain); all variables when the model marks none.
+  /// Decision-variable ids (the relaxation pool for LNS); all variables
+  /// when the model marks none.
   /// Returns a reference into the order — LNS calls this from its hot
   /// relaxation loop, where the historical per-call copy dominated.
   const std::vector<int32_t>& DecisionIds() const { return decision_ids_; }
@@ -108,27 +105,6 @@ enum class DiveEnd {
   kFirstSolution,  ///< Stopped at a solution (stop_on_first or kSatisfy).
 };
 
-/// Luby restart sequence, 1-indexed: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
-/// Iterative (the sequence's self-similar suffix is peeled off in a loop):
-/// called once per restart on the hot path, so no recursion depth in log(i).
-///
-/// Contract: i >= 1 — the sequence has no zeroth element, and callers count
-/// restarts from 1. An out-of-contract call asserts in debug builds and
-/// pins to the first block's value in release builds.
-inline uint64_t Luby(uint64_t i) {
-  assert(i >= 1 && "Luby(i) is 1-indexed; callers count restarts from 1");
-  if (i == 0) return 1;  // release-build fallback; the loop needs i >= 1
-  for (;;) {
-    const uint64_t p = i + 1;  // i == 2^k - 1  <=>  i+1 is a power of two
-    if ((p & (p - 1)) == 0) return p >> 1;
-    // Otherwise peel the leading completed block: with 2^(k-1)-1 < i < 2^k-1,
-    // position i restates position i - 2^(k-1) + 1 of the same sequence.
-    uint64_t pow2 = uint64_t{1} << 1;
-    while (pow2 - 1 < i) pow2 <<= 1;
-    i -= (pow2 >> 1) - 1;
-  }
-}
-
 /// \brief Per-Solve search state shared by every phase of a backend: the
 /// trailed domain store, propagation engine, branching order, wall clock,
 /// and statistics.
@@ -149,7 +125,6 @@ class SearchContext {
         engine_(&tmpl.propagators(), &tmpl.layout(),
                 options.naive_propagation),
         order_(model),
-        cache_(options.context_cache),
         start_(std::chrono::steady_clock::now()) {
     store_.Init(model.initial_domains());
     // Event mode: aggregates + entailment flags become trailed aux slots of
@@ -199,7 +174,6 @@ class SearchContext {
     /// Early soft deadline (elapsed ms) honoured once an incumbent exists —
     /// the B&B backend uses it to reserve budget for the improvement phase.
     double soft_deadline_ms = 0;
-    Rng* shuffle_rng = nullptr; ///< Randomize value order (restart dives).
     /// Value-order hint: hint[var.id] tried first when present in the domain.
     const std::vector<int64_t>* hint = nullptr;
   };
@@ -214,7 +188,6 @@ class SearchContext {
   DiveEnd Dive(const DiveLimits& limits, Incumbent* inc) {
     const int base = store_.level();
     frames_.clear();
-    const bool use_cache = cache_ != nullptr;
 
     // Materializes the current store as an open node: selects the branching
     // variable and fills the depth's reusable value buffer. Returns true
@@ -230,22 +203,14 @@ class SearchContext {
       values.clear();
       store_.dom(v.id).AppendValues(&values);
       OrderValues(v, limits, &values);
-      frames_.push_back(Frame{v, 0, watermark, values.size(), 0});
+      frames_.push_back(Frame{v, 0, watermark, values.size()});
       return false;
     };
 
-    uint64_t entry_sig = 0;
-    if (use_cache) {
-      entry_sig = ContextSignature();
-      // A stored proof already covers the whole dive under the bound now in
-      // effect: nothing to explore (cross-restart / cross-solve skip).
-      if (CacheLookup(entry_sig, limits, *inc)) return DiveEnd::kExhausted;
-    }
     if (push_node(0, 0)) {
       store_.BacktrackTo(base);
       return DiveEnd::kFirstSolution;
     }
-    if (use_cache) frames_.back().sig = entry_sig;
 
     uint64_t dive_nodes = 0;
     while (!frames_.empty()) {
@@ -282,11 +247,8 @@ class SearchContext {
       Frame& top = frames_.back();
       if (top.next >= top.num_values) {
         // Subtree exhausted: drop the frame and (unless it is the dive root,
-        // which owns no level) undo its parent's branching level. A fully
-        // explored subtree is an exhausted-subtree proof.
-        const uint64_t sig = top.sig;
+        // which owns no level) undo its parent's branching level.
         frames_.pop_back();
-        if (use_cache) CacheStore(sig, limits, *inc);
         if (!frames_.empty()) store_.Backtrack();
         continue;
       }
@@ -317,16 +279,6 @@ class SearchContext {
         store_.Backtrack();
         continue;
       }
-      uint64_t child_sig = 0;
-      if (use_cache) {
-        child_sig = ContextSignature();
-        if (CacheLookup(child_sig, limits, *inc)) {
-          // A previous dive exhausted this decision context under a bound at
-          // least as tight: prune without descending.
-          store_.Backtrack();
-          continue;
-        }
-      }
       if (push_node(watermark, child_depth)) {
         if (limits.stop_on_first || model_.sense() == Sense::kSatisfy) {
           store_.BacktrackTo(base);
@@ -335,8 +287,6 @@ class SearchContext {
         // Solution leaf: undo this attempt's level and continue with the
         // parent frame's remaining values.
         store_.Backtrack();
-      } else if (use_cache) {
-        frames_.back().sig = child_sig;
       }
     }
     store_.BacktrackTo(base);  // no-op: every frame pop backtracked its level
@@ -382,10 +332,9 @@ class SearchContext {
   }
 
   /// Clamp the store's objective domain to strictly-better-than-incumbent;
-  /// false when the clamp empties it. The incumbent's objective is also the
-  /// bound that context-cache proofs are stored and looked up under. The
-  /// clamp is trailed like any branching mutation, so backtracking the level
-  /// restores the pre-clamp domain.
+  /// false when the clamp empties it. The clamp is trailed like any
+  /// branching mutation, so backtracking the level restores the pre-clamp
+  /// domain.
   bool ApplyBound(std::vector<int32_t>* changed, const Incumbent& inc) {
     if (!optimizing() || !inc.found) return true;
     const int64_t bound = inc.objective;
@@ -399,25 +348,6 @@ class SearchContext {
     if (store_.dom(obj_var.id).empty()) return false;
     if (ch) changed->push_back(obj_var.id);
     return true;
-  }
-
-  /// Order-independent signature of the current decision context: XOR over
-  /// per-(variable, value) hashes of the *fixed* decision variables. Two
-  /// nodes reached by different branching orders (or with different
-  /// auxiliary domains) that fix the same decisions to the same values hash
-  /// identically — exactly the DAOOPT context-equivalence the cache prunes
-  /// on. Auxiliary variables are excluded by construction.
-  uint64_t ContextSignature() const {
-    uint64_t sig = 0x736f6c7665724343ull;  // "solverCC"
-    for (int32_t id : order_.DecisionIds()) {
-      const IntDomain& d = store_.dom(id);
-      if (!d.IsFixed()) continue;
-      sig ^= SplitMix64(
-          SplitMix64(static_cast<uint64_t>(static_cast<uint32_t>(id)) +
-                     0x9E3779B97F4A7C15ull) ^
-          static_cast<uint64_t>(d.value()));
-    }
-    return sig;
   }
 
   /// Assimilate warm-start hints into the store (which must hold a
@@ -505,7 +435,6 @@ class SearchContext {
     stats.trail_saves = store_.total_saves();
     stats.wakes_filtered = engine_.wakes_filtered();
     stats.props_skipped_entailed = engine_.props_skipped_entailed();
-    if (cache_ != nullptr) stats.cache_mem_bytes = cache_->MemoryBytes();
     const std::vector<uint64_t>& runs = engine_.run_counts();
     const auto& props = tmpl_.propagators();
     for (size_t i = 0; i < runs.size() && i < props.size(); ++i) {
@@ -527,52 +456,10 @@ class SearchContext {
     size_t next = 0;
     size_t watermark = 0;
     size_t num_values = 0;
-    uint64_t sig = 0;  ///< Context signature (cache enabled only).
   };
-
-  /// True (and counted) when a stored proof covers the dive's current bound
-  /// region at `sig`, i.e. the subtree can be pruned without descending.
-  bool CacheLookup(uint64_t sig, const DiveLimits& limits,
-                   const Incumbent& inc) {
-    const bool have = optimizing() && limits.bound_objective && inc.found;
-    if (!cache_->Lookup(sig, minimizing(), have, inc.objective)) return false;
-    ++stats.cache_hits;
-    return true;
-  }
-
-  /// Record the proof a fully-explored (never cut off) subtree pop
-  /// establishes: for a bounded optimizing dive, "no solution in
-  /// this context better than the bound in effect now" (the pop-time bound
-  /// is the tightest the subtree was ever searched under, so it is the
-  /// strongest sound claim); for satisfy-sense dives — which stop at the
-  /// first solution, so a pop means none exists — and for optimizing dives
-  /// that explored unbounded and found nothing, the unconditional "no
-  /// solution extends this context".
-  void CacheStore(uint64_t sig, const DiveLimits& limits,
-                  const Incumbent& inc) {
-    bool have = false;
-    if (optimizing()) {
-      if (!limits.bound_objective) {
-        // Explored without pruning: exhaustion with an incumbent proves
-        // nothing a later bounded dive can reuse soundly — skip.
-        if (inc.found) return;
-      } else {
-        have = inc.found;
-      }
-    }
-    cache_->Store(sig, minimizing(), have, inc.objective);
-    ++stats.cache_stores;
-  }
 
   void OrderValues(IntVar v, const DiveLimits& limits,
                    std::vector<int64_t>* values) const {
-    if (limits.shuffle_rng != nullptr && values->size() > 1) {
-      for (size_t i = values->size() - 1; i > 0; --i) {
-        size_t j = static_cast<size_t>(
-            limits.shuffle_rng->UniformInt(0, static_cast<int64_t>(i)));
-        std::swap((*values)[i], (*values)[j]);
-      }
-    }
     if (limits.hint != nullptr &&
         static_cast<size_t>(v.id) < limits.hint->size()) {
       int64_t h = (*limits.hint)[static_cast<size_t>(v.id)];
@@ -590,9 +477,6 @@ class SearchContext {
   const Model::Options& options_;
   PropagationEngine engine_;
   SearchOrder order_;
-  /// Exhausted-subtree proof cache; null (the default) disables caching and
-  /// keeps every search path bit-identical to the cache-free solver.
-  ContextCache* cache_ = nullptr;
   DomainStore store_;
   int root_level_ = 0;
   std::vector<Frame> frames_;

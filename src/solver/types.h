@@ -122,8 +122,8 @@ struct SolveStats {
   uint64_t iterations = 0;   ///< Backend improvement iterations (LNS
                              ///< neighborhoods repaired / B&B improvement
                              ///< dives after the tree-search phase).
-  uint64_t restarts = 0;     ///< Search restarts (Luby restarts for B&B,
-                             ///< diversification resets for LNS).
+  uint64_t restarts = 0;     ///< LNS diversification resets (in the LNS
+                             ///< backend and B&B's anytime LNS tail).
   uint64_t lns_accepted = 0; ///< LNS neighborhood repairs that improved the
                              ///< incumbent (iterations - lns_accepted were
                              ///< rejected).
@@ -134,12 +134,6 @@ struct SolveStats {
                              ///< (touched-domain saves; the O(Δ) backtrack
                              ///< cost where the copy-based core paid
                              ///< O(num_vars) clones per node).
-  uint64_t cache_hits = 0;   ///< Context-cache prunes: nodes skipped because
-                             ///< a stored proof covered the bound in effect
-                             ///< (0 with SOLVER_CACHE off).
-  uint64_t cache_stores = 0; ///< Exhausted-subtree proofs recorded into the
-                             ///< context cache.
-  size_t cache_mem_bytes = 0;///< Context-cache table footprint.
   double wall_ms = 0;        ///< Elapsed wall-clock milliseconds.
   size_t peak_memory_bytes = 0;  ///< Approximate peak search-state memory.
 };

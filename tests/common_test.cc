@@ -272,6 +272,18 @@ TEST(StringsTest, FormatAndLower) {
   EXPECT_EQ(ToLower("MiNiMiZe"), "minimize");
 }
 
+TEST(StringsTest, ParseUint64AcceptsOnlyPlainDecimals) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseUint64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &v));
+  EXPECT_EQ(v, std::numeric_limits<uint64_t>::max());
+  for (const char* bad : {"", "abc", "-1", "+1", " 1", "1 ", "12x",
+                          "18446744073709551616", "1.5"}) {
+    EXPECT_FALSE(ParseUint64(bad, &v)) << '"' << bad << '"';
+  }
+}
+
 TEST(JsonTest, EverySingleByteStringRoundTrips) {
   for (int b = 0; b < 256; ++b) {
     std::string in(1, static_cast<char>(b));

@@ -285,7 +285,6 @@ TEST(SolverKnobsTest, ProgramKnobsConfigureInstanceOptions) {
 param SOLVER_BACKEND = "lns".
 param SOLVER_MAX_TIME = 250.
 param SOLVER_SEED = 99.
-param SOLVER_RESTARTS = 128.
 goal minimize C in cost(C).
 var pick(I,V) forall item(I) domain [0,1].
 d1 cost(SUM<V>) <- pick(I,V).
@@ -298,7 +297,6 @@ d1 cost(SUM<V>) <- pick(I,V).
   EXPECT_EQ(inst.solve_options().backend, solver::Backend::kLns);
   EXPECT_DOUBLE_EQ(inst.solve_options().time_limit_ms, 250);
   EXPECT_EQ(inst.solve_options().seed, 99u);
-  EXPECT_EQ(inst.solve_options().restart_base_nodes, 128u);
 }
 
 TEST(FollowTheSunRuntimeTest, TwoNodeNegotiationMovesVmsTowardCheapComm) {

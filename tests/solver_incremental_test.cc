@@ -3,6 +3,7 @@
 // SolveRequest entry point, and the shared apps::CommonConfig helpers.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -29,7 +30,6 @@ Row R(std::initializer_list<int64_t> xs) {
 // deliberately model-global component.)
 const char* kGrouped = R"(
 param SOLVER_INCREMENTAL = 1.
-param SOLVER_INCR_THRESHOLD = 60.
 goal minimize C in total(C).
 var pick(G,I,V) forall slot(G,I) domain [0,1].
 d1 used(G,SUM<C>) <- pick(G,I,V), weight(G,I,W), C==V*W.
@@ -76,16 +76,18 @@ class IncrementalSolveTest : public ::testing::Test {
     ASSERT_TRUE(instance_->InsertFact("cap", R({g, cap})).ok());
   }
 
-  // Cold reference: a fresh instance over the same base facts with the
-  // incremental path off, for objective parity checks.
-  double ColdObjective(int changed_g, int64_t changed_cap) {
+  // Cold reference: a fresh instance over the same base facts, with the
+  // caps of the groups in `caps` changed and the incremental path off, for
+  // objective parity checks.
+  double ColdObjective(const std::map<int, int64_t>& caps) {
     Instance cold(0, &program_);
     EXPECT_TRUE(cold.Init().ok());
     SolveOptions o = cold.solve_options();
     o.incremental = false;
     cold.set_solve_options(o);
     for (int g = 0; g < kGroups; ++g) {
-      int64_t cap = g == changed_g ? changed_cap : kDefaultCap;
+      auto it = caps.find(g);
+      int64_t cap = it == caps.end() ? kDefaultCap : it->second;
       EXPECT_TRUE(cold.InsertFact("cap", R({g, cap})).ok());
       for (int i = 0; i < kSlots; ++i) {
         EXPECT_TRUE(cold.InsertFact("slot", R({g, i})).ok());
@@ -125,7 +127,7 @@ TEST_F(IncrementalSolveTest, UnchangedResolveKeepsEveryGroupClean) {
   EXPECT_EQ(out.value().incr_dirty, 0);
   EXPECT_EQ(out.value().incr_clean, kGroups);
   EXPECT_TRUE(out.value().warm_started);
-  EXPECT_DOUBLE_EQ(out.value().objective, ColdObjective(-1, 0));
+  EXPECT_DOUBLE_EQ(out.value().objective, ColdObjective({}));
 }
 
 TEST_F(IncrementalSolveTest, OneFactDeltaDirtiesExactlyOneGroup) {
@@ -140,33 +142,37 @@ TEST_F(IncrementalSolveTest, OneFactDeltaDirtiesExactlyOneGroup) {
   EXPECT_FALSE(out.value().incr_fallback);
   EXPECT_EQ(out.value().incr_dirty, 1);
   EXPECT_EQ(out.value().incr_clean, kGroups - 1);
-  EXPECT_DOUBLE_EQ(out.value().objective, ColdObjective(2, 30));
+  EXPECT_DOUBLE_EQ(out.value().objective, ColdObjective({{2, 30}}));
 }
 
-TEST_F(IncrementalSolveTest, ThresholdZeroFallsBackOnAnyDelta) {
+// The incremental path falls back to a cold solve when strictly more than
+// half of the groups changed: with 4 groups, 2 dirty stay incremental
+// (200 is not > 200) and 3 dirty fall back (300 > 200). The pair pins the
+// ceiling: a lower one makes 2 fall back, a ceiling of 75 or more keeps 3.
+TEST_F(IncrementalSolveTest, HalfTheGroupsDirtyStaysIncremental) {
   ASSERT_TRUE(instance_->Solve(Incremental()).ok());
-  SolveOptions o = instance_->solve_options();
-  o.incr_threshold_pct = 0;
-  instance_->set_solve_options(o);
+  ChangeCap(0, 20);
   ChangeCap(1, 20);
   auto out = instance_->Solve(Incremental());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out.value().incr_dirty, 1);
-  EXPECT_TRUE(out.value().incr_fallback);
-  EXPECT_DOUBLE_EQ(out.value().objective, ColdObjective(1, 20));
+  ASSERT_TRUE(out.value().has_solution());
+  EXPECT_EQ(out.value().incr_dirty, 2);
+  EXPECT_EQ(out.value().incr_clean, kGroups - 2);
+  EXPECT_FALSE(out.value().incr_fallback);
 }
 
-TEST_F(IncrementalSolveTest, ThresholdHundredNeverFallsBackOnVolume) {
+TEST_F(IncrementalSolveTest, MoreThanHalfTheGroupsDirtyFallsBack) {
   ASSERT_TRUE(instance_->Solve(Incremental()).ok());
-  SolveOptions o = instance_->solve_options();
-  o.incr_threshold_pct = 100;
-  instance_->set_solve_options(o);
-  for (int g = 0; g < kGroups; ++g) ChangeCap(g, 25 + g);
+  ChangeCap(0, 20);
+  ChangeCap(1, 20);
+  ChangeCap(2, 20);
   auto out = instance_->Solve(Incremental());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out.value().incr_dirty, kGroups);
-  EXPECT_FALSE(out.value().incr_fallback);
-  ASSERT_TRUE(out.value().has_solution());
+  EXPECT_EQ(out.value().incr_dirty, 3);
+  EXPECT_EQ(out.value().incr_clean, kGroups - 3);
+  EXPECT_TRUE(out.value().incr_fallback);
+  EXPECT_DOUBLE_EQ(out.value().objective,
+                   ColdObjective({{0, 20}, {1, 20}, {2, 20}}));
 }
 
 TEST_F(IncrementalSolveTest, FingerprintsSurviveCrashRestartReplay) {
@@ -273,20 +279,16 @@ TEST_F(IncrementalSolveTest, KnobChangeInvalidatesReuse) {
   }
 }
 
-// ---- Context cache across solves (SOLVER_CACHE x PR 7 fingerprints) --------
-
-TEST_F(IncrementalSolveTest, ContextCacheSolveTwiceIsDeterministic) {
-  // Cache-on, incremental-off: the second solve really re-searches (no
-  // whole-solve reuse), against the proofs the first solve persisted in the
-  // instance's context cache. The answers must match the cache-off solve,
-  // and the whole two-solve sequence must replay identically on a fresh
-  // instance — the cache trades work, never answers or determinism.
+TEST_F(IncrementalSolveTest, WarmResolveReplaysOnAFreshInstance) {
+  // Incremental off: the second solve really re-searches (no whole-solve
+  // reuse), warm-started from the first solve's incumbent. It must keep the
+  // cold optimum, and the whole two-solve sequence must replay identically
+  // on a fresh instance.
   auto run_pair = [this](SolveOutput* first, SolveOutput* second) {
     Instance inst(0, &program_);
     ASSERT_TRUE(inst.Init().ok());
     SolveOptions o = inst.solve_options();
     o.incremental = false;
-    o.cache = true;
     inst.set_solve_options(o);
     for (int g = 0; g < kGroups; ++g) {
       ASSERT_TRUE(inst.InsertFact("cap", R({g, kDefaultCap})).ok());
@@ -298,8 +300,6 @@ TEST_F(IncrementalSolveTest, ContextCacheSolveTwiceIsDeterministic) {
     }
     auto a = inst.Solve();
     ASSERT_TRUE(a.ok()) << a.status().ToString();
-    EXPECT_GT(inst.context_cache().entries(), 0u)
-        << "cache-on solve left no proofs behind";
     auto b = inst.Solve();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     *first = a.value();
@@ -308,49 +308,16 @@ TEST_F(IncrementalSolveTest, ContextCacheSolveTwiceIsDeterministic) {
   SolveOutput a1, a2, b1, b2;
   run_pair(&a1, &a2);
   run_pair(&b1, &b2);
-  EXPECT_DOUBLE_EQ(a1.objective, ColdObjective(-1, 0));
+  EXPECT_DOUBLE_EQ(a1.objective, ColdObjective({}));
   EXPECT_DOUBLE_EQ(a2.objective, a1.objective);
-  // The warm-started re-solve must hit the first solve's exhausted-root
-  // proof instead of re-searching the tree.
+  EXPECT_FALSE(a1.warm_started);
   EXPECT_TRUE(a2.warm_started);
-  EXPECT_GE(a2.stats.cache_hits, 1u);
-  EXPECT_LT(a2.stats.nodes, a1.stats.nodes);
+  EXPECT_FALSE(a2.incr_reused);
   // Replay determinism: identical sequence, identical search.
   EXPECT_EQ(b1.stats.nodes, a1.stats.nodes);
   EXPECT_EQ(b2.stats.nodes, a2.stats.nodes);
-  EXPECT_EQ(b2.stats.cache_hits, a2.stats.cache_hits);
+  EXPECT_DOUBLE_EQ(b1.objective, a1.objective);
   EXPECT_DOUBLE_EQ(b2.objective, a2.objective);
-}
-
-TEST_F(IncrementalSolveTest, FactDeltaRetiresContextCacheNamespace) {
-  // The PR 7 interaction: the cache's model key folds every group
-  // fingerprint, so a fact delta that changes one group's fingerprint
-  // re-keys the namespace and every pre-delta proof silently stops
-  // matching. The post-delta solve must land on the cold optimum — a stale
-  // exhausted-subtree proof from the old model would misprune it.
-  SolveOptions o = instance_->solve_options();
-  o.cache = true;
-  instance_->set_solve_options(o);
-  ASSERT_TRUE(instance_->Solve(Incremental()).ok());
-  const uint64_t key_before = instance_->context_cache().model_key();
-  EXPECT_GT(instance_->context_cache().entries(), 0u);
-
-  ChangeCap(2, 30);
-  auto out = instance_->Solve(Incremental());
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_NE(instance_->context_cache().model_key(), key_before)
-      << "a dirtied group fingerprint must re-key the cache namespace";
-  EXPECT_DOUBLE_EQ(out.value().objective, ColdObjective(2, 30));
-}
-
-TEST_F(IncrementalSolveTest, ResetWarmStartClearsContextCache) {
-  SolveOptions o = instance_->solve_options();
-  o.cache = true;
-  instance_->set_solve_options(o);
-  ASSERT_TRUE(instance_->Solve(Incremental()).ok());
-  ASSERT_GT(instance_->context_cache().entries(), 0u);
-  instance_->reset_warm_start();
-  EXPECT_EQ(instance_->context_cache().entries(), 0u);
 }
 
 TEST(CommonConfigTest, HelpersMapSharedSettings) {

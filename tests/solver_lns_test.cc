@@ -1,7 +1,7 @@
 // Tests for the two search backends: LNS determinism under a fixed seed,
 // warm-start reuse across Solve calls, LNS-vs-B&B quality at equal time
 // budgets on the paper's two model shapes (ACloud assignment, wireless
-// channel selection), restart accounting, the kSatisfy fallback, and a
+// channel selection), the kSatisfy fallback, and a
 // property sweep where exhaustive B&B is ground truth that LNS must never
 // beat.
 #include "solver/lns.h"
@@ -234,40 +234,6 @@ TEST(WarmStartTest, LnsUsesHintAsInitialAssignment) {
   ASSERT_TRUE(s2.has_solution());
   EXPECT_LE(s2.objective, s1.objective)
       << "starting from the optimum, LNS can never end up worse";
-}
-
-TEST(RestartTest, LubyRestartsAreCountedAndHarmless) {
-  auto m = MakeACloudModel(12, 4);
-  Model::Options o;
-  // Node-budgeted, no wall clock: the 64-node Luby dives always cycle a few
-  // times before the 4000-node cap, however slow the build.
-  o.time_limit_ms = 0;
-  o.node_limit = 4000;
-  o.restart_base_nodes = 64;
-  o.seed = 7;
-  Solution s = m->Solve(o);
-  ASSERT_TRUE(s.has_solution());
-  EXPECT_GT(s.stats.restarts, 0u);
-}
-
-TEST(RestartTest, RestartsStillProveOptimalityOnSmallModels) {
-  // On a model small enough to exhaust, the restarting B&B must reach the
-  // same optimum as the plain one.
-  auto plain = MakeACloudModel(5, 3);
-  Model::Options po;
-  po.time_limit_ms = 10'000;
-  Solution p = plain->Solve(po);
-
-  auto restarting = MakeACloudModel(5, 3);
-  Model::Options ro = po;
-  ro.restart_base_nodes = 32;
-  Solution r = restarting->Solve(ro);
-
-  ASSERT_TRUE(p.has_solution());
-  ASSERT_TRUE(r.has_solution());
-  EXPECT_EQ(p.status, SolveStatus::kOptimal);
-  EXPECT_EQ(r.status, SolveStatus::kOptimal);
-  EXPECT_EQ(p.objective, r.objective);
 }
 
 TEST(BackendTest, NamesRoundTrip) {

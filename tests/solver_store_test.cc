@@ -1,15 +1,14 @@
 // Tests for the trailed domain store (solver/store.h) and the search
 // machinery built on it: exact backtrack restoration, save-once-per-level
 // bookkeeping, the flat bounds mirror, deep-stack dives (the historical Dive
-// dangling-reference hazard, exercised under ASan in CI), the iterative Luby
-// sequence, and solve-twice determinism of the trailed search.
+// dangling-reference hazard, exercised under ASan in CI), and solve-twice
+// determinism of the trailed search.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <vector>
 
 #include "solver/model.h"
-#include "solver/search_internal.h"
 #include "solver/store.h"
 
 namespace cologne::solver {
@@ -216,37 +215,6 @@ TEST(DomainStoreTest, PeakMemoryAccountsTrail) {
   st.Backtrack();
   // Peak is a high-water mark: it does not shrink on backtrack.
   EXPECT_GT(st.PeakMemoryBytes(), base);
-}
-
-// Reference implementation: the historical self-recursive Luby form.
-uint64_t LubyRecursive(uint64_t i) {
-  for (uint64_t k = 1;; ++k) {
-    uint64_t pow2 = uint64_t{1} << k;
-    if (i == pow2 - 1) return pow2 >> 1;
-    if (i < pow2 - 1) return LubyRecursive(i - (pow2 >> 1) + 1);
-  }
-}
-
-TEST(LubyTest, MatchesRecursiveReference) {
-  // Prefix of the classic sequence, then a broad sweep.
-  const uint64_t want[] = {1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8};
-  for (size_t i = 0; i < std::size(want); ++i) {
-    EXPECT_EQ(internal::Luby(i + 1), want[i]) << "i=" << i + 1;
-  }
-  for (uint64_t i = 1; i <= 1u << 14; ++i) {
-    ASSERT_EQ(internal::Luby(i), LubyRecursive(i)) << "i=" << i;
-  }
-  // Spot checks deep into the sequence (recursion here would be log-deep;
-  // the iterative form must still agree).
-  for (uint64_t i : {uint64_t{1} << 32, (uint64_t{1} << 40) - 1,
-                     (uint64_t{1} << 40) + 12345}) {
-    EXPECT_EQ(internal::Luby(i), LubyRecursive(i)) << "i=" << i;
-  }
-  // Luby(0) is out of contract and asserts in debug builds; the release
-  // fallback pins it to the first block's value.
-#ifdef NDEBUG
-  EXPECT_EQ(internal::Luby(0), 1u);
-#endif
 }
 
 // Regression for the historical Dive hazard (`top` dangling after push_node

@@ -18,14 +18,15 @@
 // line (and after round R-1's line) belongs to round R.
 //
 // Output is deterministic — ctest `explain_golden` diffs it with a golden.
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
+#include "common/strings.h"
 #include "runtime/trace_replay.h"
 
 namespace cologne::runtime {
@@ -329,18 +330,24 @@ int Main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // --node and --round take a plain non-negative decimal: anything else
+    // is a usage error, not a silent node 0.
+    auto next_uint = [&](uint64_t max, uint64_t* out) {
+      const char* v = next();
+      return v != nullptr && ParseUint64(v, out) && *out <= max;
+    };
     if (arg == "--trace") {
       const char* v = next();
       if (v == nullptr) return Usage();
       trace_path = v;
     } else if (arg == "--node") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      node = atoi(v);
+      uint64_t n = 0;
+      if (!next_uint(INT_MAX, &n)) return Usage();
+      node = static_cast<int>(n);
     } else if (arg == "--round") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      round = strtoll(v, nullptr, 10);
+      uint64_t r = 0;
+      if (!next_uint(INT64_MAX, &r)) return Usage();
+      round = static_cast<int64_t>(r);
     } else if (arg == "--var") {
       const char* v = next();
       if (v == nullptr) return Usage();

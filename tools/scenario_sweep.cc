@@ -19,6 +19,7 @@
 // gap above the gate; each failure prints the scenariogen command that
 // regenerates the offending scenario.
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 
 #include "apps/scenariogen.h"
 #include "common/json.h"
+#include "common/strings.h"
 #include "solver/types.h"
 
 namespace {
@@ -108,14 +110,18 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Integer flags take a plain non-negative decimal: anything else is a
+    // usage error, not a silent 0.
+    auto next_uint = [&](uint64_t* out) {
+      const char* v = next();
+      return v != nullptr && cologne::ParseUint64(v, out);
+    };
     if (arg == "--count") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      config.count = std::atoi(v);
+      uint64_t n = 0;
+      if (!next_uint(&n) || n > INT_MAX) return Usage(argv[0]);
+      config.count = static_cast<int>(n);
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      config.seed = std::strtoull(v, nullptr, 10);
+      if (!next_uint(&config.seed)) return Usage(argv[0]);
     } else if (arg == "--apps") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -144,9 +150,7 @@ int main(int argc, char** argv) {
         }
       }
     } else if (arg == "--iterations") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      config.solver_iterations = std::strtoull(v, nullptr, 10);
+      if (!next_uint(&config.solver_iterations)) return Usage(argv[0]);
     } else if (arg == "--no-faults") {
       config.with_faults = false;
     } else if (arg == "--gate-gap") {

@@ -8,13 +8,14 @@
 // Same flags => same output, byte for byte. `--app X --scenario-seed S`
 // regenerates exactly the scenario a sweep failure names, independent of
 // --count/--seed.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "apps/scenariogen.h"
+#include "common/strings.h"
 
 namespace {
 
@@ -69,14 +70,18 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Integer flags take a plain non-negative decimal: anything else is a
+    // usage error, not a silent 0.
+    auto next_uint = [&](uint64_t* out) {
+      const char* v = next();
+      return v != nullptr && cologne::ParseUint64(v, out);
+    };
     if (arg == "--count") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      config.count = std::atoi(v);
+      uint64_t n = 0;
+      if (!next_uint(&n) || n > INT_MAX) return Usage(argv[0]);
+      config.count = static_cast<int>(n);
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      config.seed = std::strtoull(v, nullptr, 10);
+      if (!next_uint(&config.seed)) return Usage(argv[0]);
     } else if (arg == "--apps") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -88,9 +93,7 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       one_app = v;
     } else if (arg == "--scenario-seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      scenario_seed = std::strtoull(v, nullptr, 10);
+      if (!next_uint(&scenario_seed)) return Usage(argv[0]);
       have_scenario_seed = true;
     } else if (arg == "--no-faults") {
       config.with_faults = false;
