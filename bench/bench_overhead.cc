@@ -134,8 +134,9 @@ int RunObsJson() {
 // re-solves once; the delta only perturbs node 8's model, so with the
 // incremental path on, nodes 0..7 serve their cached solve from the
 // content-hash reuse check while node 8 rebuilds. The cold arm re-solves
-// every node from scratch — what every re-convergence sweep cost before
-// SOLVER_INCREMENTAL.
+// every node from scratch as kBatched solves with the warm-start cache
+// cleared — what every re-convergence sweep cost without the incremental
+// path.
 struct ResolveArm {
   double ms = -1;
   int dirty = 0, clean = 0, reused = 0;
@@ -208,13 +209,7 @@ ResolveArm TimedResolve(bool incremental, const colog::CompiledProgram& prog) {
   sys.RunToQuiescence();
 
   if (!incremental) {
-    for (NodeId i = 0; i < kInitiators; ++i) {
-      runtime::Instance& inst = sys.node(i);
-      inst.reset_warm_start();
-      runtime::SolveOptions o = inst.solve_options();
-      o.incremental = false;
-      inst.set_solve_options(o);
-    }
+    for (NodeId i = 0; i < kInitiators; ++i) sys.node(i).reset_warm_start();
     req.mode = runtime::SolveMode::kBatched;
   }
   // The measured unit: one full re-convergence sweep (every initiator

@@ -211,8 +211,7 @@ Result<int> ACloudScenario::RunCologne(int dc, runtime::Instance* inst,
 
   if (movable.empty()) return 0;
 
-  COLOGNE_ASSIGN_OR_RETURN(
-      out, inst->Solve(MakeSolveRequest(config_, inst->solve_options(), 0)));
+  COLOGNE_ASSIGN_OR_RETURN(out, inst->Solve(MakeSolveRequest(config_, 0)));
   // Per-solve trace for diagnosing replay regressions (set ACLOUD_DEBUG=1).
   if (getenv("ACLOUD_DEBUG") != nullptr) {
     fprintf(stderr,

@@ -26,13 +26,9 @@ runtime::SolveOptions OverlaySolveOptions(const CommonConfig& config,
 }
 
 runtime::SolveRequest MakeSolveRequest(const CommonConfig& config,
-                                       const runtime::SolveOptions& options,
                                        int batched_prefix) {
   runtime::SolveRequest req;
-  if (options.incremental) {
-    req.mode = runtime::SolveMode::kIncremental;
-    req.group_key_prefix = batched_prefix;
-  } else if (config.batch_links) {
+  if (config.batch_links) {
     req.mode = runtime::SolveMode::kBatched;
     req.group_key_prefix = batched_prefix;
   }

@@ -59,12 +59,10 @@ runtime::SolveOptions OverlaySolveOptions(const CommonConfig& config,
                                           runtime::SolveOptions base,
                                           double time_limit_ms);
 
-/// The SolveRequest a driver's solve should issue: kIncremental when the
-/// instance's `options` have SOLVER_INCREMENTAL on, else kBatched when
+/// The SolveRequest a driver's solve should issue: kBatched when
 /// batch_links is set, else kFull. `batched_prefix` is the decision-group
-/// key prefix of the grouped modes (2 = per-(X, Y) link).
+/// key prefix of kBatched (2 = per-(X, Y) link).
 runtime::SolveRequest MakeSolveRequest(const CommonConfig& config,
-                                       const runtime::SolveOptions& options,
                                        int batched_prefix);
 
 }  // namespace cologne::apps

@@ -122,8 +122,7 @@ Result<double> RunNegotiation(runtime::System* sys,
             // Batched: one model covering every link of the batch, grouped
             // per (X, Y) link prefix of the decision key for per-link LNS
             // neighborhoods.
-            runtime::SolveRequest req =
-                MakeSolveRequest(config, inst.solve_options(), 2);
+            runtime::SolveRequest req = MakeSolveRequest(config, 2);
             req.changed_tables = inst.touched_tables();
             auto out = inst.Solve(req);
             if (!out.ok()) {

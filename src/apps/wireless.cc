@@ -171,8 +171,7 @@ Result<ChannelAssignment> WirelessScenario::RunCentralized() {
   // Read-modify-write so the knobs Init() applied survive.
   inst.set_solve_options(OverlaySolveOptions(config_, inst.solve_options(),
                                              config_.solver_time_ms));
-  COLOGNE_ASSIGN_OR_RETURN(
-      out, inst.Solve(MakeSolveRequest(config_, inst.solve_options(), 0)));
+  COLOGNE_ASSIGN_OR_RETURN(out, inst.Solve(MakeSolveRequest(config_, 0)));
   if (!out.has_solution()) {
     return Status::SolverError("centralized channel selection infeasible");
   }

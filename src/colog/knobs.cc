@@ -15,7 +15,6 @@ const KnobSpec kKnobs[] = {
     {"SOLVER_SEED", &SolveKnobs::seed, 0, kNoMax},
     {"NET_RELIABLE", &SystemKnobs::net_reliable, 0, 1},
     {"OBS_METRICS", &SystemKnobs::obs_metrics, 0, 1},
-    {"SOLVER_INCREMENTAL", &SolveKnobs::incremental, 0, 1},
     {"SOLVER_NAIVE_PROPAGATION", &SolveKnobs::naive_propagation, 0, 1},
 };
 

@@ -29,12 +29,6 @@ struct SolveKnobs {
   solver::Backend backend = solver::Backend::kBranchAndBound;
   /// Seed for randomized search decisions (SOLVER_SEED).
   uint64_t seed = 0x10C5;
-  /// Incremental re-solve on fact deltas (SOLVER_INCREMENTAL): fingerprint
-  /// the compiled model per decision group, compare against the previous
-  /// solve, pin the clean groups to the cached incumbent and focus search on
-  /// the dirty ones. Off by default; with it off the solve path (and its
-  /// traces) is byte-identical to the cold solver.
-  bool incremental = false;
   /// Legacy untyped-FIFO propagation (SOLVER_NAIVE_PROPAGATION): every
   /// domain change wakes every watcher, linear sums are recomputed from
   /// scratch, entailed propagators keep running. The fixpoints — and hence

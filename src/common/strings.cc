@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -59,6 +60,17 @@ bool ParseUint64(std::string_view s, uint64_t* out) {
   const char* end = s.data() + s.size();
   auto [stop, ec] = std::from_chars(s.data(), end, *out, 10);
   return !s.empty() && ec == std::errc() && stop == end;
+}
+
+bool ParseDouble(std::string_view s, double* out) {
+  const char* end = s.data() + s.size();
+  double v = 0;
+  auto [stop, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc() || stop != end || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 std::string ToLower(std::string_view s) {

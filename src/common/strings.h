@@ -32,6 +32,11 @@ void AppendInt(std::string* out, int64_t v);
 /// sign, no whitespace, no trailing characters). False otherwise.
 bool ParseUint64(std::string_view s, uint64_t* out);
 
+/// Parse `s` as a plain finite decimal number: an optional '-', digits with
+/// an optional fraction and exponent (std::from_chars general format). No
+/// '+', whitespace, trailing characters, hex, inf or nan. False otherwise.
+bool ParseDouble(std::string_view s, double* out);
+
 /// Lowercase an ASCII string.
 std::string ToLower(std::string_view s);
 

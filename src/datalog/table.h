@@ -166,7 +166,7 @@ class Table {
   /// the operation history that produced it (journal replay, network deltas,
   /// primary-key replacement all converge). The solver bridge compares these
   /// across solves to prove its inputs unchanged and reuse the previous
-  /// model wholesale (SOLVER_INCREMENTAL).
+  /// model wholesale (SolveMode::kIncremental).
   uint64_t ContentHash() const { return content_hash_; }
 
   /// The visible rows in sorted order, read in place. Sorting happens here,

@@ -105,10 +105,8 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
   if (metrics_ != nullptr) opts.record_provenance = true;
   opts.group_key_prefix =
       request.mode == SolveMode::kFull ? 0 : request.group_key_prefix;
-  // kIncremental forces the delta path; any mode gets it when the program's
-  // SOLVER_INCREMENTAL knob (or the caller's solve options) turned it on.
-  if (request.mode == SolveMode::kIncremental) opts.incremental = true;
-  IncrementalState* incr = opts.incremental ? &incr_state_ : nullptr;
+  IncrementalState* incr =
+      request.mode == SolveMode::kIncremental ? &incr_state_ : nullptr;
 
   // Whole-solve reuse: when every table the model build reads is
   // content-unchanged since the previous incremental solve (and the solve

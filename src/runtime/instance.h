@@ -88,9 +88,9 @@ class Instance {
   /// kFull is one ungrouped model; kBatched partitions var rows into
   /// per-unit decision groups by `request.group_key_prefix` key columns
   /// (the scenario drivers aggregate a node's incident links this way);
-  /// kIncremental adds the fact-delta fingerprint path on top of the
-  /// grouping, independent of the SOLVER_INCREMENTAL knob (which enables
-  /// the same path for every mode).
+  /// kIncremental adds the fact-delta path on top of the grouping: reuse
+  /// the last output when no input table changed, accept the warm
+  /// incumbent when no decision group changed, else solve cold.
   Result<SolveOutput> Solve(const SolveRequest& request = SolveRequest{});
 
   /// Per-solve options. Init() sets the knob fields the program's `param`
@@ -100,10 +100,8 @@ class Instance {
   const SolveOptions& solve_options() const { return solve_options_; }
 
   /// Cached last solution per var-table row, used to warm-start the next
-  /// solve (cleared with reset_warm_start()). The mutable overload exposes
-  /// tuning (e.g. WarmStartCache::max_idle_solves).
+  /// solve (cleared with reset_warm_start()).
   const WarmStartCache& warm_start_cache() const { return warm_cache_; }
-  WarmStartCache& warm_start_cache() { return warm_cache_; }
   /// Clears the incremental fingerprints too: they describe the model whose
   /// incumbent the cache held, so they cannot outlive it.
   void reset_warm_start() {

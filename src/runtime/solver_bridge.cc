@@ -1055,10 +1055,8 @@ std::vector<SolveProvGroup> BuildProvenance(
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
-// Staleness ceiling of the incremental path: fall back to a cold solve when
-// strictly more than this percentage of the decision groups changed
-// fingerprint or vanished since the previous solve.
-constexpr size_t kIncrFallbackPct = 50;
+// A warm-start cache entry unseen for this many solves is evicted.
+constexpr uint64_t kWarmCacheMaxIdleSolves = 256;
 
 void FnvMix(uint64_t* h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -1166,7 +1164,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   solver::TemplateCache& templates =
       templates_ != nullptr ? *templates_ : one_shot;
   Model& model = templates.RecordModel();
-  const bool incremental = options.incremental && incr != nullptr;
+  const bool incremental = incr != nullptr;
 
   // ---- Build the constraint network: one pass over the solver rules -------
   // The plan reads engine tables by id: the catalogs must be one id space.
@@ -1298,11 +1296,10 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
 
   // ---- Incremental classification -------------------------------------------
   // Fingerprint the model per decision group and compare against the
-  // previous solve: clean groups stay pinned to the warm incumbent, search
-  // focuses on the dirty ones. Falls back to a cold solve when there is
-  // nothing to compare against (first solve, post-crash, cache disabled),
-  // when no warm incumbent exists to pin to, or when more than
-  // kIncrFallbackPct percent of the groups changed.
+  // previous solve. When every group is clean (none changed, none vanished)
+  // the model is unchanged and the warm incumbent is its solution. Anything
+  // else solves cold: nothing to compare against (first solve, post-crash,
+  // cache disabled), no warm incumbent, or any group dirty or vanished.
   std::map<std::string, uint64_t> fp_map;
   if (incremental) {
     const std::vector<uint64_t> fps =
@@ -1313,33 +1310,21 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
     };
     for (size_t gi = 0; gi < total; ++gi) fp_map[key_of(gi)] = fps[gi];
 
-    bool fallback = false;
-    std::vector<size_t> dirty;
-    if (!incr->valid || !out.warm_started) {
-      fallback = true;
-      out.incr_dirty = static_cast<int>(total);
-      out.incr_clean = 0;
-    } else {
+    const bool compare = !incr->fingerprints.empty() && out.warm_started;
+    size_t dirty = total;
+    if (compare) {
+      dirty = 0;
       for (size_t gi = 0; gi < total; ++gi) {
         auto it = incr->fingerprints.find(key_of(gi));
-        if (it == incr->fingerprints.end() || it->second != fps[gi]) {
-          dirty.push_back(gi);
-        }
+        if (it == incr->fingerprints.end() || it->second != fps[gi]) ++dirty;
       }
-      size_t vanished = 0;  // groups that existed last solve but not now
-      for (const auto& [key, fp] : incr->fingerprints) {
-        if (fp_map.find(key) == fp_map.end()) ++vanished;
-      }
-      out.incr_dirty = static_cast<int>(dirty.size());
-      out.incr_clean = static_cast<int>(total - dirty.size());
-      const size_t changes = dirty.size() + vanished;
-      if (changes * 100 > kIncrFallbackPct * total) fallback = true;
     }
-    out.incr_fallback = fallback;
-    if (!fallback) {
-      sopts.incremental = true;
-      sopts.focus_groups = std::move(dirty);
-    }
+    // With no group dirty, a group vanished iff the previous map is larger.
+    const bool vanished = incr->fingerprints.size() != fp_map.size();
+    out.incr_dirty = static_cast<int>(dirty);
+    out.incr_clean = static_cast<int>(total - dirty);
+    out.incr_fallback = !compare || dirty > 0 || vanished;
+    sopts.accept_warm_incumbent = !out.incr_fallback;
   }
 
   solver::Solution sol = model.Solve(tmpl, sopts);
@@ -1356,10 +1341,7 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   if (use_cache) {
     // Fingerprints refresh in lockstep with the cache: they describe the
     // model whose incumbent the cache now holds.
-    if (incremental) {
-      incr->fingerprints = std::move(fp_map);
-      incr->valid = true;
-    }
+    if (incremental) incr->fingerprints = std::move(fp_map);
     ++warm_cache->generation;
     for (const PlanEval::VarRow& vr : eval.var_rows()) {
       std::vector<int64_t> vals;
@@ -1368,18 +1350,16 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
       warm_cache->rows[*vr.table][vr.key] = {std::move(vals),
                                              warm_cache->generation};
     }
-    // Evict keys that have not appeared for max_idle_solves solves; drop
-    // emptied tables so empty() stays meaningful.
-    if (warm_cache->max_idle_solves > 0) {
-      for (auto& [table, entries] : warm_cache->rows) {
-        std::erase_if(entries, [&](const auto& kv) {
-          return warm_cache->generation - kv.second.last_used >
-                 warm_cache->max_idle_solves;
-        });
-      }
-      std::erase_if(warm_cache->rows,
-                    [](const auto& kv) { return kv.second.empty(); });
+    // Evict keys that have not appeared for kWarmCacheMaxIdleSolves
+    // solves; drop emptied tables so empty() stays meaningful.
+    for (auto& [table, entries] : warm_cache->rows) {
+      std::erase_if(entries, [&](const auto& kv) {
+        return warm_cache->generation - kv.second.last_used >
+               kWarmCacheMaxIdleSolves;
+      });
     }
+    std::erase_if(warm_cache->rows,
+                  [](const auto& kv) { return kv.second.empty(); });
   }
 
   // ---- Output: the same tables with the incumbent substituted -------------

@@ -80,8 +80,8 @@ struct SolveOptions : colog::SolveKnobs {
 enum class SolveMode : uint8_t {
   kFull,         ///< One ungrouped model over every var-table row.
   kBatched,      ///< Var rows grouped by key prefix (per-link neighborhoods).
-  kIncremental,  ///< kBatched + the fact-delta fingerprint path, regardless
-                 ///< of the SOLVER_INCREMENTAL knob.
+  kIncremental,  ///< kBatched + the fact-delta path (IncrementalState):
+                 ///< reuse, accept the warm incumbent, or solve cold.
 };
 
 /// \brief One solve request — what the single entry point Instance::Solve
@@ -104,9 +104,9 @@ struct SolveRequest {
 /// cannot be carried by variable id; they are keyed by (var table, regular
 /// key columns) instead, which survives churn in the forall set. A binding
 /// that leaves the forall set (e.g. a VM below the CPU filter) keeps its
-/// last decision and re-warms if it returns — but only for
-/// `max_idle_solves` solves, after which it is evicted so long-running
-/// instances with churning keys stay bounded.
+/// last decision and re-warms if it returns — but only for 256 solves,
+/// after which it is evicted so long-running instances with churning keys
+/// stay bounded.
 struct WarmStartCache {
   struct Entry {
     std::vector<int64_t> values;  ///< Solver-cell values in column order.
@@ -116,8 +116,6 @@ struct WarmStartCache {
   std::map<std::string, std::map<Row, Entry>> rows;
   /// Bumped once per cache-refreshing solve.
   uint64_t generation = 0;
-  /// Evict entries unseen for this many solves (0 = keep forever).
-  uint64_t max_idle_solves = 256;
 
   bool empty() const { return rows.empty(); }
   void clear() { rows.clear(); }
@@ -148,9 +146,10 @@ struct SolveOutput {
   /// one group with an empty key covering every decision variable.
   std::vector<SolveProvGroup> provenance;
   /// Incremental classification of this solve; -1/-1/false when the
-  /// incremental path was off. `incr_fallback` means the delta path bailed
-  /// to a cold solve (no prior fingerprints, no warm incumbent, or more
-  /// than half of the groups dirty or vanished).
+  /// incremental path was off. `incr_fallback` means the solve ran cold:
+  /// no prior fingerprints, no warm incumbent, or any group dirty or
+  /// vanished. Otherwise every group was clean and the warm incumbent was
+  /// accepted as the solution.
   int incr_dirty = -1;
   int incr_clean = -1;
   bool incr_fallback = false;
@@ -177,13 +176,12 @@ struct SolveOutput {
 /// the hash), and a model-global component (group-coupling propagators, the
 /// objective) mixed into every group. Comparing against the previous solve's
 /// map classifies groups clean/dirty. Cleared whenever the warm-start cache
-/// is — the incumbent the clean groups pin to lives there.
+/// is — the incumbent an all-clean solve accepts lives there.
 struct IncrementalState {
   /// Decision-group key ("2" / "1,3"; "" for an ungrouped model) -> fp.
+  /// Empty until a cache-refreshing solve stores fingerprints; a compare
+  /// against an empty map always falls back to a cold solve.
   std::map<std::string, uint64_t> fingerprints;
-  /// False until a cache-refreshing solve stores fingerprints; a compare
-  /// against an invalid state always falls back to a cold solve.
-  bool valid = false;
 
   /// Whole-solve reuse (the dominant steady-state case): content hashes of
   /// every engine table the model build reads (the program's
@@ -202,7 +200,6 @@ struct IncrementalState {
 
   void clear() {
     fingerprints.clear();
-    valid = false;
     input_hashes.clear();
     reuse_options = SolveOptions{};
     last_output = SolveOutput{};
@@ -234,11 +231,10 @@ class SolverBridge {
   /// previous solution seeds the search and the cache is refreshed with the
   /// new solution afterwards (the cross-solve warm-start loop).
   ///
-  /// When `incr` is non-null and options.incremental is set, the compiled
-  /// model is fingerprinted per decision group and compared against `incr`:
-  /// clean groups stay pinned to the warm-start incumbent while search
-  /// focuses on the dirty ones, falling back to a cold solve when more than
-  /// half of the groups changed. `incr` refreshes exactly when the warm cache does
+  /// When `incr` is non-null, the compiled model is fingerprinted per
+  /// decision group and compared against `incr`: when every group is clean
+  /// the warm-start incumbent is accepted as the solution, otherwise the
+  /// solve runs cold. `incr` refreshes exactly when the warm cache does
   /// (the fingerprints describe the model whose solution the cache holds).
   Result<SolveOutput> Solve(const SolveOptions& options,
                             WarmStartCache* warm_cache = nullptr,

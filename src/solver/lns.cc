@@ -27,9 +27,6 @@ bool LnsImprove(SearchContext& ctx, const LnsParams& params, Incumbent* inc) {
   // exactly as the historical variable-level loop did.
   std::vector<std::vector<int32_t>> units;
   bool grouped = false;
-  // units index of each decision group (SIZE_MAX for groups whose variables
-  // were all covered earlier); only used to resolve the incremental focus.
-  std::vector<size_t> unit_of_group;
   {
     const std::vector<int32_t>& decisions = ctx.order().DecisionIds();
     const auto& groups = model.decision_groups();
@@ -44,7 +41,6 @@ bool LnsImprove(SearchContext& ctx, const LnsParams& params, Incumbent* inc) {
             unit.push_back(v.id);
           }
         }
-        unit_of_group.push_back(unit.empty() ? SIZE_MAX : units.size());
         if (!unit.empty()) units.push_back(std::move(unit));
       }
       // Decisions outside every group relax together as one extra unit.
@@ -63,39 +59,13 @@ bool LnsImprove(SearchContext& ctx, const LnsParams& params, Incumbent* inc) {
   const size_t n = units.size();
   if (n == 0) return false;
 
-  // Incremental focus: move the dirty-group units to the front of the pool
-  // (stable, ascending group order) and open the walk on them alone. Only
-  // meaningful for grouped models with a proper subset of dirty groups.
-  size_t focus_n = 0;
-  if (params.incremental && grouped && !params.focus_groups.empty()) {
-    std::vector<char> is_focus(n, 0);
-    for (size_t g : params.focus_groups) {
-      if (g < unit_of_group.size() && unit_of_group[g] != SIZE_MAX) {
-        is_focus[unit_of_group[g]] = 1;
-      }
-    }
-    std::vector<std::vector<int32_t>> reordered;
-    reordered.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (is_focus[i]) reordered.push_back(std::move(units[i]));
-    }
-    focus_n = reordered.size();
-    for (size_t i = 0; i < n; ++i) {
-      if (!is_focus[i]) reordered.push_back(std::move(units[i]));
-    }
-    units = std::move(reordered);
-    if (focus_n == n) focus_n = 0;  // everything dirty: plain grouped walk
-  }
-  const bool focused = focus_n > 0;
-
   Rng rng(params.seed);
   size_t min_k, max_k, start_k;
   if (grouped) {
     // Relax at least one group and keep at least one fixed.
     min_k = 1;
     max_k = std::max<size_t>(1, n - 1);
-    start_k = focused ? std::clamp(focus_n, min_k, max_k)
-                      : std::clamp<size_t>(n / 3 + 1, min_k, max_k);
+    start_k = std::clamp<size_t>(n / 3 + 1, min_k, max_k);
   } else {
     min_k = std::min<size_t>(n, 2);
     max_k = std::max(min_k, n / 2);
@@ -134,15 +104,11 @@ bool LnsImprove(SearchContext& ctx, const LnsParams& params, Incumbent* inc) {
     ++ctx.stats.iterations;
 
     // Relax a uniform random k-subset of the relaxation units (partial
-    // Fisher-Yates; units[0..kk) is the neighborhood). Focused solves
-    // sample from the dirty prefix until it stops improving (8 stale
-    // trials), then widen to the full pool — the clean groups stay pinned
-    // to the incumbent for the whole focused phase.
-    const size_t pool = (focused && stale < 8) ? focus_n : n;
-    const size_t kk = std::min(k, pool);
+    // Fisher-Yates; units[0..kk) is the neighborhood).
+    const size_t kk = std::min(k, n);
     for (size_t i = 0; i < kk; ++i) {
       size_t j = i + static_cast<size_t>(rng.UniformInt(
-                         0, static_cast<int64_t>(pool - 1 - i)));
+                         0, static_cast<int64_t>(n - 1 - i)));
       std::swap(units[i], units[j]);
     }
 
@@ -253,10 +219,9 @@ Solution LnsSolve(const Model& model, const ModelTemplate& tmpl,
   // the wall-clock budget when one is set — so it stays a small prefix of
   // the solve.
   bool proven_optimal = false;
-  if (inc.found && ctx.optimizing() && !options.incremental) {
-    // Incremental re-solves skip this prefix: the warm-start hint IS the
-    // previous incumbent of a near-identical model, so the constructive
-    // burst would re-walk ground the previous solve already covered.
+  // An unchanged model's incumbent (accept_warm_incumbent) skips this and
+  // the improvement loop: the warm-start hint already is its solution.
+  if (inc.found && ctx.optimizing() && !options.accept_warm_incumbent) {
     SearchContext::DiveLimits sharpen;
     sharpen.bound_objective = true;
     sharpen.node_budget = 5000;
@@ -274,18 +239,13 @@ Solution LnsSolve(const Model& model, const ModelTemplate& tmpl,
   // kSatisfy models stop at the first solution (the fallback the runtime
   // relies on when a goal table is empty); optimizing models spend the rest
   // of the budget on neighborhood search.
-  // An incremental solve whose fingerprint pass found nothing dirty keeps
-  // the warm-started incumbent as-is — the whole point of the delta path.
-  const bool skip_improve =
-      options.incremental && options.focus_groups.empty();
-  if (inc.found && ctx.optimizing() && !proven_optimal && !skip_improve) {
+  if (inc.found && ctx.optimizing() && !proven_optimal &&
+      !options.accept_warm_incumbent) {
     LnsParams params;
     params.seed = options.seed;
     params.max_iterations = options.max_iterations;
     params.have_objective_bound = true;
     params.objective_bound = objective_bound;
-    params.incremental = options.incremental;
-    params.focus_groups = options.focus_groups;
     proven_optimal = LnsImprove(ctx, params, &inc);
   }
 

@@ -29,14 +29,6 @@ struct LnsParams {
   /// sampling guaranteed-infeasible neighborhoods.
   bool have_objective_bound = false;
   int64_t objective_bound = 0;
-  /// Incremental focus (Model::Options::incremental): restrict the first
-  /// neighborhoods to `focus_groups` (indices into the model's
-  /// decision_groups()) — the groups a fact-delta fingerprint pass marked
-  /// dirty. The pool widens to every unit once the focused walk goes stale,
-  /// so focus biases the search without making it incomplete. Ignored unless
-  /// the model carries two or more decision groups.
-  bool incremental = false;
-  std::vector<size_t> focus_groups;
 };
 
 /// \brief The improvement loop, shared by LnsSolve and the branch-and-bound

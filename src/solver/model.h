@@ -193,20 +193,11 @@ class Model {
     /// kNoHint. Backends use it to seed the first incumbent and bias value
     /// ordering; infeasible hints are repaired, never trusted.
     std::vector<int64_t> warm_start;
-    /// Incremental re-solve (the runtime's SOLVER_INCREMENTAL path): the
-    /// warm-start hint is the previous incumbent of a near-identical model,
-    /// so backends skip the incumbent-sharpening prefix and open their
-    /// improvement loop on `focus_groups` instead of the whole model.
-    /// Off by default; when off, every search path is bit-identical to the
-    /// non-incremental solver.
-    bool incremental = false;
-    /// Indices into decision_groups() that a fact-delta fingerprint pass
-    /// classified as dirty. Only read when `incremental` is set: LNS relaxes
-    /// these neighborhoods first (widening only after they stop improving),
-    /// B&B caps its tree-search prefix and focuses the anytime tail the same
-    /// way. Empty with `incremental` set means "nothing dirty": the
-    /// warm-started incumbent is accepted after the first dive.
-    std::vector<size_t> focus_groups;
+    /// The warm-start hint is the incumbent of an unchanged model (the
+    /// runtime's incremental path found every decision group clean): both
+    /// backends stop after the warm-start dive and return its solution as
+    /// feasible, without sharpening or improvement.
+    bool accept_warm_incumbent = false;
     /// Naive-propagation reference mode (the SOLVER_NAIVE_PROPAGATION knob):
     /// run the legacy flat-FIFO scheduler with full-recompute propagators —
     /// no event filtering, no incremental aggregates, no entailment

@@ -87,22 +87,17 @@ Solution BranchAndBoundSolve(const Model& model, const ModelTemplate& tmpl,
     limits.soft_deadline_ms = options.time_limit_ms * 0.3;
   }
 
-  // ---- Incremental re-solve ----------------------------------------------
-  // A warm-seeded incremental solve already holds the previous incumbent of
-  // a near-identical model. Nothing dirty: accept it outright (feasible,
-  // not proven — the delta path trades the proof for latency). Dirty
-  // groups: cap the exhaustive prefix to a short sharpening dive and let
-  // the focused improvement tail do the repair.
-  if (options.incremental && inc.found && ctx.optimizing()) {
-    if (options.focus_groups.empty()) {
-      ctx.FinalizeStats();
-      out.stats = ctx.stats;
-      out.values = std::move(inc.values);
-      out.objective = inc.objective;
-      out.status = SolveStatus::kFeasible;
-      return out;
-    }
-    limits.node_budget = 2000;
+  // ---- Unchanged model ----------------------------------------------------
+  // The warm-start dive reproduced the previous incumbent of an unchanged
+  // model: accept it outright (feasible, not proven — the incremental path
+  // trades the proof for latency).
+  if (options.accept_warm_incumbent && inc.found && ctx.optimizing()) {
+    ctx.FinalizeStats();
+    out.stats = ctx.stats;
+    out.values = std::move(inc.values);
+    out.objective = inc.objective;
+    out.status = SolveStatus::kFeasible;
+    return out;
   }
 
   bool cutoff = ctx.Dive(limits, &inc) == DiveEnd::kCutoff;
@@ -114,8 +109,6 @@ Solution BranchAndBoundSolve(const Model& model, const ModelTemplate& tmpl,
     params.max_iterations = options.max_iterations;
     params.have_objective_bound = true;
     params.objective_bound = objective_bound;
-    params.incremental = options.incremental;
-    params.focus_groups = options.focus_groups;
     if (LnsImprove(ctx, params, &inc)) {
       cutoff = false;  // incumbent reached the relaxation bound: optimal
     }

@@ -294,9 +294,8 @@ class SearchContext {
   }
 
   /// Pin every decision of `units[from..)` to its incumbent value on the
-  /// current trail level (the LNS "fix the non-relaxed neighborhoods" step,
-  /// and the incremental path's "pin the clean groups" step — same
-  /// mechanism). Returns false as soon as an assignment empties a domain;
+  /// current trail level (the LNS "fix the non-relaxed neighborhoods"
+  /// step). Returns false as soon as an assignment empties a domain;
   /// the caller backtracks the level either way.
   bool FixUnitsToIncumbent(const std::vector<std::vector<int32_t>>& units,
                            size_t from, const Incumbent& inc) {

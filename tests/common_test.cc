@@ -284,6 +284,22 @@ TEST(StringsTest, ParseUint64AcceptsOnlyPlainDecimals) {
   }
 }
 
+TEST(StringsTest, ParseDoubleAcceptsOnlyPlainFiniteNumbers) {
+  double v = 7;
+  EXPECT_TRUE(ParseDouble("1.10", &v));
+  EXPECT_DOUBLE_EQ(v, 1.10);
+  EXPECT_TRUE(ParseDouble("-2.5e3", &v));
+  EXPECT_DOUBLE_EQ(v, -2500);
+  EXPECT_TRUE(ParseDouble("0", &v));
+  EXPECT_DOUBLE_EQ(v, 0);
+  for (const char* bad : {"", "abc", "1,10", "+1", " 1", "1 ", "2x", "0x10",
+                          "inf", "nan", "1e999", "-"}) {
+    v = 7;
+    EXPECT_FALSE(ParseDouble(bad, &v)) << '"' << bad << '"';
+    EXPECT_DOUBLE_EQ(v, 7) << '"' << bad << '"';
+  }
+}
+
 TEST(JsonTest, EverySingleByteStringRoundTrips) {
   for (int b = 0; b < 256; ++b) {
     std::string in(1, static_cast<char>(b));

@@ -102,7 +102,7 @@ bool Landed(const KnobSpec& spec, const CompiledProgram& prog,
 }
 
 TEST(KnobTableTest, EveryRowValidatesAndLands) {
-  ASSERT_EQ(Knobs().size(), 7u);
+  ASSERT_EQ(Knobs().size(), 6u);
   for (const KnobSpec& spec : Knobs()) {
     SCOPED_TRACE(spec.name);
     const Samples samples = SamplesFor(spec);
@@ -156,9 +156,9 @@ TEST(KnobTableTest, UnsetKnobsKeepRuntimeDefaults) {
 
 TEST(KnobTableTest, UnknownSolverKnobRejected) {
   // A SOLVER_ name outside the knob table is an error, never a rule
-  // parameter; the last three name search features that no longer exist.
+  // parameter; all but the first name features that no longer exist.
   for (const char* suffix :
-       {"TEMPERATURE", "RESTARTS", "CACHE", "INCR_THRESHOLD"}) {
+       {"TEMPERATURE", "RESTARTS", "CACHE", "INCR_THRESHOLD", "INCREMENTAL"}) {
     const std::string name = std::string("SOLVER_") + suffix;
     SCOPED_TRACE(name);
     auto r = CompileColog("param " + name + " = 3.\ngoal satisfy.\n");

@@ -1,6 +1,7 @@
-// Incremental re-solve on fact deltas (SOLVER_INCREMENTAL): per-group model
-// fingerprinting, clean/dirty classification, threshold fallback, the
-// SolveRequest entry point, and the shared apps::CommonConfig helpers.
+// Incremental re-solve on fact deltas (SolveMode::kIncremental): per-group
+// model fingerprinting, clean/dirty classification, the three outcomes
+// (reuse, accept the warm incumbent, solve cold), the SolveRequest entry
+// point, and the shared apps::CommonConfig helpers.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,6 +12,7 @@
 #include "apps/followsun.h"
 #include "colog/planner.h"
 #include "runtime/instance.h"
+#include "runtime/system.h"
 
 namespace cologne::runtime {
 namespace {
@@ -29,7 +31,6 @@ Row R(std::initializer_list<int64_t> xs) {
 // land in the flattened objective propagator, which spans every group — a
 // deliberately model-global component.)
 const char* kGrouped = R"(
-param SOLVER_INCREMENTAL = 1.
 goal minimize C in total(C).
 var pick(G,I,V) forall slot(G,I) domain [0,1].
 d1 used(G,SUM<C>) <- pick(G,I,V), weight(G,I,W), C==V*W.
@@ -77,14 +78,11 @@ class IncrementalSolveTest : public ::testing::Test {
   }
 
   // Cold reference: a fresh instance over the same base facts, with the
-  // caps of the groups in `caps` changed and the incremental path off, for
-  // objective parity checks.
+  // caps of the groups in `caps` changed, solved once without the
+  // incremental path, for objective parity checks.
   double ColdObjective(const std::map<int, int64_t>& caps) {
     Instance cold(0, &program_);
     EXPECT_TRUE(cold.Init().ok());
-    SolveOptions o = cold.solve_options();
-    o.incremental = false;
-    cold.set_solve_options(o);
     for (int g = 0; g < kGroups; ++g) {
       auto it = caps.find(g);
       int64_t cap = it == caps.end() ? kDefaultCap : it->second;
@@ -114,7 +112,6 @@ TEST_F(IncrementalSolveTest, FirstSolveFallsBackCold) {
   EXPECT_TRUE(out.value().incr_fallback);
   EXPECT_EQ(out.value().incr_dirty, kGroups);
   EXPECT_EQ(out.value().incr_clean, 0);
-  EXPECT_TRUE(instance_->incremental_state().valid);
   EXPECT_EQ(instance_->incremental_state().fingerprints.size(),
             static_cast<size_t>(kGroups));
 }
@@ -139,40 +136,29 @@ TEST_F(IncrementalSolveTest, OneFactDeltaDirtiesExactlyOneGroup) {
   auto out = instance_->Solve(Incremental());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE(out.value().has_solution());
-  EXPECT_FALSE(out.value().incr_fallback);
+  EXPECT_TRUE(out.value().incr_fallback);
   EXPECT_EQ(out.value().incr_dirty, 1);
   EXPECT_EQ(out.value().incr_clean, kGroups - 1);
   EXPECT_DOUBLE_EQ(out.value().objective, ColdObjective({{2, 30}}));
 }
 
-// The incremental path falls back to a cold solve when strictly more than
-// half of the groups changed: with 4 groups, 2 dirty stay incremental
-// (200 is not > 200) and 3 dirty fall back (300 > 200). The pair pins the
-// ceiling: a lower one makes 2 fall back, a ceiling of 75 or more keeps 3.
-TEST_F(IncrementalSolveTest, HalfTheGroupsDirtyStaysIncremental) {
+// Any dirty group means a cold solve, even one of four. Lowering group 0's
+// cap from 6 to 5 keeps its incumbent (the weight-12 slot) feasible but no
+// longer optimal (the weight-5 slot now covers): accepting the warm
+// incumbent would keep 12, the cold solve proves the better optimum.
+TEST_F(IncrementalSolveTest, OneDirtyGroupOfFourFallsBackCold) {
   ASSERT_TRUE(instance_->Solve(Incremental()).ok());
-  ChangeCap(0, 20);
-  ChangeCap(1, 20);
+  ChangeCap(0, 5);
   auto out = instance_->Solve(Incremental());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE(out.value().has_solution());
-  EXPECT_EQ(out.value().incr_dirty, 2);
-  EXPECT_EQ(out.value().incr_clean, kGroups - 2);
-  EXPECT_FALSE(out.value().incr_fallback);
-}
-
-TEST_F(IncrementalSolveTest, MoreThanHalfTheGroupsDirtyFallsBack) {
-  ASSERT_TRUE(instance_->Solve(Incremental()).ok());
-  ChangeCap(0, 20);
-  ChangeCap(1, 20);
-  ChangeCap(2, 20);
-  auto out = instance_->Solve(Incremental());
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out.value().incr_dirty, 3);
-  EXPECT_EQ(out.value().incr_clean, kGroups - 3);
+  EXPECT_EQ(out.value().incr_dirty, 1);
+  EXPECT_EQ(out.value().incr_clean, kGroups - 1);
   EXPECT_TRUE(out.value().incr_fallback);
-  EXPECT_DOUBLE_EQ(out.value().objective,
-                   ColdObjective({{0, 20}, {1, 20}, {2, 20}}));
+  EXPECT_TRUE(out.value().warm_started);
+  EXPECT_EQ(out.value().status, solver::SolveStatus::kOptimal);
+  EXPECT_DOUBLE_EQ(out.value().objective, ColdObjective({{0, 5}}));
+  EXPECT_LT(out.value().objective, ColdObjective({}));
 }
 
 TEST_F(IncrementalSolveTest, FingerprintsSurviveCrashRestartReplay) {
@@ -196,7 +182,7 @@ TEST_F(IncrementalSolveTest, RestartWithoutRetentionFallsBackCold) {
   ASSERT_TRUE(instance_->Crash().ok());
   ASSERT_TRUE(instance_->Restart(/*retain_warm_start=*/false).ok());
   ASSERT_TRUE(instance_->ReplayBaseFacts().ok());
-  EXPECT_FALSE(instance_->incremental_state().valid);
+  EXPECT_TRUE(instance_->incremental_state().fingerprints.empty());
   auto out = instance_->Solve(Incremental());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_TRUE(out.value().incr_fallback);
@@ -204,9 +190,8 @@ TEST_F(IncrementalSolveTest, RestartWithoutRetentionFallsBackCold) {
 
 TEST_F(IncrementalSolveTest, ResetWarmStartClearsFingerprints) {
   ASSERT_TRUE(instance_->Solve(Incremental()).ok());
-  ASSERT_TRUE(instance_->incremental_state().valid);
+  ASSERT_FALSE(instance_->incremental_state().fingerprints.empty());
   instance_->reset_warm_start();
-  EXPECT_FALSE(instance_->incremental_state().valid);
   EXPECT_TRUE(instance_->incremental_state().fingerprints.empty());
 }
 
@@ -287,9 +272,6 @@ TEST_F(IncrementalSolveTest, WarmResolveReplaysOnAFreshInstance) {
   auto run_pair = [this](SolveOutput* first, SolveOutput* second) {
     Instance inst(0, &program_);
     ASSERT_TRUE(inst.Init().ok());
-    SolveOptions o = inst.solve_options();
-    o.incremental = false;
-    inst.set_solve_options(o);
     for (int g = 0; g < kGroups; ++g) {
       ASSERT_TRUE(inst.InsertFact("cap", R({g, kDefaultCap})).ok());
       for (int i = 0; i < kSlots; ++i) {
@@ -339,17 +321,12 @@ TEST(CommonConfigTest, HelpersMapSharedSettings) {
   o = apps::OverlaySolveOptions(c, base, /*time_limit_ms=*/55);
   EXPECT_DOUBLE_EQ(o.time_limit_ms, 55);
 
-  SolveOptions incremental;
-  incremental.incremental = true;
-  SolveRequest req = apps::MakeSolveRequest(c, incremental, 2);
-  EXPECT_EQ(req.mode, SolveMode::kIncremental);
-  EXPECT_EQ(req.group_key_prefix, 2);
   c.batch_links = true;
-  req = apps::MakeSolveRequest(c, SolveOptions{}, 2);
+  SolveRequest req = apps::MakeSolveRequest(c, 2);
   EXPECT_EQ(req.mode, SolveMode::kBatched);
   EXPECT_EQ(req.group_key_prefix, 2);
   c.batch_links = false;
-  req = apps::MakeSolveRequest(c, SolveOptions{}, 2);
+  req = apps::MakeSolveRequest(c, 2);
   EXPECT_EQ(req.mode, SolveMode::kFull);
   EXPECT_EQ(req.group_key_prefix, 0);
 }
@@ -361,31 +338,62 @@ TEST(CommonConfigTest, ScenarioSeedsKeepHistoricalDefaults) {
   EXPECT_TRUE(apps::FtsConfig{}.knobs.empty());
 }
 
-std::string RunFtsIncrementalTrace() {
+// Three rounds of kIncremental solves on a two-node traced System running
+// the grouped program, reaching all three outcomes: both nodes solve cold
+// first; then node 0's group 2 cap changes (node 0 solves cold, node 1
+// reuses its output); then node 1 restarts with its warm state retained
+// (its fingerprints are clean, so it accepts the warm incumbent) while
+// node 0 reuses.
+std::string RunIncrementalTrace() {
+  auto compiled = colog::CompileColog(kGrouped);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  if (!compiled.ok()) return "";
+  colog::CompiledProgram program = std::move(compiled).value();
   TraceRecorder rec;
-  apps::FtsConfig cfg;
-  cfg.num_dcs = 4;
-  cfg.converge_sweeps = 2;
-  cfg.batch_links = true;
-  cfg.knobs["NET_RELIABLE"] = Value::Int(1);
-  cfg.knobs["SOLVER_BACKEND"] = Value::Str("lns");
-  cfg.solver_max_iterations = 8;
-  cfg.solver_time_ms = 0;  // iteration-bounded: wall-clock independent
-  cfg.knobs["SOLVER_INCREMENTAL"] = Value::Int(1);
-  cfg.trace = &rec;
-  apps::FollowTheSunScenario scenario(cfg);
-  auto r = scenario.Run();
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  System sys(&program, 2);
+  EXPECT_TRUE(sys.Init().ok());
+  sys.SetTrace(&rec);
+  for (NodeId n = 0; n < 2; ++n) {
+    for (int g = 0; g < kGroups; ++g) {
+      EXPECT_TRUE(sys.InsertFact(n, "cap", R({g, kDefaultCap})).ok());
+      for (int i = 0; i < kSlots; ++i) {
+        EXPECT_TRUE(sys.InsertFact(n, "slot", R({g, i})).ok());
+        EXPECT_TRUE(
+            sys.InsertFact(n, "weight", R({g, i, WeightOf(g, i)})).ok());
+      }
+    }
+  }
+  SolveRequest req;
+  req.mode = SolveMode::kIncremental;
+  req.group_key_prefix = 1;
+  for (int round = 1; round <= 3; ++round) {
+    if (round == 2) {
+      EXPECT_TRUE(sys.node(0).DeleteFact("cap", R({2, kDefaultCap})).ok());
+      EXPECT_TRUE(sys.node(0).InsertFact("cap", R({2, 30})).ok());
+    } else if (round == 3) {
+      EXPECT_TRUE(sys.CrashNode(1).ok());
+      EXPECT_TRUE(sys.RestartNode(1, /*retain_warm_start=*/true).ok());
+    }
+    for (NodeId n = 0; n < 2; ++n) {
+      auto out = sys.node(n).Solve(req);
+      EXPECT_TRUE(out.ok()) << out.status().ToString();
+    }
+    sys.RunUntil(round);
+  }
   return rec.ToString();
 }
 
 TEST(IncrementalDeterminismTest, TwoRunsProduceByteIdenticalTraces) {
-  std::string first = RunFtsIncrementalTrace();
-  std::string second = RunFtsIncrementalTrace();
+  std::string first = RunIncrementalTrace();
+  std::string second = RunIncrementalTrace();
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
-  // The solve events carry the incremental classification.
+  // The solve events carry the incremental classification of all three
+  // outcomes: cold, reused, and the accepted (feasible, unproven) incumbent.
   EXPECT_NE(first.find("\"incr\""), std::string::npos);
+  EXPECT_NE(first.find("\"fallback\":1"), std::string::npos);
+  EXPECT_NE(first.find("\"reused\":1"), std::string::npos);
+  EXPECT_NE(first.find("\"status\":\"feasible\""), std::string::npos);
 }
 
 }  // namespace

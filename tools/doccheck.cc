@@ -34,6 +34,7 @@
 
 #include "colog/knobs.h"
 #include "colog/planner.h"
+#include "common/strings.h"
 #include "common/value.h"
 #include "runtime/instance.h"
 
@@ -155,7 +156,11 @@ int CheckBlock(const std::string& file, const Block& block) {
       }
       size_t eq = d.body.find("objective=");
       if (eq != std::string::npos) {
-        double want = strtod(d.body.c_str() + eq + 10, nullptr);
+        double want = 0;
+        if (!cologne::ParseDouble(std::string_view(d.body).substr(eq + 10),
+                                  &want)) {
+          return Fail(file, d.line, "unparseable solve directive: " + d.body);
+        }
         if (!last.has_objective || last.objective != want) {
           return Fail(file, d.line,
                       "objective mismatch: wanted " + std::to_string(want) +
@@ -164,12 +169,15 @@ int CheckBlock(const std::string& file, const Block& block) {
       }
     } else if (d.kind == "expect") {
       std::istringstream in(d.body);
-      std::string table, rows_spec;
-      in >> table >> rows_spec;
-      if (table.empty() || rows_spec.rfind("rows=", 0) != 0) {
+      std::string table, rows_spec, extra;
+      in >> table >> rows_spec >> extra;
+      uint64_t want = 0;
+      if (table.empty() || rows_spec.rfind("rows=", 0) != 0 ||
+          !cologne::ParseUint64(std::string_view(rows_spec).substr(5),
+                                &want) ||
+          !extra.empty()) {
         return Fail(file, d.line, "unparseable expect directive: " + d.body);
       }
-      size_t want = strtoull(rows_spec.c_str() + 5, nullptr, 10);
       const cologne::datalog::Table* t = inst.engine().GetTable(table);
       size_t got = t == nullptr ? 0 : t->size();
       if (got != want) {

@@ -154,9 +154,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-faults") {
       config.with_faults = false;
     } else if (arg == "--gate-gap") {
+      // A non-negative number; a typo must not read as 0 (gate off).
       const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      gate_gap = std::atof(v);
+      if (v == nullptr || !cologne::ParseDouble(v, &gate_gap) ||
+          gate_gap < 0) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--out") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
